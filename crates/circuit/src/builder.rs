@@ -258,19 +258,7 @@ impl NetworkBuilder {
             });
         }
 
-        // Victim observation node: explicit choice or first victim sink.
-        let victim_sinks = &nets[victim.index()].sinks;
-        let victim_output = match self.victim_output {
-            Some(node) => {
-                if !victim_sinks.iter().any(|s| s.node == node) {
-                    return Err(CircuitError::UnknownNode(node));
-                }
-                node
-            }
-            None => victim_sinks[0].node,
-        };
-
-        Ok(Network {
+        let mut network = Network {
             node_names: self.node_names,
             node_net: self.node_net,
             nets,
@@ -278,9 +266,12 @@ impl NetworkBuilder {
             ground_caps: self.ground_caps,
             coupling_caps: self.coupling_caps,
             victim,
-            victim_output,
+            victim_output: NodeId(0),
             trees,
-        })
+        };
+        // Victim observation node: explicit choice or first victim sink.
+        network.set_victim(victim, self.victim_output)?;
+        Ok(network)
     }
 
     /// BFS from the driver root over the net's resistors; verifies the

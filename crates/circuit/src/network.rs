@@ -1,5 +1,5 @@
 use crate::tree::NetTree;
-use crate::{CouplingCap, Driver, GroundCap, NetId, NodeId, Resistor, Sink};
+use crate::{CircuitError, CouplingCap, Driver, GroundCap, NetId, NodeId, Resistor, Sink};
 
 /// Role of a net in the coupling analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,6 +138,39 @@ impl Network {
     /// the first sink added, see [`crate::NetworkBuilder::set_victim_output`]).
     pub fn victim_output(&self) -> NodeId {
         self.victim_output
+    }
+
+    /// Re-designates the victim: `victim` becomes the victim and every
+    /// other net an aggressor, observed at `output` — which must carry a
+    /// sink on `victim` — or else at its first sink, as
+    /// [`crate::NetworkBuilder::build`] chooses. On error the network is
+    /// unchanged.
+    ///
+    /// Elements, node and net order stay as they are, so the result is
+    /// the network the builder would produce with these roles.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::UnknownNode`] when `output` is not a sink node of
+    /// `victim`.
+    pub(crate) fn set_victim(
+        &mut self,
+        victim: NetId,
+        output: Option<NodeId>,
+    ) -> Result<(), CircuitError> {
+        let sinks = &self.nets[victim.index()].sinks;
+        let output = match output {
+            Some(node) if !sinks.iter().any(|s| s.node == node) => {
+                return Err(CircuitError::UnknownNode(node));
+            }
+            Some(node) => node,
+            None => sinks[0].node,
+        };
+        self.nets[self.victim.index()].role = NetRole::Aggressor;
+        self.nets[victim.index()].role = NetRole::Victim;
+        self.victim = victim;
+        self.victim_output = output;
+        Ok(())
     }
 
     /// All wire resistors.

@@ -32,6 +32,7 @@ use super::{parse_si_value, tokens_with_columns, DeckLimits, SpiceParseError};
 use crate::{NetId, NetRole, Network, NetworkBuilder, NodeId};
 use std::collections::HashMap;
 use std::io::BufRead;
+use std::sync::Arc;
 
 /// How many skipped-directive examples [`DeckStream`] records verbatim
 /// (the count in [`DeckStats`] is always exact).
@@ -719,11 +720,19 @@ impl<R: BufRead> DeckStream<R> {
 
 /// A node-name occurrence: interned node id plus the deck position of
 /// the referencing token, so late errors still point at their source.
+/// Positions are stored as `u32` (saturating) to keep element rows small.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeUse {
     pub(crate) node: u32,
-    pub(crate) line: usize,
-    pub(crate) col: usize,
+    line: u32,
+    col: u32,
+}
+
+impl NodeUse {
+    /// The `(line, col)` of the referencing token.
+    fn position(&self) -> (usize, usize) {
+        (self.line as usize, self.col as usize)
+    }
 }
 
 /// One declared net in a [`DeckIndex`].
@@ -748,8 +757,9 @@ pub(crate) struct IndexedNet {
 /// (which is exactly what [`parse_deck`](super::parse_deck) does).
 #[derive(Debug, Clone)]
 pub struct DeckIndex {
-    names: Vec<String>,
-    ids: HashMap<String, u32>,
+    /// Interned node names; `ids` shares each name's allocation.
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32>,
     /// Net owning each node, resolved; `None` = unreachable from any
     /// driver.
     pub(crate) node_net: Vec<Option<u32>>,
@@ -865,16 +875,17 @@ impl DeckIndex {
             Some(&id) => id,
             None => {
                 let id = u32::try_from(self.names.len()).unwrap_or(u32::MAX);
-                self.names.push(f.text.to_string());
-                self.ids.insert(f.text.to_string(), id);
+                let name: Arc<str> = Arc::from(f.text);
+                self.names.push(Arc::clone(&name));
+                self.ids.insert(name, id);
                 self.node_net.push(None);
                 id
             }
         };
         NodeUse {
             node,
-            line: f.line,
-            col: f.col,
+            line: u32::try_from(f.line).unwrap_or(u32::MAX),
+            col: u32::try_from(f.col).unwrap_or(u32::MAX),
         }
     }
 
@@ -891,9 +902,10 @@ impl DeckIndex {
                 });
             };
             if self.node_net[nu.node as usize].is_some() {
+                let (line, col) = nu.position();
                 return Err(SpiceParseError::DuplicateDefinition {
-                    line: nu.line,
-                    col: nu.col,
+                    line,
+                    col,
                     what: format!(
                         "node {:?} (driver node of two different nets)",
                         self.names[nu.node as usize]
@@ -983,124 +995,142 @@ impl DeckIndex {
     /// [`SpiceParseError::Invalid`] when the described structure fails
     /// [`NetworkBuilder::build`] validation.
     pub fn into_network(self) -> Result<Network, SpiceParseError> {
-        self.materialize(None)
+        let every = |len: usize| (0..u32::try_from(len).unwrap_or(u32::MAX)).collect::<Vec<u32>>();
+        let nets = every(self.nets.len());
+        let nodes = self.owned_nodes_by_name();
+        let (resistors, ground_caps, sinks, coupling_caps) = (
+            every(self.resistors.len()),
+            every(self.ground_caps.len()),
+            every(self.sinks.len()),
+            every(self.coupling_caps.len()),
+        );
+        let rows = Rows {
+            nets: &nets,
+            nodes: &nodes,
+            resistors: &resistors,
+            ground_caps: &ground_caps,
+            sinks: &sinks,
+            coupling_caps: &coupling_caps,
+        };
+        Ok(self.materialize(rows, None)?.0)
     }
 
-    /// Materializes either the whole deck (`selection == None`, deck
-    /// roles kept) or one coupled cluster (`selection == Some((members,
-    /// victim))`, roles reassigned: `victim` becomes the victim, every
-    /// other member an aggressor).
+    /// Every node owned by a net, sorted by name — the node order of
+    /// every materialized network.
+    pub(crate) fn owned_nodes_by_name(&self) -> Vec<u32> {
+        let mut nodes: Vec<u32> = (0..u32::try_from(self.names.len()).unwrap_or(u32::MAX))
+            .filter(|&id| self.node_net[id as usize].is_some())
+            .collect();
+        // Names are interned, hence unique: the unstable sort is
+        // deterministic.
+        nodes.sort_unstable_by(|&a, &b| self.names[a as usize].cmp(&self.names[b as usize]));
+        nodes
+    }
+
+    /// Materializes the network made of `rows`: nets in the order given,
+    /// nodes in the order given (name order), elements in deck order.
     ///
-    /// Both paths share one code path on purpose: nets are added in
-    /// declaration order, nodes in name-sorted order, elements in deck
-    /// order — so a cluster network is exactly the whole-deck network
-    /// with other clusters' rows deleted, and per-cluster analysis
-    /// results are bit-identical to the whole-deck path.
+    /// With `victim == None` the nets keep their deck roles and the deck's
+    /// `*! output` node is the observation node (the whole-deck path).
+    /// With `victim == Some(v)` net `v` is the victim, every other net an
+    /// aggressor, and the observation node is the builder default; the
+    /// local id of the deck's output node, when it is among `rows.nodes`,
+    /// is returned for the caller to apply (see
+    /// [`Island::designate`](crate::cluster::Island::designate)).
+    ///
+    /// An island's rows are the whole deck's rows with other islands'
+    /// deleted, so an island network is exactly the whole-deck network
+    /// restricted to the island.
     pub(crate) fn materialize(
         &self,
-        selection: Option<(&[u32], u32)>,
-    ) -> Result<Network, SpiceParseError> {
-        let island = selection.is_some();
+        rows: Rows<'_>,
+        victim: Option<u32>,
+    ) -> Result<(Network, Option<NodeId>), SpiceParseError> {
         let mut b = NetworkBuilder::new();
-        let mut net_ids: Vec<Option<NetId>> = vec![None; self.nets.len()];
-        match selection {
-            None => {
-                for (i, rn) in self.nets.iter().enumerate() {
-                    net_ids[i] = Some(b.add_net(rn.name.clone(), rn.role));
-                }
-            }
-            Some((members, victim)) => {
-                for &m in members {
-                    let role = if m == victim {
-                        NetRole::Victim
-                    } else {
-                        NetRole::Aggressor
-                    };
-                    net_ids[m as usize] = Some(b.add_net(self.nets[m as usize].name.clone(), role));
-                }
-            }
+        // `rows.nets` is ascending, so a net's local id is its position.
+        let local_net = |net: u32| {
+            let i = rows
+                .nets
+                .binary_search(&net)
+                .expect("row nets are selected");
+            NetId(u32::try_from(i).unwrap_or(u32::MAX))
+        };
+        for &m in rows.nets {
+            let role = match victim {
+                None => self.nets[m as usize].role,
+                Some(v) if v == m => NetRole::Victim,
+                Some(_) => NetRole::Aggressor,
+            };
+            b.add_net(self.nets[m as usize].name.clone(), role);
         }
-
-        // Deterministic node order: sort selected nodes by name (the
-        // subset of a sorted sequence is sorted, so cluster order
-        // matches whole-deck order restricted to the cluster).
-        let mut node_names: Vec<&str> = (0..self.names.len())
-            .filter(|&id| {
-                self.node_net[id].is_some_and(|n| net_ids[n as usize].is_some())
-            })
-            .map(|id| self.names[id].as_str())
-            .collect();
-        node_names.sort_unstable();
-        let mut node_ids: HashMap<&str, NodeId> = HashMap::with_capacity(node_names.len());
-        for name in node_names {
-            let owner = self.node_net[self.ids[name] as usize].expect("selected nodes are owned");
-            let net = net_ids[owner as usize].expect("selected nodes' nets are selected");
-            node_ids.insert(name, b.add_node(net, name));
+        let mut node_ids: HashMap<u32, NodeId> = HashMap::with_capacity(rows.nodes.len());
+        for &id in rows.nodes {
+            let owner = self.node_net[id as usize].expect("row nodes are owned");
+            node_ids.insert(id, b.add_node(local_net(owner), &*self.names[id as usize]));
         }
-        // In whole-deck mode a missing node is an unreachable-node error
-        // at the referencing token; in cluster mode the element simply
-        // belongs to another cluster (or dangles) and is skipped.
-        let resolve = |nu: &NodeUse| -> Result<Option<NodeId>, SpiceParseError> {
-            match node_ids.get(self.names[nu.node as usize].as_str()) {
-                Some(&id) => Ok(Some(id)),
-                None if island => Ok(None),
-                None => Err(SpiceParseError::Malformed {
-                    line: nu.line,
-                    col: nu.col,
+        // A row node outside `rows.nodes` is unreachable from any driver:
+        // an error at the referencing token. Island rows never hit this;
+        // partitioning leaves such rows out of every island.
+        let resolve = |nu: &NodeUse| -> Result<NodeId, SpiceParseError> {
+            node_ids.get(&nu.node).copied().ok_or_else(|| {
+                let (line, col) = nu.position();
+                SpiceParseError::Malformed {
+                    line,
+                    col,
                     detail: format!(
                         "node {:?} not reachable from any driver",
                         self.names[nu.node as usize]
                     ),
-                }),
-            }
+                }
+            })
         };
 
-        for (i, rn) in self.nets.iter().enumerate() {
-            let Some(net) = net_ids[i] else { continue };
-            let (nu, ohms) = rn.driver.as_ref().expect("resolve() checked drivers");
-            let Some(node) = resolve(nu)? else { continue };
-            b.add_driver(net, node, *ohms)?;
+        for &m in rows.nets {
+            let (nu, ohms) = self.nets[m as usize]
+                .driver
+                .as_ref()
+                .expect("resolve() checked drivers");
+            b.add_driver(local_net(m), resolve(nu)?, *ohms)?;
         }
-        for (a, bb, ohms) in &self.resistors {
-            let (Some(x), Some(y)) = (resolve(a)?, resolve(bb)?) else {
-                continue;
-            };
-            b.add_resistor(x, y, *ohms)?;
+        for &k in rows.resistors {
+            let (x, y, ohms) = &self.resistors[k as usize];
+            b.add_resistor(resolve(x)?, resolve(y)?, *ohms)?;
         }
-        for (n, f) in &self.ground_caps {
-            let Some(x) = resolve(n)? else { continue };
-            b.add_ground_cap(x, *f)?;
+        for &k in rows.ground_caps {
+            let (n, f) = &self.ground_caps[k as usize];
+            b.add_ground_cap(resolve(n)?, *f)?;
         }
-        for (n, f) in &self.sinks {
-            let Some(x) = resolve(n)? else { continue };
-            b.add_sink(x, *f)?;
+        for &k in rows.sinks {
+            let (n, f) = &self.sinks[k as usize];
+            b.add_sink(resolve(n)?, *f)?;
         }
-        for (a, bb, f) in &self.coupling_caps {
-            let (Some(x), Some(y)) = (resolve(a)?, resolve(bb)?) else {
-                continue;
-            };
-            b.add_coupling_cap(x, y, *f)?;
+        for &k in rows.coupling_caps {
+            let (x, y, f) = &self.coupling_caps[k as usize];
+            b.add_coupling_cap(resolve(x)?, resolve(y)?, *f)?;
         }
-        if let Some(out) = &self.output {
-            match selection {
-                None => {
-                    let node = resolve(out)?.expect("whole-deck resolve errors instead");
-                    b.set_victim_output(node);
-                }
-                Some((_, victim)) => {
-                    // Only meaningful when the output node sits on this
-                    // cluster's victim; otherwise the victim's first
-                    // sink is the (builder-default) observation node.
-                    if self.node_net[out.node as usize] == Some(victim) {
-                        if let Some(node) = resolve(out)? {
-                            b.set_victim_output(node);
-                        }
-                    }
-                }
+        let output = self
+            .output
+            .as_ref()
+            .and_then(|out| node_ids.get(&out.node).copied());
+        if victim.is_none() {
+            if let Some(out) = &self.output {
+                b.set_victim_output(resolve(out)?);
             }
         }
-        Ok(b.build()?)
+        Ok((b.build()?, output))
     }
+}
+
+/// The rows one materialization reads: net indices (ascending), node ids
+/// in name order, and row indices into each element table in deck order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rows<'a> {
+    pub(crate) nets: &'a [u32],
+    pub(crate) nodes: &'a [u32],
+    pub(crate) resistors: &'a [u32],
+    pub(crate) ground_caps: &'a [u32],
+    pub(crate) sinks: &'a [u32],
+    pub(crate) coupling_caps: &'a [u32],
 }
 
 #[cfg(test)]

@@ -167,32 +167,30 @@ impl fmt::Display for ValidationReport {
     }
 }
 
-/// Classifies a value that must be strictly positive and finite.
+/// Classifies a value that must be strictly positive and finite. The
+/// label is formatted only when a finding is pushed.
 fn check_value(
     report: &mut ValidationReport,
-    what: &str,
+    what: impl FnOnce() -> String,
     value: f64,
     allow_zero: bool,
     net: Option<NetId>,
     node: Option<NodeId>,
 ) {
-    if !value.is_finite() {
-        report.push(
-            Severity::Error,
-            ValidationKind::NonFiniteValue,
-            format!("{what} is {value}"),
-            net,
-            node,
-        );
+    let kind = if !value.is_finite() {
+        ValidationKind::NonFiniteValue
     } else if value < 0.0 || (value == 0.0 && !allow_zero) {
-        report.push(
-            Severity::Error,
-            ValidationKind::NonPositiveValue,
-            format!("{what} is {value}"),
-            net,
-            node,
-        );
-    }
+        ValidationKind::NonPositiveValue
+    } else {
+        return;
+    };
+    report.push(
+        Severity::Error,
+        kind,
+        format!("{} is {value}", what()),
+        net,
+        node,
+    );
 }
 
 impl Network {
@@ -213,6 +211,10 @@ impl Network {
     /// Networks built through the checked [`crate::NetworkBuilder`] can
     /// only produce warnings; errors appear for networks built through
     /// [`crate::NetworkBuilder::permissive`] or corrupted on disk.
+    ///
+    /// The report is [`Network::validate_structure`] followed by the
+    /// victim findings of [`Network::validate_victim`]; the whole pass is
+    /// linear in the element count.
     ///
     /// # Examples
     ///
@@ -236,13 +238,23 @@ impl Network {
     /// # }
     /// ```
     pub fn validate(&self) -> ValidationReport {
+        let mut report = self.validate_structure();
+        self.push_victim_findings(&mut report);
+        report
+    }
+
+    /// The findings of [`Network::validate`] that do not depend on which
+    /// net is the victim: element values, reachability, and per-net
+    /// capacitance. One report serves every victim designation of the
+    /// same elements (see [`Network::validate_victim`]).
+    pub fn validate_structure(&self) -> ValidationReport {
         let mut report = ValidationReport::default();
 
         // --- Element values -------------------------------------------------
         for (i, r) in self.resistors.iter().enumerate() {
             check_value(
                 &mut report,
-                &format!("resistor {i} ({}-{})", r.a, r.b),
+                || format!("resistor {i} ({}-{})", r.a, r.b),
                 r.ohms,
                 false,
                 Some(self.node_net(r.a)),
@@ -252,7 +264,7 @@ impl Network {
         for (net_id, net) in self.nets() {
             check_value(
                 &mut report,
-                &format!("driver resistance of net {:?}", net.name()),
+                || format!("driver resistance of net {:?}", net.name()),
                 net.driver().ohms,
                 false,
                 Some(net_id),
@@ -261,7 +273,7 @@ impl Network {
             for s in net.sinks() {
                 check_value(
                     &mut report,
-                    &format!("sink load at node {}", s.node),
+                    || format!("sink load at node {}", s.node),
                     s.farads,
                     true, // zero loads model ideal probes
                     Some(net_id),
@@ -272,7 +284,7 @@ impl Network {
         for (i, c) in self.ground_caps.iter().enumerate() {
             check_value(
                 &mut report,
-                &format!("ground capacitor {i} at node {}", c.node),
+                || format!("ground capacitor {i} at node {}", c.node),
                 c.farads,
                 false,
                 Some(self.node_net(c.node)),
@@ -282,7 +294,7 @@ impl Network {
         for (i, c) in self.coupling_caps.iter().enumerate() {
             check_value(
                 &mut report,
-                &format!("coupling capacitor {i} ({}-{})", c.a, c.b),
+                || format!("coupling capacitor {i} ({}-{})", c.a, c.b),
                 c.farads,
                 false,
                 Some(self.node_net(c.a)),
@@ -293,28 +305,41 @@ impl Network {
         // --- Structure ------------------------------------------------------
         // Re-walk each net's resistive graph from its driver. The checked
         // builder guarantees connectivity, but permissively built or
-        // hand-deserialized networks may not honor it.
+        // hand-deserialized networks may not honor it. One adjacency list
+        // serves every net; a node counts as reached only by the walk of
+        // the net that marked it.
+        let n = self.node_count();
+        let mut start = vec![0usize; n + 1];
+        for r in &self.resistors {
+            start[r.a.index() + 1] += 1;
+            start[r.b.index() + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut adjacent = vec![NodeId(0); start[n]];
+        for r in &self.resistors {
+            adjacent[fill[r.a.index()]] = r.b;
+            fill[r.a.index()] += 1;
+            adjacent[fill[r.b.index()]] = r.a;
+            fill[r.b.index()] += 1;
+        }
+        let mut reached_by: Vec<Option<NetId>> = vec![None; n];
+        let mut stack = Vec::new();
         for (net_id, net) in self.nets() {
-            let mut reachable = vec![false; self.node_count()];
-            let mut stack = vec![net.driver().node];
-            reachable[net.driver().node.index()] = true;
+            reached_by[net.driver().node.index()] = Some(net_id);
+            stack.push(net.driver().node);
             while let Some(u) = stack.pop() {
-                for r in &self.resistors {
-                    let next = if r.a == u {
-                        r.b
-                    } else if r.b == u {
-                        r.a
-                    } else {
-                        continue;
-                    };
-                    if self.node_net(next) == net_id && !reachable[next.index()] {
-                        reachable[next.index()] = true;
+                for &next in &adjacent[start[u.index()]..start[u.index() + 1]] {
+                    if self.node_net(next) == net_id && reached_by[next.index()] != Some(net_id) {
+                        reached_by[next.index()] = Some(net_id);
                         stack.push(next);
                     }
                 }
             }
             for &n in net.nodes() {
-                if !reachable[n.index()] {
+                if reached_by[n.index()] != Some(net_id) {
                     report.push(
                         Severity::Error,
                         ValidationKind::DisconnectedNode,
@@ -332,8 +357,26 @@ impl Network {
         }
 
         // --- Analytical degeneracies ---------------------------------------
+        // Per-node totals in one pass, summed in the order
+        // `node_total_cap` uses (ground caps, sinks, coupling caps), so
+        // every total is bit-identical to it.
+        let mut node_cap = vec![0.0; n];
+        for gc in &self.ground_caps {
+            node_cap[gc.node.index()] += gc.farads;
+        }
+        for net in &self.nets {
+            for s in &net.sinks {
+                node_cap[s.node.index()] += s.farads;
+            }
+        }
+        for cc in &self.coupling_caps {
+            node_cap[cc.a.index()] += cc.farads;
+            if cc.b != cc.a {
+                node_cap[cc.b.index()] += cc.farads;
+            }
+        }
         for (net_id, net) in self.nets() {
-            let total = self.net_total_cap(net_id);
+            let total: f64 = net.nodes().iter().map(|n| node_cap[n.index()]).sum();
             if total == 0.0 {
                 report.push(
                     Severity::Error,
@@ -352,7 +395,7 @@ impl Network {
                     if n == net.driver().node {
                         continue;
                     }
-                    if self.node_total_cap(n) == 0.0 {
+                    if node_cap[n.index()] == 0.0 {
                         report.push(
                             Severity::Warning,
                             ValidationKind::FloatingNode,
@@ -368,10 +411,25 @@ impl Network {
                 }
             }
         }
+        report
+    }
 
-        let victim_coupled = self.coupling_caps.iter().any(|c| {
-            self.node_net(c.a) == self.victim || self.node_net(c.b) == self.victim
-        });
+    /// `structure` — this network's [`Network::validate_structure`]
+    /// report, possibly taken under another victim designation of the
+    /// same elements — followed by the findings about the current victim.
+    /// Equal to [`Network::validate`], at the cost of the victim findings
+    /// alone.
+    pub fn validate_victim(&self, structure: &ValidationReport) -> ValidationReport {
+        let mut report = structure.clone();
+        self.push_victim_findings(&mut report);
+        report
+    }
+
+    fn push_victim_findings(&self, report: &mut ValidationReport) {
+        let victim_coupled = self
+            .coupling_caps
+            .iter()
+            .any(|c| self.node_net(c.a) == self.victim || self.node_net(c.b) == self.victim);
         if !victim_coupled {
             report.push(
                 Severity::Warning,
@@ -398,8 +456,6 @@ impl Network {
                 Some(self.victim_output),
             );
         }
-
-        report
     }
 }
 
@@ -493,6 +549,35 @@ mod tests {
         assert!(kinds.contains(&ValidationKind::NonPositiveValue));
     }
 
+    /// A network that triggers every [`ValidationKind`]: a NaN driver, a
+    /// negative resistor, a capacitance-free victim sink (observation and
+    /// floating node), no coupling at all, a net with zero capacitance,
+    /// and an aggressor node cut off from its driver.
+    fn every_finding() -> Network {
+        let mut b = NetworkBuilder::permissive();
+        let v = b.add_net("vic", NetRole::Victim);
+        let a = b.add_net("agg", NetRole::Aggressor);
+        let d = b.add_net("dead", NetRole::Aggressor);
+        let v0 = b.add_node(v, "v0");
+        let v1 = b.add_node(v, "v1");
+        let a0 = b.add_node(a, "a0");
+        let a1 = b.add_node(a, "a1");
+        let d0 = b.add_node(d, "d0");
+        b.add_driver(v, v0, f64::NAN).unwrap();
+        b.add_driver(a, a0, 100.0).unwrap();
+        b.add_driver(d, d0, 100.0).unwrap();
+        b.add_resistor(a0, a1, 10.0).unwrap();
+        b.add_resistor(v0, v1, -25.0).unwrap();
+        b.add_ground_cap(v0, 2e-15).unwrap();
+        b.add_sink(v1, 0.0).unwrap();
+        b.add_sink(a1, 1e-15).unwrap();
+        b.add_sink(d0, 0.0).unwrap();
+        let mut network = b.build().unwrap();
+        // Cut a1 off from the aggressor driver after construction.
+        network.resistors.remove(0);
+        network
+    }
+
     #[test]
     fn report_display_lists_every_finding() {
         let mut b = NetworkBuilder::new();
@@ -500,10 +585,29 @@ mod tests {
         let v0 = b.add_node(v, "v0");
         b.add_driver(v, v0, 100.0).unwrap();
         b.add_sink(v0, 1e-15).unwrap();
-        let report = b.build().unwrap().validate();
-        let text = report.to_string();
-        assert!(text.contains("warning"), "{text}");
-        assert!(text.contains("coupling"), "{text}");
-        assert_eq!(text.lines().count(), report.findings().len());
+        for network in [b.build().unwrap(), every_finding()] {
+            let report = network.validate();
+            let text = report.to_string();
+            assert!(text.contains("warning"), "{text}");
+            assert!(text.contains("coupling"), "{text}");
+            assert_eq!(text.lines().count(), report.findings().len());
+        }
+
+        let report = every_finding().validate();
+        assert_eq!(
+            report.to_string(),
+            "error: non-positive element value: resistor 0 (n0-n1) is -25\n\
+             error: non-finite element value: driver resistance of net \"vic\" is NaN\n\
+             error: node unreachable from driver: node n3 (\"a1\") is not resistively \
+             reachable from the driver of net \"agg\"\n\
+             warning: capacitance-free node: node n1 (\"v1\") carries no ground, sink, \
+             or coupling capacitance\n\
+             error: net has zero total capacitance: net \"dead\" carries no capacitance \
+             at all\n\
+             warning: victim has no coupling path: victim net \"vic\" has no coupling \
+             capacitor to any aggressor; noise is identically zero\n\
+             warning: observation node has no capacitance: victim observation node n1 \
+             (\"v1\") carries no capacitance"
+        );
     }
 }

@@ -1,8 +1,77 @@
 use crate::{
     MetricError, MetricOne, MetricTwo, NoiseBounds, NoiseEstimate, OutputMoments,
 };
+use std::cell::OnceCell;
 use xtalk_circuit::{signal::InputSignal, NetId, Network, NodeId};
-use xtalk_moments::MomentEngine;
+use xtalk_moments::{MomentEngine, MomentError};
+
+/// Where the metric chain reads its moments: the exact transfer Taylor
+/// coefficients `h0..h3` from a net's source to an observation node.
+///
+/// [`NoiseAnalyzer`] answers from the dense engine it factors for its
+/// own network; [`SharedMoments`] answers every victim designation of
+/// one network from a single factorization.
+pub trait MomentSource {
+    /// `h0..h3` of the transfer function from the source of `net` to
+    /// `node`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates moment-engine failures.
+    fn transfer_taylor(&self, net: NetId, node: NodeId) -> Result<[f64; 4], MetricError>;
+}
+
+impl<M: MomentSource + ?Sized> MomentSource for &M {
+    fn transfer_taylor(&self, net: NetId, node: NodeId) -> Result<[f64; 4], MetricError> {
+        (**self).transfer_taylor(net, node)
+    }
+}
+
+/// One network's dense [`MomentEngine`], factored once, with each source
+/// net's moment vectors `m0..m3` solved on first use and kept.
+///
+/// The engine is built from element and net order alone, never from
+/// roles, and the moment vectors for a unit input at net `j` do not
+/// depend on which net is the victim — the victim only picks the node
+/// they are read at. So one `SharedMoments` serves every victim
+/// designation of the same elements, bit-identically to a fresh engine
+/// per designation.
+#[derive(Debug)]
+pub struct SharedMoments {
+    engine: MomentEngine,
+    vectors: Vec<OnceCell<Result<Vec<Vec<f64>>, MomentError>>>,
+}
+
+impl SharedMoments {
+    /// Builds and factors the engine for `network`'s elements.
+    ///
+    /// # Errors
+    ///
+    /// Propagates moment-engine construction failures.
+    pub fn new(network: &Network) -> Result<Self, MetricError> {
+        Ok(SharedMoments {
+            engine: MomentEngine::new(network)?,
+            vectors: (0..network.net_count()).map(|_| OnceCell::new()).collect(),
+        })
+    }
+}
+
+impl MomentSource for SharedMoments {
+    fn transfer_taylor(&self, net: NetId, node: NodeId) -> Result<[f64; 4], MetricError> {
+        let vectors = self.vectors[net.index()]
+            .get_or_init(|| self.engine.moment_vectors(net, 4))
+            .as_ref()
+            .map_err(|e| MetricError::from(e.clone()))?;
+        Ok(std::array::from_fn(|k| vectors[k][node.index()]))
+    }
+}
+
+impl MomentSource for NoiseAnalyzer<'_> {
+    fn transfer_taylor(&self, net: NetId, node: NodeId) -> Result<[f64; 4], MetricError> {
+        let h = self.engine.transfer_taylor(net, node, 4)?;
+        Ok([h[0], h[1], h[2], h[3]])
+    }
+}
 
 /// Which closed-form metric to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -89,7 +158,7 @@ impl<'a> NoiseAnalyzer<'a> {
         input: &InputSignal,
         node: NodeId,
     ) -> Result<OutputMoments, MetricError> {
-        let h = self.engine.transfer_taylor(aggressor, node, 4)?;
+        let h = MomentSource::transfer_taylor(self, aggressor, node)?;
         OutputMoments::from_transfer(&h, input)
     }
 

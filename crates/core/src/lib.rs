@@ -74,7 +74,7 @@ pub mod resilience;
 pub mod superpose;
 pub mod template;
 
-pub use analyzer::{MetricKind, NoiseAnalyzer};
+pub use analyzer::{MetricKind, MomentSource, NoiseAnalyzer, SharedMoments};
 pub use batch::{BoundsBatch, EstimateBatch, MomentBatch};
 pub use error::MetricError;
 pub use estimate::{NoiseBounds, NoiseEstimate};

@@ -64,7 +64,10 @@
 //! ```
 
 use crate::baselines::lumped_pi;
-use crate::{MetricError, MetricOne, MetricTwo, NoiseAnalyzer, NoiseBounds, NoiseEstimate, OutputMoments};
+use crate::{
+    MetricError, MetricOne, MetricTwo, MomentSource, NoiseAnalyzer, NoiseBounds, NoiseEstimate,
+    OutputMoments,
+};
 use std::error::Error;
 use std::fmt;
 use xtalk_circuit::{signal::InputSignal, NetId, Network, NodeId, Severity, ValidationReport};
@@ -396,15 +399,22 @@ impl From<MetricError> for RobustError {
     }
 }
 
-/// [`NoiseAnalyzer`] wrapped in validation gating and the fallback chain.
+/// The closed-form metrics wrapped in validation gating and the fallback
+/// chain.
 ///
-/// Construction runs [`Network::validate`] and rejects networks with
+/// Construction rejects networks whose [`Network::validate`] report has
 /// error-severity findings; every analysis walks the rung chain under the
 /// configured [`FallbackPolicy`] and returns a provenance-tagged
 /// [`RobustEstimate`] or a structured [`RobustError`] — never a panic.
+///
+/// Moments come from a [`MomentSource`]: by default a [`NoiseAnalyzer`]
+/// that factors its own engine ([`RobustAnalyzer::with_policy`]), or any
+/// source the caller shares across victim designations
+/// ([`RobustAnalyzer::with_source`]).
 #[derive(Debug)]
-pub struct RobustAnalyzer<'a> {
-    inner: NoiseAnalyzer<'a>,
+pub struct RobustAnalyzer<'a, M = NoiseAnalyzer<'a>> {
+    network: &'a Network,
+    moments: M,
     policy: FallbackPolicy,
     validation: ValidationReport,
 }
@@ -427,22 +437,48 @@ impl<'a> RobustAnalyzer<'a> {
     /// As [`RobustAnalyzer::new`]; under [`FallbackPolicy::strict`],
     /// warning-severity findings also reject the network.
     pub fn with_policy(network: &'a Network, policy: FallbackPolicy) -> Result<Self, RobustError> {
-        let validation = network.validate();
-        let rejected = validation.has_errors() || (policy.strict && !validation.is_clean());
-        if rejected {
-            return Err(RobustError::InvalidNetwork(validation));
-        }
-        let inner = NoiseAnalyzer::new(network).map_err(RobustError::Engine)?;
-        Ok(RobustAnalyzer {
-            inner,
-            policy,
-            validation,
+        Self::with_source(network, policy, network.validate(), || {
+            NoiseAnalyzer::new(network)
         })
     }
 
     /// The wrapped full-fidelity analyzer.
     pub fn inner(&self) -> &NoiseAnalyzer<'a> {
-        &self.inner
+        &self.moments
+    }
+}
+
+impl<'a, M: MomentSource> RobustAnalyzer<'a, M> {
+    /// Builds the analyzer over a moment source the caller provides, such
+    /// as one [`SharedMoments`](crate::SharedMoments) serving every victim
+    /// designation of an island. `validation` must be `network`'s report
+    /// under its current designation (see
+    /// [`Network::validate_victim`]). `source` runs only once the report
+    /// admits the network, so failures surface in the order
+    /// [`RobustAnalyzer::with_policy`] reports them.
+    ///
+    /// # Errors
+    ///
+    /// [`RobustError::InvalidNetwork`] as for
+    /// [`RobustAnalyzer::with_policy`]; [`RobustError::Engine`] when
+    /// `source` fails.
+    pub fn with_source(
+        network: &'a Network,
+        policy: FallbackPolicy,
+        validation: ValidationReport,
+        source: impl FnOnce() -> Result<M, MetricError>,
+    ) -> Result<Self, RobustError> {
+        let rejected = validation.has_errors() || (policy.strict && !validation.is_clean());
+        if rejected {
+            return Err(RobustError::InvalidNetwork(validation));
+        }
+        let moments = source().map_err(RobustError::Engine)?;
+        Ok(RobustAnalyzer {
+            network,
+            moments,
+            policy,
+            validation,
+        })
     }
 
     /// The active policy.
@@ -467,7 +503,7 @@ impl<'a> RobustAnalyzer<'a> {
         aggressor: NetId,
         input: &InputSignal,
     ) -> Result<RobustEstimate, RobustError> {
-        self.analyze_at(aggressor, input, self.inner.network().victim_output())
+        self.analyze_at(aggressor, input, self.network.victim_output())
     }
 
     /// Like [`RobustAnalyzer::analyze`], observed at an arbitrary victim
@@ -482,7 +518,10 @@ impl<'a> RobustAnalyzer<'a> {
         input: &InputSignal,
         node: NodeId,
     ) -> Result<RobustEstimate, RobustError> {
-        let moments = self.inner.output_moments_at(aggressor, input, node);
+        let moments = self
+            .moments
+            .transfer_taylor(aggressor, node)
+            .and_then(|h| OutputMoments::from_transfer(&h, input));
         self.chain(moments, aggressor, input)
     }
 
@@ -614,7 +653,7 @@ impl<'a> RobustAnalyzer<'a> {
                 let unstable = MetricError::BaselineUnstable {
                     baseline: "lumped-pi",
                 };
-                let base = lumped_pi(self.inner.network(), aggressor, input)?;
+                let base = lumped_pi(self.network, aggressor, input)?;
                 let vp = base.vp.ok_or(unstable.clone())?;
                 let tp = base.tp.ok_or(unstable.clone())?;
                 let t1 = tp - input.arrival();

@@ -11,16 +11,19 @@
 //!    skipping of benign directives.
 //! 2. **Partition** nets into coupling islands with
 //!    [`CouplingClusters`](xtalk_circuit::cluster::CouplingClusters).
-//! 3. **Screen** every net as the victim of its island: validation →
-//!    moments → Metric II through the PR-1 resilience chain
-//!    ([`RobustAnalyzer`]), per-aggressor estimates combined by
-//!    worst-case superposition. Nets are ranked by
-//!    `peak noise / threshold`.
+//! 3. **Screen** islands, not nets: each island is materialized once,
+//!    validated structurally once and its moment engine factored once
+//!    ([`SharedMoments`]); then every member takes a turn as the victim
+//!    — its own validation findings, Metric II through the
+//!    fallback chain ([`RobustAnalyzer`]) per directly coupled
+//!    aggressor, per-aggressor estimates combined by worst-case
+//!    superposition. Outputs are bit-identical to analyzing each net
+//!    with a fresh engine. Nets are ranked by `peak noise / threshold`.
 //! 4. **Escalate** only nets whose ratio reaches
 //!    [`ScreenConfig::escalate_ratio`] to the tiered golden simulator
 //!    ([`golden_noise_tiered`]) for a reference peak.
 //!
-//! Work is parallel over nets via [`xtalk_exec`], and the report —
+//! Work is parallel over islands via [`xtalk_exec`], and the report —
 //! including its JSON rendering — is byte-identical at any `--jobs`
 //! value. A whole-deck [`Network`](xtalk_circuit::Network) is never
 //! built: peak memory follows the element table and the largest island,
@@ -47,8 +50,9 @@ use xtalk_circuit::cluster::CouplingClusters;
 use xtalk_circuit::signal::InputSignal;
 use xtalk_circuit::spice::stream::{DeckIndex, StreamOptions};
 use xtalk_circuit::spice::{DeckLimits, SpiceParseError};
+use xtalk_circuit::{NetId, Network, ValidationReport};
 use xtalk_core::superpose::{worst_case, TimingWindow};
-use xtalk_core::{FallbackPolicy, RobustAnalyzer, Rung};
+use xtalk_core::{FallbackPolicy, MetricError, RobustAnalyzer, Rung, SharedMoments};
 use xtalk_exec::{par_map_indexed_with, Jobs};
 use xtalk_sim::{golden_noise_tiered, GoldenOpts, SimWorkspace};
 
@@ -65,7 +69,8 @@ pub enum ScreenShape {
 
 /// Screening parameters. [`Default`] gives a 100 ps ramp, a noise
 /// threshold of 0.1 × Vdd, escalation at 80% of threshold, automatic
-/// parallelism and the stock deck limits.
+/// parallelism and the stock deck limits with the net bound lifted to
+/// what the element bound allows.
 #[derive(Debug, Clone)]
 pub struct ScreenConfig {
     /// Aggressor transition time (s); ignored for [`ScreenShape::Step`].
@@ -101,7 +106,14 @@ impl Default for ScreenConfig {
             jobs: Jobs::Auto,
             strict: false,
             escalate: true,
-            limits: DeckLimits::default(),
+            // Screening never builds a whole-deck network and runs in
+            // time linear in the deck, so the net count needs no bound of
+            // its own: every net takes at least a driver and a sink card,
+            // and the element bound caps memory first.
+            limits: DeckLimits {
+                max_nets: DeckLimits::default().max_elements / 2,
+                ..DeckLimits::default()
+            },
         }
     }
 }
@@ -230,11 +242,6 @@ pub struct ScreenReport {
     pub nets: Vec<NetScreen>,
 }
 
-/// Interior result of one net's screen, before ranking.
-struct NetOutcome {
-    screen: NetScreen,
-}
-
 /// Screens every net of the deck read from `reader`.
 ///
 /// See the [module docs](self) for the pipeline. The returned report is
@@ -285,14 +292,35 @@ pub fn screen_deck<R: BufRead>(
     };
     xtalk_obs::counter!("screen.clusters").add(clusters.len() as u64);
 
-    let nets: Vec<usize> = (0..index.net_count()).collect();
+    let islands: Vec<usize> = (0..clusters.len()).collect();
     let outcomes = {
         let _span = xtalk_obs::span!("screen.analyze");
-        par_map_indexed_with(&nets, config.jobs, SimWorkspace::new, |ws, _, &net| {
-            screen_net(&index, &clusters, config, ws, net)
-        })
+        par_map_indexed_with(
+            &islands,
+            config.jobs,
+            SimWorkspace::new,
+            |ws, _, &cluster| screen_island(&index, &clusters, config, ws, cluster),
+        )
         .map_err(|e| ScreenError::Worker(e.to_string()))?
     };
+    if config.strict {
+        // Islands interleave net indices: report the first failing net
+        // in index order.
+        let failing = outcomes
+            .iter()
+            .flatten()
+            .filter(|s| s.error.is_some() || s.degraded)
+            .min_by_key(|s| s.index);
+        if let Some(s) = failing {
+            return Err(ScreenError::Strict {
+                net: s.index,
+                detail: s
+                    .error
+                    .clone()
+                    .unwrap_or_else(|| format!("degraded to {}", s.rung)),
+            });
+        }
+    }
 
     let mut report = ScreenReport {
         nets_total: index.net_count(),
@@ -307,24 +335,9 @@ pub fn screen_deck<R: BufRead>(
         threshold: config.threshold,
         escalate_ratio: config.escalate_ratio,
         degraded: false,
-        nets: Vec::with_capacity(outcomes.len()),
+        nets: Vec::with_capacity(index.net_count()),
     };
-    for outcome in outcomes {
-        let s = outcome.screen;
-        if config.strict {
-            if let Some(detail) = &s.error {
-                return Err(ScreenError::Strict {
-                    net: s.index,
-                    detail: detail.clone(),
-                });
-            }
-            if s.degraded {
-                return Err(ScreenError::Strict {
-                    net: s.index,
-                    detail: format!("degraded to {}", s.rung),
-                });
-            }
-        }
+    for s in outcomes.into_iter().flatten() {
         if s.error.is_some() {
             report.failed += 1;
         } else if s.escalated {
@@ -351,51 +364,107 @@ pub fn screen_deck<R: BufRead>(
     Ok(report)
 }
 
-/// Screens one net as the victim of its island; never panics on
+/// Screens every member of island `cluster` as its victim in turn.
+///
+/// One materialization, one structural validation and one moment-engine
+/// factorization serve the whole island, and each source net's moment
+/// vectors are solved once ([`SharedMoments`]). Per victim remain only
+/// the designation, its victim findings, the rung chain per directly
+/// coupled aggressor, superposition and escalation. Never panics on
 /// analysis failures — they land in `NetScreen::error`.
-fn screen_net(
+fn screen_island(
     index: &DeckIndex,
     clusters: &CouplingClusters,
     config: &ScreenConfig,
     ws: &mut SimWorkspace,
-    net: usize,
-) -> NetOutcome {
-    let cluster = clusters.cluster_of(net).expect("net within index range");
+    cluster: usize,
+) -> Vec<NetScreen> {
     let members = clusters.members(cluster);
-    let mut screen = NetScreen {
-        net: index.net_name(net).to_string(),
-        index: net,
-        cluster,
-        cluster_nets: members.len(),
-        aggressors: 0,
-        vp: 0.0,
-        at: 0.0,
-        ratio: 0.0,
-        rung: "none",
-        degraded: false,
-        escalated: false,
-        golden_vp: None,
-        golden_tier: None,
-        error: None,
-    };
-
-    let network = match clusters.victim_network(index, net) {
-        Ok(n) => n,
+    // The results outlive the island's working data: allocate them first.
+    let mut screens: Vec<NetScreen> = members
+        .iter()
+        .map(|&net| NetScreen {
+            net: index.net_name(net as usize).to_string(),
+            index: net as usize,
+            cluster,
+            cluster_nets: members.len(),
+            aggressors: 0,
+            vp: 0.0,
+            at: 0.0,
+            ratio: 0.0,
+            rung: "none",
+            degraded: false,
+            escalated: false,
+            golden_vp: None,
+            golden_tier: None,
+            error: None,
+        })
+        .collect();
+    // Island-level failures do not depend on the victim designation.
+    let mut island = match clusters.island(index, cluster) {
+        Ok(island) => island,
         Err(e) => {
-            screen.error = Some(e.to_string());
-            return NetOutcome { screen };
+            for screen in &mut screens {
+                screen.error = Some(e.to_string());
+            }
+            return screens;
         }
     };
+    let structure = island.network().validate_structure();
+    let coupled = coupled_nets(island.network());
+    let moments = SharedMoments::new(island.network());
+    for screen in &mut screens {
+        match island.designate(screen.index) {
+            Ok(network) => {
+                screen_victim(network, &structure, &moments, &coupled, config, ws, screen);
+            }
+            Err(e) => screen.error = Some(e.to_string()),
+        }
+    }
+    screens
+}
+
+/// For each net, the other nets it shares a coupling capacitor with,
+/// ascending.
+fn coupled_nets(network: &Network) -> Vec<Vec<NetId>> {
+    let mut coupled = vec![Vec::new(); network.net_count()];
+    for cc in network.coupling_caps() {
+        let (a, b) = (network.node_net(cc.a), network.node_net(cc.b));
+        if a != b {
+            coupled[a.index()].push(b);
+            coupled[b.index()].push(a);
+        }
+    }
+    for nets in &mut coupled {
+        nets.sort_unstable();
+        nets.dedup();
+    }
+    coupled
+}
+
+/// Screens the designated victim of `network` into `screen`.
+fn screen_victim(
+    network: &Network,
+    structure: &ValidationReport,
+    moments: &Result<SharedMoments, MetricError>,
+    coupled: &[Vec<NetId>],
+    config: &ScreenConfig,
+    ws: &mut SimWorkspace,
+    screen: &mut NetScreen,
+) {
     let policy = if config.strict {
         FallbackPolicy::strict()
     } else {
         FallbackPolicy::default()
     };
-    let robust = match RobustAnalyzer::with_policy(&network, policy) {
+    let validation = network.validate_victim(structure);
+    let robust = match RobustAnalyzer::with_source(network, policy, validation, || {
+        moments.as_ref().map_err(Clone::clone)
+    }) {
         Ok(r) => r,
         Err(e) => {
             screen.error = Some(e.to_string());
-            return NetOutcome { screen };
+            return;
         }
     };
 
@@ -403,21 +472,16 @@ fn screen_net(
     // contribute; the rest of the island couples through them and is
     // already part of the victim's moment model.
     let input = config.input();
-    let victim = network.victim();
     let mut contributions = Vec::new();
     let mut worst_rung: Option<Rung> = None;
     let mut stimuli = Vec::new();
-    for (agg, _) in network.nets() {
-        if agg == victim || network.couplings_between(agg, victim).next().is_none() {
-            continue;
-        }
+    for &agg in &coupled[network.victim().index()] {
         screen.aggressors += 1;
         stimuli.push((agg, input));
         match robust.analyze(agg, &input) {
             Ok(re) => {
-                worst_rung = Some(worst_rung.map_or(re.provenance.rung(), |w| {
-                    w.max(re.provenance.rung())
-                }));
+                worst_rung =
+                    Some(worst_rung.map_or(re.provenance.rung(), |w| w.max(re.provenance.rung())));
                 screen.degraded |= re.provenance.degraded();
                 contributions.push((re.estimate, TimingWindow::pinned()));
             }
@@ -425,7 +489,7 @@ fn screen_net(
             Err(e) => {
                 screen.degraded = true;
                 screen.error = Some(e.to_string());
-                return NetOutcome { screen };
+                return;
             }
         }
     }
@@ -446,7 +510,7 @@ fn screen_net(
     if screen.escalated && config.escalate {
         let _span = xtalk_obs::span!("screen.escalate");
         match golden_noise_tiered(
-            &network,
+            network,
             &stimuli,
             network.victim_output(),
             ws,
@@ -461,11 +525,13 @@ fn screen_net(
                 // golden failure degrades the report but keeps the flag.
                 screen.degraded = true;
                 screen.golden_tier = Some("failed");
-                xtalk_obs::warn!("screen: golden escalation failed on net {net}: {e}");
+                xtalk_obs::warn!(
+                    "screen: golden escalation failed on net {}: {e}",
+                    screen.index
+                );
             }
         }
     }
-    NetOutcome { screen }
 }
 
 impl ScreenReport {
@@ -646,6 +712,21 @@ mod tests {
             .windows(2)
             .all(|w| w[0].ratio >= w[1].ratio
                 || (w[0].ratio == w[1].ratio && w[0].index < w[1].index)));
+    }
+
+    #[test]
+    fn decks_past_the_parse_net_bound_screen() {
+        // More nets than `DeckLimits::default()` admits, far fewer
+        // element cards than it does.
+        let spec = PexDeckSpec::new(626, 16, 1);
+        assert!(spec.net_count() > DeckLimits::default().max_nets);
+        let config = ScreenConfig {
+            escalate: false,
+            ..ScreenConfig::default()
+        };
+        let report = screen_deck(spec.deck_string(&Technology::p25()).as_bytes(), &config).unwrap();
+        assert_eq!(report.nets_total, spec.net_count());
+        assert_eq!(report.failed, 0);
     }
 
     #[test]

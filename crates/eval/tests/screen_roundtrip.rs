@@ -5,7 +5,9 @@
 //!   parser recovers the island structure exactly — the partitioner
 //!   finds one cluster per constructed island with the right members;
 //! * the screened Metric II numbers are bit-identical to the classic
-//!   whole-deck [`spice::parse_deck`] path;
+//!   whole-deck [`spice::parse_deck`] path for the deck's victim, and to
+//!   the per-victim path ([`CouplingClusters::victim_network`] plus a
+//!   fresh [`RobustAnalyzer`]) for every net;
 //! * folding element cards with `+` continuations mid-card, or
 //!   prepending benign directives (under the lenient reader), changes
 //!   nothing about the screened numbers.
@@ -18,7 +20,7 @@ use xtalk_circuit::spice::stream::{DeckIndex, StreamOptions};
 use xtalk_circuit::spice::{self, parse_deck};
 use xtalk_circuit::{NetRole, Network, NetworkBuilder, NodeId};
 use xtalk_core::superpose::{worst_case, TimingWindow};
-use xtalk_core::{FallbackPolicy, RobustAnalyzer};
+use xtalk_core::{FallbackPolicy, RobustAnalyzer, Rung};
 use xtalk_eval::screen::{screen_deck, ScreenConfig};
 use xtalk_exec::Jobs;
 
@@ -125,6 +127,51 @@ fn full_eval_vp(deck: &str, config: &ScreenConfig) -> (f64, f64) {
     }
 }
 
+/// Per-victim reference for deck net `net`: its island materialized with
+/// it as the victim, a fresh [`RobustAnalyzer`], every directly coupled
+/// aggressor through the chain, worst-case superposition. Returns
+/// `(vp, at, rung, degraded, aggressors)` as the screen reports them.
+fn per_victim(
+    index: &DeckIndex,
+    clusters: &CouplingClusters,
+    net: usize,
+    config: &ScreenConfig,
+) -> (f64, f64, &'static str, bool, usize) {
+    let network = clusters.victim_network(index, net).unwrap();
+    let robust = RobustAnalyzer::with_policy(&network, FallbackPolicy::default()).unwrap();
+    let input = config.input();
+    let victim = network.victim();
+    let (mut contributions, mut rung, mut degraded, mut aggressors) = (Vec::new(), None, false, 0);
+    for (agg, _) in network.nets() {
+        if agg == victim || network.couplings_between(agg, victim).next().is_none() {
+            continue;
+        }
+        aggressors += 1;
+        match robust.analyze(agg, &input) {
+            Ok(re) => {
+                rung = rung.max(Some(re.provenance.rung()));
+                degraded |= re.provenance.degraded();
+                contributions.push((re.estimate, TimingWindow::pinned()));
+            }
+            Err(e) if e.is_no_noise() => {}
+            Err(e) => panic!("per-victim path failed on net {net}: {e}"),
+        }
+    }
+    let (vp, at) = if contributions.is_empty() {
+        (0.0, 0.0)
+    } else {
+        let combined = worst_case(&contributions);
+        (combined.vp, combined.at)
+    };
+    (
+        vp,
+        at,
+        rung.map_or("none", Rung::name),
+        degraded,
+        aggressors,
+    )
+}
+
 fn screen_config() -> ScreenConfig {
     ScreenConfig {
         jobs: Jobs::Count(1),
@@ -166,6 +213,20 @@ proptest! {
         let screened = report.nets.iter().find(|n| n.index == 0).unwrap();
         prop_assert_eq!(screened.vp.to_bits(), vp.to_bits());
         prop_assert_eq!(screened.at.to_bits(), at.to_bits());
+
+        // Every net: the island screen, which factors each island once,
+        // matches a fresh per-victim analysis bit for bit.
+        let index = DeckIndex::from_reader(deck.as_bytes(), StreamOptions::default()).unwrap();
+        let clusters = CouplingClusters::partition(&index);
+        prop_assert_eq!(report.nets.len(), index.net_count());
+        for n in &report.nets {
+            let (vp, at, rung, degraded, aggressors) = per_victim(&index, &clusters, n.index, &config);
+            prop_assert_eq!(n.vp.to_bits(), vp.to_bits(), "net {}", n.index);
+            prop_assert_eq!(n.at.to_bits(), at.to_bits(), "net {}", n.index);
+            prop_assert_eq!(n.rung, rung, "net {}", n.index);
+            prop_assert_eq!(n.degraded, degraded, "net {}", n.index);
+            prop_assert_eq!(n.aggressors, aggressors, "net {}", n.index);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
 use crate::MomentError;
-use xtalk_circuit::{NetId, NetRole, Network, NodeId};
+use xtalk_circuit::{NetId, Network, NodeId};
 use xtalk_linalg::sparse::Csr;
 use xtalk_linalg::{LuFactors, Matrix};
 
@@ -27,14 +27,12 @@ use xtalk_linalg::{LuFactors, Matrix};
 pub struct MomentEngine {
     n: usize,
     lu: LuFactors,
-    c: Matrix,
-    /// Sparse view of `c` for the recursion matvec `−C·m_{k−1}` — C has
-    /// only a few entries per row, so the per-order cost drops from
-    /// O(n²) to O(nnz).
+    /// `C`, stored sparse: it has only a few entries per row, so the
+    /// recursion matvec `−C·m_{k−1}` costs O(nnz) per order instead of
+    /// O(n²), and the engine keeps no second dense matrix.
     c_csr: Csr,
     /// Per net: (driver node index, driver conductance).
     driver: Vec<(usize, f64)>,
-    roles: Vec<NetRole>,
 }
 
 impl MomentEngine {
@@ -60,13 +58,11 @@ impl MomentEngine {
             g.add_at(b, a, -cond);
         }
         let mut driver = Vec::with_capacity(network.net_count());
-        let mut roles = Vec::with_capacity(network.net_count());
         for (_, net) in network.nets() {
             let d = net.driver();
             let cond = 1.0 / d.ohms;
             g.add_at(d.node.index(), d.node.index(), cond);
             driver.push((d.node.index(), cond));
-            roles.push(net.role());
         }
         for gc in network.ground_caps() {
             c.add_at(gc.node.index(), gc.node.index(), gc.farads);
@@ -89,10 +85,8 @@ impl MomentEngine {
         Ok(MomentEngine {
             n,
             lu,
-            c,
             c_csr,
             driver,
-            roles,
         })
     }
 
@@ -187,14 +181,15 @@ impl MomentEngine {
     ///
     /// Propagates numerical failures.
     pub fn denominator(&self) -> Result<(f64, f64), MomentError> {
-        // A = G^{-1} C, built column by column (C is dense here).
+        // A = G^{-1} C, built column by column.
         let n = self.n;
+        let c = self.c_csr.to_dense();
         let mut a = Matrix::zeros(n, n);
         let mut col = vec![0.0; n];
         let mut sol = vec![0.0; n];
         for j in 0..n {
             for i in 0..n {
-                col[i] = self.c[(i, j)];
+                col[i] = c[(i, j)];
             }
             self.lu.solve_into(&col, &mut sol)?;
             for i in 0..n {
@@ -213,21 +208,12 @@ impl MomentEngine {
         }
         Ok((tr, 0.5 * (tr * tr - tr_sq)))
     }
-
-    /// Role of a net, as recorded at construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` is out of bounds.
-    pub fn role(&self, net: NetId) -> NetRole {
-        self.roles[net.index()]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtalk_circuit::{NetworkBuilder, NodeId};
+    use xtalk_circuit::{NetRole, NetworkBuilder, NodeId};
 
     /// Single-net lumped RC: driver Rd into one node with cap C.
     /// H(s) from own source = 1/(1 + s·Rd·C).
@@ -332,12 +318,34 @@ mod tests {
     }
 
     #[test]
-    fn roles_are_recorded() {
+    fn moments_do_not_depend_on_roles() {
+        // The engine reads element and net order only: swapping which
+        // net is the victim leaves every moment vector bit-identical.
         let net = coupled_pair(100.0, 1e-15, 1e-15);
-        let engine = MomentEngine::new(&net).unwrap();
-        assert_eq!(engine.role(net.victim()), NetRole::Victim);
-        let agg = net.aggressor_nets().next().unwrap().0;
-        assert_eq!(engine.role(agg), NetRole::Aggressor);
-        assert_eq!(engine.node_count(), 2);
+        let mut swapped = NetworkBuilder::new();
+        let v = swapped.add_net("v", NetRole::Aggressor);
+        let a = swapped.add_net("a", NetRole::Victim);
+        let n0 = swapped.add_node(v, "n0");
+        let n1 = swapped.add_node(a, "n1");
+        swapped.add_driver(v, n0, 100.0).unwrap();
+        swapped.add_driver(a, n1, 100.0).unwrap();
+        swapped.add_sink(n0, 1e-15).unwrap();
+        swapped.add_sink(n1, 1e-15).unwrap();
+        swapped.add_coupling_cap(n0, n1, 1e-15).unwrap();
+        let swapped = swapped.build().unwrap();
+        let (e1, e2) = (
+            MomentEngine::new(&net).unwrap(),
+            MomentEngine::new(&swapped).unwrap(),
+        );
+        assert_eq!(e1.node_count(), 2);
+        for (id, _) in net.nets() {
+            let (m1, m2) = (
+                e1.moment_vectors(id, 4).unwrap(),
+                e2.moment_vectors(id, 4).unwrap(),
+            );
+            for (x, y) in m1.iter().flatten().zip(m2.iter().flatten()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
     }
 }

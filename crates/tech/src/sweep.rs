@@ -540,18 +540,30 @@ mod tests {
     #[test]
     fn tree_sweep_builds_valid_cases() {
         let tech = Technology::p25();
-        let cfg = SweepConfig {
+        let default = SweepConfig {
             cases: 30,
             ..SweepConfig::default()
         };
-        let run = tree_cases(&tech, true, &cfg);
-        assert!(run.is_complete(), "{}", run.summary());
-        for case in run.cases {
-            assert!(case.network.node_count() > 4, "{}", case.label);
-            assert!(case
-                .network
-                .couplings_between(case.aggressor, case.network.victim())
-                .count() > 0);
+        // Seed 6 at 400 cases draws a coupling window whose slack on the
+        // trunk is under 1 µm, in both orientations.
+        let seed6 = SweepConfig {
+            cases: 400,
+            seed: 6,
+            ..SweepConfig::default()
+        };
+        for (cfg, far_end) in [(&default, true), (&seed6, true), (&seed6, false)] {
+            let run = tree_cases(&tech, far_end, cfg);
+            assert!(run.is_complete(), "{}", run.summary());
+            assert_eq!(run.cases.len(), cfg.cases);
+            for case in run.cases {
+                assert!(case.network.node_count() > 4, "{}", case.label);
+                assert!(
+                    case.network
+                        .couplings_between(case.aggressor, case.network.victim())
+                        .count()
+                        > 0
+                );
+            }
         }
     }
 

@@ -155,7 +155,11 @@ pub fn random_tree(rng: &mut StdRng, tech: &Technology, far_end: bool) -> TreeSp
         .collect();
     let window: f64 = rng.random_range(0.1e-3..2.0e-3);
     let c_len = window.min(trunk * rng.random_range(0.3..1.0));
-    let c_start = rng.random_range(0.0..(trunk - c_len).max(1e-6));
+    // The draw range has a 1 µm floor so it is never empty; clamping the
+    // draw to the slack keeps the window on the trunk when the slack is
+    // smaller, without changing the RNG stream.
+    let slack = trunk - c_len;
+    let c_start = rng.random_range(0.0..slack.max(1e-6)).min(slack);
     TreeSpec {
         trunk,
         branches,
