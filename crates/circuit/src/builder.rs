@@ -1,9 +1,9 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
 use crate::error::{check_non_negative, check_positive};
-use crate::network::{Net, NetRole, Network};
+use crate::network::{Net, NetRole, Network, NodeNames};
 use crate::tree::NetTree;
 use crate::{CircuitError, CouplingCap, Driver, GroundCap, NetId, NodeId, Resistor, Sink};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Incremental, validating constructor for [`Network`].
 ///
@@ -17,7 +17,7 @@ use std::collections::HashMap;
 pub struct NetworkBuilder {
     net_names: Vec<String>,
     net_roles: Vec<NetRole>,
-    node_names: Vec<String>,
+    node_names: NodeNames,
     node_net: Vec<NetId>,
     resistors: Vec<Resistor>,
     ground_caps: Vec<GroundCap>,
@@ -51,6 +51,30 @@ impl NetworkBuilder {
         }
     }
 
+    /// An empty builder with room for the given element counts, so a
+    /// caller that knows them up front builds without regrowing.
+    pub(crate) fn with_capacity(
+        nets: usize,
+        nodes: usize,
+        resistors: usize,
+        ground_caps: usize,
+        sinks: usize,
+        coupling_caps: usize,
+    ) -> Self {
+        NetworkBuilder {
+            net_names: Vec::with_capacity(nets),
+            net_roles: Vec::with_capacity(nets),
+            node_names: NodeNames::with_capacity(nodes),
+            node_net: Vec::with_capacity(nodes),
+            resistors: Vec::with_capacity(resistors),
+            ground_caps: Vec::with_capacity(ground_caps),
+            coupling_caps: Vec::with_capacity(coupling_caps),
+            drivers: Vec::with_capacity(nets),
+            sinks: Vec::with_capacity(sinks),
+            ..NetworkBuilder::default()
+        }
+    }
+
     fn check_value(
         &self,
         check: impl FnOnce() -> Result<(), CircuitError>,
@@ -74,12 +98,12 @@ impl NetworkBuilder {
     /// # Panics
     ///
     /// Panics if `net` was not created by this builder.
-    pub fn add_node(&mut self, net: NetId, name: impl Into<String>) -> NodeId {
+    pub fn add_node(&mut self, net: NetId, name: impl AsRef<str>) -> NodeId {
         assert!(
             net.index() < self.net_names.len(),
             "net {net} does not belong to this builder"
         );
-        self.node_names.push(name.into());
+        self.node_names.push(name.as_ref());
         self.node_net.push(net);
         NodeId((self.node_names.len() - 1) as u32)
     }
@@ -215,40 +239,69 @@ impl NetworkBuilder {
             });
         }
         let victim = victims[0];
+        let net_count = self.net_names.len();
 
-        // Group nodes by net.
-        let mut net_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); self.net_names.len()];
+        // Group nodes, drivers, sinks and resistors by net, one pass each
+        // (after one counting pass, so every group is allocated once).
+        let mut counts = vec![(0usize, 0usize); net_count];
+        for net in &self.node_net {
+            counts[net.index()].0 += 1;
+        }
+        for s in &self.sinks {
+            counts[self.node_net[s.node.index()].index()].1 += 1;
+        }
+        let mut net_nodes: Vec<Vec<NodeId>> =
+            counts.iter().map(|&(n, _)| Vec::with_capacity(n)).collect();
         for (i, net) in self.node_net.iter().enumerate() {
             net_nodes[net.index()].push(NodeId(i as u32));
         }
+        let mut net_driver: Vec<Option<Driver>> = vec![None; net_count];
+        for d in &self.drivers {
+            net_driver[d.net.index()].get_or_insert(*d);
+        }
+        let mut net_sinks: Vec<Vec<Sink>> =
+            counts.iter().map(|&(_, n)| Vec::with_capacity(n)).collect();
+        for s in &self.sinks {
+            net_sinks[self.node_net[s.node.index()].index()].push(*s);
+        }
+        let mut net_edges = vec![0usize; net_count];
+        for r in &self.resistors {
+            net_edges[self.node_net[r.a.index()].index()] += 1;
+        }
+        let adjacency = Adjacency::new(
+            self.node_names.len(),
+            self.resistors.iter().map(|r| (r.a.0, r.b.0)),
+        );
+        let mut bfs = TreeSearch::new(self.node_names.len());
 
-        let mut nets = Vec::with_capacity(self.net_names.len());
-        let mut trees = Vec::with_capacity(self.net_names.len());
-        for i in 0..self.net_names.len() {
+        let mut nets = Vec::with_capacity(net_count);
+        let mut searched = Vec::with_capacity(net_count);
+        for i in 0..net_count {
             let net_id = NetId(i as u32);
             let nodes = std::mem::take(&mut net_nodes[i]);
             if nodes.is_empty() {
                 return Err(CircuitError::EmptyNet(net_id));
             }
-            let driver = self
-                .drivers
-                .iter()
-                .find(|d| d.net == net_id)
-                .copied()
-                .ok_or(CircuitError::DriverCount {
-                    net: net_id,
-                    found: 0,
-                })?;
-            let sinks: Vec<Sink> = self
-                .sinks
-                .iter()
-                .filter(|s| self.node_net[s.node.index()] == net_id)
-                .copied()
-                .collect();
+            let driver = net_driver[i].ok_or(CircuitError::DriverCount {
+                net: net_id,
+                found: 0,
+            })?;
+            let sinks = std::mem::take(&mut net_sinks[i]);
             if sinks.is_empty() {
                 return Err(CircuitError::NoSink(net_id));
             }
-            trees.push(self.build_tree(net_id, driver.node, &nodes)?);
+            if net_edges[i] != nodes.len() - 1 {
+                return Err(CircuitError::NotATree {
+                    net: net_id,
+                    detail: format!(
+                        "{} resistors for {} nodes (a spanning tree needs {})",
+                        net_edges[i],
+                        nodes.len(),
+                        nodes.len() - 1
+                    ),
+                });
+            }
+            searched.push(bfs.search(net_id, driver.node, &nodes, &adjacency, &self.resistors)?);
             nets.push(Net {
                 name: self.net_names[i].clone(),
                 role: self.net_roles[i],
@@ -258,6 +311,15 @@ impl NetworkBuilder {
             });
         }
 
+        let slot: Arc<[u32]> = bfs.slot.into();
+        let trees = searched
+            .into_iter()
+            .enumerate()
+            .map(|(i, (order, parent))| {
+                let (net, root) = (NetId(i as u32), nets[i].driver.node);
+                NetTree::from_bfs(net, root, order, parent, Arc::clone(&slot))
+            })
+            .collect();
         let mut network = Network {
             node_names: self.node_names,
             node_net: self.node_net,
@@ -274,66 +336,6 @@ impl NetworkBuilder {
         Ok(network)
     }
 
-    /// BFS from the driver root over the net's resistors; verifies the
-    /// spanning-tree property and records parent links.
-    fn build_tree(
-        &self,
-        net: NetId,
-        root: NodeId,
-        nodes: &[NodeId],
-    ) -> Result<NetTree, CircuitError> {
-        // Adjacency restricted to this net.
-        let mut adj: HashMap<NodeId, Vec<(NodeId, f64)>> = HashMap::new();
-        let mut edge_count = 0usize;
-        for r in &self.resistors {
-            if self.node_net[r.a.index()] == net {
-                adj.entry(r.a).or_default().push((r.b, r.ohms));
-                adj.entry(r.b).or_default().push((r.a, r.ohms));
-                edge_count += 1;
-            }
-        }
-        if edge_count != nodes.len() - 1 {
-            return Err(CircuitError::NotATree {
-                net,
-                detail: format!(
-                    "{} resistors for {} nodes (a spanning tree needs {})",
-                    edge_count,
-                    nodes.len(),
-                    nodes.len() - 1
-                ),
-            });
-        }
-
-        let mut parents: HashMap<NodeId, (NodeId, f64)> = HashMap::new();
-        let mut order = vec![root];
-        let mut visited: HashMap<NodeId, bool> = HashMap::new();
-        visited.insert(root, true);
-        let mut head = 0;
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            if let Some(neighbors) = adj.get(&u) {
-                for &(v, r) in neighbors {
-                    if visited.insert(v, true).is_none() {
-                        parents.insert(v, (u, r));
-                        order.push(v);
-                    }
-                }
-            }
-        }
-        if order.len() != nodes.len() {
-            let missing = nodes
-                .iter()
-                .find(|n| !visited.contains_key(n))
-                .expect("some node unvisited");
-            return Err(CircuitError::NotATree {
-                net,
-                detail: format!("node {missing} unreachable from the driver root {root}"),
-            });
-        }
-        Ok(NetTree::from_parents(net, root, order, &parents))
-    }
-
     fn check_node(&self, node: NodeId) -> Result<(), CircuitError> {
         if node.index() < self.node_names.len() {
             Ok(())
@@ -348,6 +350,105 @@ impl NetworkBuilder {
         } else {
             Err(CircuitError::UnknownNet(net))
         }
+    }
+}
+
+/// An undirected graph in CSR (compressed sparse row) form: the edges at
+/// node `u` are `at(u)`, as `(neighbour, edge index)` pairs in edge order.
+pub(crate) struct Adjacency {
+    start: Vec<usize>,
+    edges: Vec<(u32, u32)>,
+}
+
+impl Adjacency {
+    /// The graph on `nodes` nodes whose edge `k` joins the `k`-th pair of
+    /// `ends`.
+    pub(crate) fn new(nodes: usize, ends: impl Iterator<Item = (u32, u32)> + Clone) -> Self {
+        let mut start = vec![0usize; nodes + 1];
+        for (a, b) in ends.clone() {
+            start[a as usize + 1] += 1;
+            start[b as usize + 1] += 1;
+        }
+        for u in 0..nodes {
+            start[u + 1] += start[u];
+        }
+        let mut fill = start.clone();
+        let mut edges = vec![(0, 0); start[nodes]];
+        for (k, (a, b)) in ends.enumerate() {
+            edges[fill[a as usize]] = (b, k as u32);
+            fill[a as usize] += 1;
+            edges[fill[b as usize]] = (a, k as u32);
+            fill[b as usize] += 1;
+        }
+        Adjacency { start, edges }
+    }
+
+    pub(crate) fn at(&self, u: u32) -> &[(u32, u32)] {
+        &self.edges[self.start[u as usize]..self.start[u as usize + 1]]
+    }
+}
+
+/// Breadth-first search state shared by every net of one build: each
+/// node is visited once over the whole network.
+struct TreeSearch {
+    /// Each visited node's slot in its net's root-first order;
+    /// `UNVISITED` until the search reaches it.
+    slot: Vec<u32>,
+}
+
+const UNVISITED: u32 = u32::MAX;
+
+/// One net's BFS result: nodes root first, and each one's parent slot
+/// with the connecting resistance (`None` for the root).
+type Searched = (Vec<NodeId>, Vec<Option<(usize, f64)>>);
+
+impl TreeSearch {
+    fn new(nodes: usize) -> Self {
+        TreeSearch {
+            slot: vec![UNVISITED; nodes],
+        }
+    }
+
+    /// BFS from the driver root over the net's resistors; verifies the
+    /// spanning-tree property (the edge count was checked by the caller)
+    /// and records parent links.
+    fn search(
+        &mut self,
+        net: NetId,
+        root: NodeId,
+        nodes: &[NodeId],
+        adjacency: &Adjacency,
+        resistors: &[Resistor],
+    ) -> Result<Searched, CircuitError> {
+        let mut order = Vec::with_capacity(nodes.len());
+        let mut parent = Vec::with_capacity(nodes.len());
+        self.slot[root.index()] = 0;
+        order.push(root);
+        parent.push(None);
+        let mut head = 0;
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            for &(v, k) in adjacency.at(u.0) {
+                let (v, r) = (NodeId(v), resistors[k as usize].ohms);
+                if self.slot[v.index()] == UNVISITED {
+                    self.slot[v.index()] = order.len() as u32;
+                    parent.push(Some((self.slot[u.index()] as usize, r)));
+                    order.push(v);
+                }
+            }
+        }
+        if order.len() != nodes.len() {
+            let missing = nodes
+                .iter()
+                .find(|n| self.slot[n.index()] == UNVISITED)
+                .expect("some node unvisited");
+            return Err(CircuitError::NotATree {
+                net,
+                detail: format!("node {missing} unreachable from the driver root {root}"),
+            });
+        }
+        Ok((order, parent))
     }
 }
 

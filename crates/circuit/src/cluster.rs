@@ -118,6 +118,8 @@ pub struct CouplingClusters {
     members: Buckets,
     /// Owned nodes, name-sorted within each island.
     nodes: Buckets,
+    /// Each owned node's position in its island's `nodes` bucket.
+    node_slot: Vec<u32>,
     /// Row indices into each element table, deck order within each
     /// island. A row is in an island when every node it references is.
     resistors: Buckets,
@@ -192,12 +194,14 @@ impl CouplingClusters {
                 (id, Some(cluster_of_net[owner as usize]))
             }),
         );
+        let node_slot = index.slots((0..islands).map(|c| nodes.get(c)));
         let (resistors, ground_caps) = (two(&index.resistors), one(&index.ground_caps));
         let (sinks, coupling_caps) = (one(&index.sinks), two(&index.coupling_caps));
         CouplingClusters {
             cluster_of_net,
             members,
             nodes,
+            node_slot,
             resistors,
             ground_caps,
             sinks,
@@ -258,6 +262,7 @@ impl CouplingClusters {
         let rows = Rows {
             nets: members,
             nodes: self.nodes.get(cluster),
+            slot: &self.node_slot,
             resistors: self.resistors.get(cluster),
             ground_caps: self.ground_caps.get(cluster),
             sinks: self.sinks.get(cluster),

@@ -48,6 +48,47 @@ impl Net {
     }
 }
 
+/// Node names stored back to back in one string: one allocation for a
+/// network's names instead of one per node. Indexing past the end
+/// panics, as `Vec` indexing does.
+#[derive(Clone, Default)]
+pub(crate) struct NodeNames {
+    text: String,
+    /// `ends[i]` is where name `i` ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl NodeNames {
+    pub(crate) fn with_capacity(names: usize) -> Self {
+        NodeNames {
+            text: String::new(),
+            ends: Vec::with_capacity(names),
+        }
+    }
+
+    pub(crate) fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub(crate) fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+}
+
+impl std::fmt::Debug for NodeNames {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries((0..self.len()).map(|i| self.get(i)))
+            .finish()
+    }
+}
+
 /// A validated coupled distributed-RC network.
 ///
 /// Constructed through [`crate::NetworkBuilder`]; construction guarantees
@@ -62,7 +103,7 @@ impl Net {
 /// See the [crate-level example](crate) for construction.
 #[derive(Debug, Clone)]
 pub struct Network {
-    pub(crate) node_names: Vec<String>,
+    pub(crate) node_names: NodeNames,
     pub(crate) node_net: Vec<NetId>,
     pub(crate) nets: Vec<Net>,
     pub(crate) resistors: Vec<Resistor>,
@@ -99,7 +140,7 @@ impl Network {
     ///
     /// Panics if `node` is out of bounds.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.index()]
+        self.node_names.get(node.index())
     }
 
     /// All nets with their ids.

@@ -280,25 +280,60 @@ pub fn write_deck(network: &Network) -> String {
     out
 }
 
-/// A whitespace-delimited token and its 1-based character column.
-fn tokens_with_columns(raw: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    let mut col = 0usize;
-    let mut start: Option<(usize, usize)> = None; // (byte, col)
-    for (byte, ch) in raw.char_indices() {
-        col += 1;
-        if ch.is_whitespace() {
-            if let Some((sb, sc)) = start.take() {
-                out.push((sc, &raw[sb..byte]));
-            }
-        } else if start.is_none() {
-            start = Some((byte, col));
+/// One whitespace-delimited token of a line: its 1-based character
+/// column and its byte range in the line.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
+    pub(crate) col: usize,
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+}
+
+/// Splits `raw` into tokens separated by whitespace (as
+/// [`char::is_whitespace`] defines it), appending their spans to `out`.
+///
+/// One pass over the bytes: an ASCII byte is classified as it stands (its
+/// whitespace is tab, LF, VT, FF, CR and space), and a `char` is decoded
+/// only where a non-ASCII byte starts one, so columns count characters.
+pub(crate) fn tokenize(raw: &str, out: &mut Vec<Span>) {
+    let bytes = raw.as_bytes();
+    // Whether the char starting at byte `i` is whitespace, and its length.
+    let char_at = |i: usize| -> (bool, usize) {
+        if bytes[i].is_ascii() {
+            (matches!(bytes[i], b'\t'..=b'\r' | b' '), 1)
+        } else {
+            let ch = raw[i..].chars().next().expect("i is a char boundary");
+            (ch.is_whitespace(), ch.len_utf8())
         }
+    };
+    // `i` is always a char boundary and `col` the number of chars before it.
+    let (mut i, mut col) = (0usize, 0usize);
+    while i < bytes.len() {
+        let (space, mut len) = char_at(i);
+        if space {
+            i += len;
+            col += 1;
+            continue;
+        }
+        let (start, start_col) = (i, col + 1);
+        loop {
+            i += len;
+            col += 1;
+            if i == bytes.len() {
+                break;
+            }
+            let (space, next) = char_at(i);
+            if space {
+                break;
+            }
+            len = next;
+        }
+        out.push(Span {
+            col: start_col,
+            start,
+            end: i,
+        });
     }
-    if let Some((sb, sc)) = start {
-        out.push((sc, &raw[sb..]));
-    }
-    out
 }
 
 /// Parses a deck previously produced by [`write_deck`], with
@@ -346,25 +381,32 @@ pub fn parse_deck_with_limits(
 /// assert_eq!(parse_si_value("volts"), None);
 /// ```
 pub fn parse_si_value(token: &str) -> Option<f64> {
-    let lower = token.to_ascii_lowercase();
-    let (num_part, mult) = if let Some(stripped) = lower.strip_suffix("meg") {
-        (stripped, 1e6)
-    } else if let Some(stripped) = lower.strip_suffix("mil") {
-        (stripped, 25.4e-6)
+    let bytes = token.as_bytes();
+    let has_suffix = |suffix: &[u8]| {
+        bytes.len() >= suffix.len()
+            && bytes[bytes.len() - suffix.len()..].eq_ignore_ascii_case(suffix)
+    };
+    // Every suffix is ASCII, so stripping one leaves a char boundary.
+    let (digits, mult) = if has_suffix(b"meg") {
+        (bytes.len() - 3, 1e6)
+    } else if has_suffix(b"mil") {
+        (bytes.len() - 3, 25.4e-6)
     } else {
-        match lower.as_bytes().last() {
-            Some(b't') => (&lower[..lower.len() - 1], 1e12),
-            Some(b'g') => (&lower[..lower.len() - 1], 1e9),
-            Some(b'k') => (&lower[..lower.len() - 1], 1e3),
-            Some(b'm') => (&lower[..lower.len() - 1], 1e-3),
-            Some(b'u') => (&lower[..lower.len() - 1], 1e-6),
-            Some(b'n') => (&lower[..lower.len() - 1], 1e-9),
-            Some(b'p') => (&lower[..lower.len() - 1], 1e-12),
-            Some(b'f') => (&lower[..lower.len() - 1], 1e-15),
-            _ => (lower.as_str(), 1.0),
+        match bytes.last().map(u8::to_ascii_lowercase) {
+            Some(b't') => (bytes.len() - 1, 1e12),
+            Some(b'g') => (bytes.len() - 1, 1e9),
+            Some(b'k') => (bytes.len() - 1, 1e3),
+            Some(b'm') => (bytes.len() - 1, 1e-3),
+            Some(b'u') => (bytes.len() - 1, 1e-6),
+            Some(b'n') => (bytes.len() - 1, 1e-9),
+            Some(b'p') => (bytes.len() - 1, 1e-12),
+            Some(b'f') => (bytes.len() - 1, 1e-15),
+            _ => (bytes.len(), 1.0),
         }
     };
-    num_part.parse::<f64>().ok().map(|v| v * mult)
+    // `f64::from_str` reads `e`/`E`, `inf`, `infinity` and `nan` in any
+    // case, so the number needs no lowercased copy.
+    token[..digits].parse::<f64>().ok().map(|v| v * mult)
 }
 
 #[cfg(test)]
@@ -410,14 +452,154 @@ mod tests {
         assert_eq!(parse_si_value("x1"), None);
     }
 
+    /// Reference tokenizer (the allocating, `char`-at-a-time original):
+    /// the oracle [`tokenize`] must agree with on every line.
+    fn tokens_with_columns(raw: &str) -> Vec<(usize, &str)> {
+        let mut out = Vec::new();
+        let mut col = 0usize;
+        let mut start: Option<(usize, usize)> = None; // (byte, col)
+        for (byte, ch) in raw.char_indices() {
+            col += 1;
+            if ch.is_whitespace() {
+                if let Some((sb, sc)) = start.take() {
+                    out.push((sc, &raw[sb..byte]));
+                }
+            } else if start.is_none() {
+                start = Some((byte, col));
+            }
+        }
+        if let Some((sb, sc)) = start {
+            out.push((sc, &raw[sb..]));
+        }
+        out
+    }
+
+    /// Reference SI parser (the original, which lowercases a copy): the
+    /// oracle [`parse_si_value`] must agree with bit for bit.
+    fn parse_si_value_reference(token: &str) -> Option<f64> {
+        let lower = token.to_ascii_lowercase();
+        let (num_part, mult) = if let Some(stripped) = lower.strip_suffix("meg") {
+            (stripped, 1e6)
+        } else if let Some(stripped) = lower.strip_suffix("mil") {
+            (stripped, 25.4e-6)
+        } else {
+            match lower.as_bytes().last() {
+                Some(b't') => (&lower[..lower.len() - 1], 1e12),
+                Some(b'g') => (&lower[..lower.len() - 1], 1e9),
+                Some(b'k') => (&lower[..lower.len() - 1], 1e3),
+                Some(b'm') => (&lower[..lower.len() - 1], 1e-3),
+                Some(b'u') => (&lower[..lower.len() - 1], 1e-6),
+                Some(b'n') => (&lower[..lower.len() - 1], 1e-9),
+                Some(b'p') => (&lower[..lower.len() - 1], 1e-12),
+                Some(b'f') => (&lower[..lower.len() - 1], 1e-15),
+                _ => (lower.as_str(), 1.0),
+            }
+        };
+        num_part.parse::<f64>().ok().map(|v| v * mult)
+    }
+
+    /// [`tokenize`]'s spans as `(column, token)` pairs.
+    fn tokens(raw: &str) -> Vec<(usize, &str)> {
+        let mut spans = Vec::new();
+        tokenize(raw, &mut spans);
+        spans
+            .iter()
+            .map(|s| (s.col, &raw[s.start..s.end]))
+            .collect()
+    }
+
     #[test]
     fn tokenizer_reports_one_based_columns() {
         assert_eq!(
-            tokens_with_columns("  R1  n0 n1\t5"),
+            tokens("  R1  n0 n1\t5"),
             vec![(3, "R1"), (7, "n0"), (10, "n1"), (13, "5")]
         );
-        assert!(tokens_with_columns("   ").is_empty());
-        assert!(tokens_with_columns("").is_empty());
+        assert!(tokens("   ").is_empty());
+        assert!(tokens("").is_empty());
+        // Columns count characters: `µ` is two bytes, one column.
+        assert_eq!(tokens("µ\u{3000}x"), vec![(1, "µ"), (3, "x")]);
+    }
+
+    /// Line fragments the tokenizer oracle mixes: every whitespace class
+    /// that `char::is_whitespace` and `u8::is_ascii_whitespace` disagree
+    /// or agree on, non-ASCII spaces, a multi-byte non-space, glued `+`
+    /// continuation markers and ordinary card text.
+    const LINE_PIECES: [&str; 22] = [
+        " ", "\t", "\u{c}", "\r", "\u{b}", "\u{85}", "\u{a0}", "\u{2028}", "\u{3000}", "µ", "+",
+        "+n0", "R1", "n", "0", "1.5k", "*!", ".end", "é", "\u{1c}", "\u{0}", "x",
+    ];
+
+    /// SI-value fragments: digits, signs, exponents, every suffix in
+    /// both cases, and literals `f64::from_str` accepts.
+    const SI_PIECES: [&str; 26] = [
+        "0", "1", "5", "9", ".", "-", "+", "e", "E", "k", "K", "meg", "MEG", "Meg", "mil", "MIL",
+        "m", "u", "n", "p", "F", "g", "T", "inf", "NaN", "µ",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn tokenizer_matches_the_char_oracle(
+            picks in proptest::collection::vec(0usize..LINE_PIECES.len(), 0usize..24)
+        ) {
+            let line: String = picks.iter().map(|&i| LINE_PIECES[i]).collect();
+            proptest::prop_assert_eq!(tokens(&line), tokens_with_columns(&line), "{:?}", line);
+        }
+
+        #[test]
+        fn si_parser_matches_the_lowercasing_oracle(
+            picks in proptest::collection::vec(0usize..SI_PIECES.len(), 0usize..6)
+        ) {
+            let token: String = picks.iter().map(|&i| SI_PIECES[i]).collect();
+            proptest::prop_assert_eq!(
+                parse_si_value(&token).map(f64::to_bits),
+                parse_si_value_reference(&token).map(f64::to_bits),
+                "{:?}", token
+            );
+        }
+    }
+
+    #[test]
+    fn si_corpus_is_bit_identical_to_the_oracle() {
+        for token in [
+            "1E3",
+            "Infinity",
+            "-INFINITY",
+            "NaN",
+            "inf",
+            "2MEG",
+            "1Meg",
+            "3Mil",
+            "1e308k",
+            ".5f",
+            "5.",
+            "-0",
+            "1e",
+            "",
+            "1e-12",
+            "15F",
+            "0.2P",
+            "4U",
+            "7T",
+            "6G",
+            "1mil",
+            "µ",
+            "1µ",
+            "meg",
+            "k",
+            "+5k",
+            "1e999",
+            "-1e308meg",
+            "nan",
+            "INF",
+        ] {
+            assert_eq!(
+                parse_si_value(token).map(f64::to_bits),
+                parse_si_value_reference(token).map(f64::to_bits),
+                "{token:?}"
+            );
+        }
     }
 
     #[test]

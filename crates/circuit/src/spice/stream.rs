@@ -28,7 +28,8 @@
 //! (see [`crate::cluster`]) — the basis of full-chip screening, which
 //! never builds a whole-deck [`crate::Network`].
 
-use super::{parse_si_value, tokens_with_columns, DeckLimits, SpiceParseError};
+use super::{parse_si_value, tokenize, DeckLimits, Span, SpiceParseError};
+use crate::builder::Adjacency;
 use crate::{NetId, NetRole, Network, NetworkBuilder, NodeId};
 use std::collections::HashMap;
 use std::io::BufRead;
@@ -175,35 +176,14 @@ struct TokMeta {
     end: usize,
 }
 
-/// Pushes `raw`'s whitespace-delimited tokens into the card arena. With
-/// `continuation` set, the leading `+` marker is stripped (a glued
-/// `+tok` keeps `tok` with its column shifted past the marker).
-fn append_tokens(
-    text: &mut String,
-    toks: &mut Vec<TokMeta>,
-    raw: &str,
-    line: usize,
-    continuation: bool,
-) {
-    for (i, (col, tok)) in tokens_with_columns(raw).into_iter().enumerate() {
-        let (col, tok) = if continuation && i == 0 {
-            let rest = &tok[1..];
-            if rest.is_empty() {
-                continue;
-            }
-            (col + 1, rest)
-        } else {
-            (col, tok)
-        };
-        let start = text.len();
-        text.push_str(tok);
-        toks.push(TokMeta {
-            line,
-            col,
-            start,
-            end: text.len(),
-        });
-    }
+/// A plain `*` comment (a `*!` directive is not one).
+fn is_comment(tok: &str) -> bool {
+    tok.starts_with('*') && !tok.starts_with("*!")
+}
+
+/// ASCII-case-insensitive `s.starts_with(prefix)`.
+fn starts_with_ignore_case(s: &str, prefix: &str) -> bool {
+    s.len() >= prefix.len() && s.as_bytes()[..prefix.len()].eq_ignore_ascii_case(prefix.as_bytes())
 }
 
 /// Incremental card reader over any [`BufRead`] source.
@@ -233,15 +213,18 @@ pub struct DeckStream<R> {
     reader: R,
     limits: DeckLimits,
     lenient: bool,
+    /// The physical line last read, and its tokens (split once, when the
+    /// line is read; a pushed-back line keeps them).
     line_buf: String,
+    line_spans: Vec<Span>,
     line_no: usize,
     pushed: bool,
     eof: bool,
-    /// Concatenated token texts of the current card.
+    /// The current card's physical lines, head line first.
     text: String,
+    /// Length of the head line at the front of `text`.
+    head_len: usize,
     toks: Vec<TokMeta>,
-    /// Copy of the card's first physical line (error diagnostics).
-    head: String,
     stats: DeckStats,
     skipped_samples: Vec<(usize, String)>,
 }
@@ -254,12 +237,13 @@ impl<R: BufRead> DeckStream<R> {
             limits: options.limits,
             lenient: options.lenient,
             line_buf: String::new(),
+            line_spans: Vec::new(),
             line_no: 0,
             pushed: false,
             eof: false,
             text: String::new(),
+            head_len: 0,
             toks: Vec::new(),
-            head: String::new(),
             stats: DeckStats::default(),
             skipped_samples: Vec::new(),
         }
@@ -298,8 +282,9 @@ impl<R: BufRead> DeckStream<R> {
         }
     }
 
-    /// Reads one physical line into `line_buf` (honoring a pushed-back
-    /// line), returning `false` at end of input.
+    /// Reads one physical line into `line_buf` and splits it into
+    /// `line_spans` (honoring a pushed-back line), returning `false` at
+    /// end of input.
     fn read_physical(&mut self) -> Result<bool, SpiceParseError> {
         if self.pushed {
             self.pushed = false;
@@ -332,7 +317,15 @@ impl<R: BufRead> DeckStream<R> {
                 limit: self.limits.max_lines,
             });
         }
+        self.line_spans.clear();
+        tokenize(&self.line_buf, &mut self.line_spans);
         Ok(true)
+    }
+
+    /// The first token of the current physical line, with its span.
+    fn first_token(&self) -> Option<(Span, &str)> {
+        let s = *self.line_spans.first()?;
+        Some((s, &self.line_buf[s.start..s.end]))
     }
 
     /// Assembles the next logical card (head line plus any `+`
@@ -343,27 +336,33 @@ impl<R: BufRead> DeckStream<R> {
             if !self.read_physical()? {
                 return Ok(false);
             }
-            let Some(&(col, first)) = tokens_with_columns(&self.line_buf).first() else {
+            let Some((span, first)) = self.first_token() else {
                 continue; // blank line
             };
             if first.starts_with('+') {
                 return Err(SpiceParseError::Malformed {
                     line: self.line_no,
-                    col,
+                    col: span.col,
                     detail: "continuation line without a preceding card".into(),
                 });
             }
-            if first.starts_with('*') && !first.starts_with("*!") {
-                continue; // plain comment
+            if is_comment(first) {
+                continue;
             }
             break;
         }
-        self.head.clear();
-        self.head.push_str(&self.line_buf);
-        let head_line = self.line_no;
+        // The head line becomes the card text by a buffer swap, not a copy.
         self.text.clear();
+        std::mem::swap(&mut self.text, &mut self.line_buf);
+        self.head_len = self.text.len();
         self.toks.clear();
-        append_tokens(&mut self.text, &mut self.toks, &self.head, head_line, false);
+        let line = self.line_no;
+        self.toks.extend(self.line_spans.iter().map(|s| TokMeta {
+            line,
+            col: s.col,
+            start: s.start,
+            end: s.end,
+        }));
 
         // Absorb continuation lines; blanks and plain comments between a
         // card and its continuations are consumed harmlessly.
@@ -371,29 +370,43 @@ impl<R: BufRead> DeckStream<R> {
             if !self.read_physical()? {
                 break;
             }
-            let first = tokens_with_columns(&self.line_buf)
-                .first()
-                .map(|&(_, t)| (t.starts_with('+'), t.starts_with('*') && !t.starts_with("*!")));
-            match first {
-                None => continue,                  // blank
-                Some((_, true)) => continue,       // plain comment
-                Some((false, _)) => {
-                    self.pushed = true; // next card's head line
+            match self.first_token() {
+                None => continue,
+                Some((_, first)) if is_comment(first) => continue,
+                Some((_, first)) if !first.starts_with('+') => {
+                    self.pushed = true; // next card's head line, spans kept
                     break;
                 }
-                Some((true, _)) => {
-                    append_tokens(
-                        &mut self.text,
-                        &mut self.toks,
-                        &self.line_buf,
-                        self.line_no,
-                        true,
-                    );
+                Some(_) => {
+                    self.append_continuation();
                     self.stats.continuations += 1;
                 }
             }
         }
         Ok(true)
+    }
+
+    /// Appends the current physical line, a `+` continuation, to the card.
+    /// The marker is stripped: a bare `+` token is dropped, a glued `+tok`
+    /// keeps `tok` with its column shifted past the marker.
+    fn append_continuation(&mut self) {
+        let base = self.text.len();
+        self.text.push_str(&self.line_buf);
+        for (i, s) in self.line_spans.iter().enumerate() {
+            let (col, start) = if i == 0 {
+                (s.col + 1, s.start + 1)
+            } else {
+                (s.col, s.start)
+            };
+            if start < s.end {
+                self.toks.push(TokMeta {
+                    line: self.line_no,
+                    col,
+                    start: base + start,
+                    end: base + s.end,
+                });
+            }
+        }
     }
 
     fn tok_text(&self, i: usize) -> &str {
@@ -477,8 +490,8 @@ impl<R: BufRead> DeckStream<R> {
         if self.tok_text(0).starts_with("*!") {
             return self.classify_directive();
         }
-        let upper = self.tok_text(0).to_ascii_uppercase();
-        if upper.starts_with('.') {
+        let name = self.tok_text(0);
+        if name.starts_with('.') {
             if self.lenient {
                 self.stats.skipped_directives += 1;
                 if self.skipped_samples.len() < MAX_SKIP_SAMPLES {
@@ -493,7 +506,7 @@ impl<R: BufRead> DeckStream<R> {
                 detail: format!("unsupported card {:?}", self.tok_text(0)),
             });
         }
-        if upper.starts_with("VDRV") {
+        if starts_with_ignore_case(name, "VDRV") {
             return Ok(None); // placeholder source; structure comes from RDRV
         }
         self.stats.elements += 1;
@@ -504,9 +517,10 @@ impl<R: BufRead> DeckStream<R> {
                 limit: self.limits.max_elements,
             });
         }
-        if let Some(idx_str) = upper.strip_prefix("RDRV") {
+        let name = self.tok_text(0);
+        if starts_with_ignore_case(name, "RDRV") {
             self.need(4)?;
-            let net: usize = idx_str.parse().map_err(|_| SpiceParseError::Malformed {
+            let net: usize = name[4..].parse().map_err(|_| SpiceParseError::Malformed {
                 line: name_line,
                 col: name_col,
                 detail: format!("bad driver index in {:?}", self.tok_text(0)),
@@ -526,26 +540,26 @@ impl<R: BufRead> DeckStream<R> {
                 node: 2,
                 ohms: self.positive(3)?,
             }))
-        } else if upper.starts_with("CC") {
+        } else if starts_with_ignore_case(name, "CC") {
             self.need(4)?;
             Ok(Some(Shape::CCap {
                 a: 1,
                 b: 2,
                 farads: self.positive(3)?,
             }))
-        } else if upper.starts_with("CL") {
+        } else if starts_with_ignore_case(name, "CL") {
             self.need(4)?;
             Ok(Some(Shape::Sink {
                 node: 1,
                 farads: self.non_negative(3)?,
             }))
-        } else if upper.starts_with('C') {
+        } else if starts_with_ignore_case(name, "C") {
             self.need(4)?;
             Ok(Some(Shape::GCap {
                 node: 1,
                 farads: self.positive(3)?,
             }))
-        } else if upper.starts_with('R') {
+        } else if starts_with_ignore_case(name, "R") {
             self.need(4)?;
             Ok(Some(Shape::Res {
                 a: 1,
@@ -658,7 +672,7 @@ impl<R: BufRead> DeckStream<R> {
             _ => Err(SpiceParseError::Malformed {
                 line: name_line,
                 col: name_col,
-                detail: format!("unknown directive {:?}", self.head.trim()),
+                detail: format!("unknown directive {:?}", self.text[..self.head_len].trim()),
             }),
         }
     }
@@ -890,8 +904,12 @@ impl DeckIndex {
     }
 
     /// Assigns nodes to nets: seed each net with its driver node, then
-    /// grow along resistor edges to a fixed point (nets are resistively
-    /// disjoint in valid decks).
+    /// claim every node reachable through resistors by one breadth-first
+    /// search per driver, in net order, over a CSR (compressed sparse
+    /// row) resistor adjacency. O(nodes + resistors) whatever order the
+    /// cards come in. Nets are resistively disjoint in valid decks, so
+    /// each node has exactly one possible owner; a resistor joining two
+    /// nets is left for [`NetworkBuilder::build`] to reject.
     fn resolve(&mut self) -> Result<(), SpiceParseError> {
         for i in 0..self.nets.len() {
             let Some((nu, _)) = self.nets[i].driver else {
@@ -914,21 +932,25 @@ impl DeckIndex {
             }
             self.node_net[nu.node as usize] = Some(u32::try_from(i).unwrap_or(u32::MAX));
         }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for k in 0..self.resistors.len() {
-                let (a, b) = (self.resistors[k].0.node, self.resistors[k].1.node);
-                match (self.node_net[a as usize], self.node_net[b as usize]) {
-                    (Some(na), None) => {
-                        self.node_net[b as usize] = Some(na);
-                        changed = true;
+        let adjacency = Adjacency::new(
+            self.names.len(),
+            self.resistors.iter().map(|(a, b, _)| (a.node, b.node)),
+        );
+        let mut queue: Vec<u32> = Vec::new();
+        for net in &self.nets {
+            let (root, _) = net.driver.expect("checked above");
+            let owner = self.node_net[root.node as usize];
+            queue.clear();
+            queue.push(root.node);
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head];
+                head += 1;
+                for &(v, _) in adjacency.at(u) {
+                    if self.node_net[v as usize].is_none() {
+                        self.node_net[v as usize] = owner;
+                        queue.push(v);
                     }
-                    (None, Some(nb)) => {
-                        self.node_net[a as usize] = Some(nb);
-                        changed = true;
-                    }
-                    _ => {}
                 }
             }
         }
@@ -995,22 +1017,26 @@ impl DeckIndex {
     /// [`SpiceParseError::Invalid`] when the described structure fails
     /// [`NetworkBuilder::build`] validation.
     pub fn into_network(self) -> Result<Network, SpiceParseError> {
-        let every = |len: usize| (0..u32::try_from(len).unwrap_or(u32::MAX)).collect::<Vec<u32>>();
-        let nets = every(self.nets.len());
+        // Every row of each table: prefixes of one `0, 1, 2, …` run.
+        let lens = [
+            self.nets.len(),
+            self.resistors.len(),
+            self.ground_caps.len(),
+            self.sinks.len(),
+            self.coupling_caps.len(),
+        ];
+        let longest = lens.into_iter().max().unwrap_or(0);
+        let every: Vec<u32> = (0..u32::try_from(longest).unwrap_or(u32::MAX)).collect();
         let nodes = self.owned_nodes_by_name();
-        let (resistors, ground_caps, sinks, coupling_caps) = (
-            every(self.resistors.len()),
-            every(self.ground_caps.len()),
-            every(self.sinks.len()),
-            every(self.coupling_caps.len()),
-        );
+        let slot = self.slots(std::iter::once(&nodes[..]));
         let rows = Rows {
-            nets: &nets,
+            nets: &every[..self.nets.len()],
             nodes: &nodes,
-            resistors: &resistors,
-            ground_caps: &ground_caps,
-            sinks: &sinks,
-            coupling_caps: &coupling_caps,
+            slot: &slot,
+            resistors: &every[..self.resistors.len()],
+            ground_caps: &every[..self.ground_caps.len()],
+            sinks: &every[..self.sinks.len()],
+            coupling_caps: &every[..self.coupling_caps.len()],
         };
         Ok(self.materialize(rows, None)?.0)
     }
@@ -1025,6 +1051,19 @@ impl DeckIndex {
         // deterministic.
         nodes.sort_unstable_by(|&a, &b| self.names[a as usize].cmp(&self.names[b as usize]));
         nodes
+    }
+
+    /// Each node's position within its group, indexed by deck node id:
+    /// the local node id a materialization of that group gives it. Nodes
+    /// in no group read `u32::MAX`.
+    pub(crate) fn slots<'g>(&self, groups: impl Iterator<Item = &'g [u32]>) -> Vec<u32> {
+        let mut slot = vec![u32::MAX; self.names.len()];
+        for group in groups {
+            for (i, &id) in group.iter().enumerate() {
+                slot[id as usize] = u32::try_from(i).unwrap_or(u32::MAX);
+            }
+        }
+        slot
     }
 
     /// Materializes the network made of `rows`: nets in the order given,
@@ -1046,7 +1085,14 @@ impl DeckIndex {
         rows: Rows<'_>,
         victim: Option<u32>,
     ) -> Result<(Network, Option<NodeId>), SpiceParseError> {
-        let mut b = NetworkBuilder::new();
+        let mut b = NetworkBuilder::with_capacity(
+            rows.nets.len(),
+            rows.nodes.len(),
+            rows.resistors.len(),
+            rows.ground_caps.len(),
+            rows.sinks.len(),
+            rows.coupling_caps.len(),
+        );
         // `rows.nets` is ascending, so a net's local id is its position.
         let local_net = |net: u32| {
             let i = rows
@@ -1063,16 +1109,21 @@ impl DeckIndex {
             };
             b.add_net(self.nets[m as usize].name.clone(), role);
         }
-        let mut node_ids: HashMap<u32, NodeId> = HashMap::with_capacity(rows.nodes.len());
         for &id in rows.nodes {
             let owner = self.node_net[id as usize].expect("row nodes are owned");
-            node_ids.insert(id, b.add_node(local_net(owner), &*self.names[id as usize]));
+            b.add_node(local_net(owner), &*self.names[id as usize]);
         }
+        // A deck node's local id is its slot, when the slot points back at
+        // it; otherwise the node is not among `rows.nodes`.
+        let local = |id: u32| {
+            let s = rows.slot[id as usize];
+            (rows.nodes.get(s as usize) == Some(&id)).then_some(NodeId(s))
+        };
         // A row node outside `rows.nodes` is unreachable from any driver:
         // an error at the referencing token. Island rows never hit this;
         // partitioning leaves such rows out of every island.
         let resolve = |nu: &NodeUse| -> Result<NodeId, SpiceParseError> {
-            node_ids.get(&nu.node).copied().ok_or_else(|| {
+            local(nu.node).ok_or_else(|| {
                 let (line, col) = nu.position();
                 SpiceParseError::Malformed {
                     line,
@@ -1108,10 +1159,7 @@ impl DeckIndex {
             let (x, y, f) = &self.coupling_caps[k as usize];
             b.add_coupling_cap(resolve(x)?, resolve(y)?, *f)?;
         }
-        let output = self
-            .output
-            .as_ref()
-            .and_then(|out| node_ids.get(&out.node).copied());
+        let output = self.output.as_ref().and_then(|out| local(out.node));
         if victim.is_none() {
             if let Some(out) = &self.output {
                 b.set_victim_output(resolve(out)?);
@@ -1123,10 +1171,13 @@ impl DeckIndex {
 
 /// The rows one materialization reads: net indices (ascending), node ids
 /// in name order, and row indices into each element table in deck order.
+/// `slot` maps a deck node id to its position in `nodes` (see
+/// [`DeckIndex::slots`]); it may be shared by many disjoint row sets.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rows<'a> {
     pub(crate) nets: &'a [u32],
     pub(crate) nodes: &'a [u32],
+    pub(crate) slot: &'a [u32],
     pub(crate) resistors: &'a [u32],
     pub(crate) ground_caps: &'a [u32],
     pub(crate) sinks: &'a [u32],
@@ -1312,6 +1363,84 @@ mod tests {
         assert!(matches!(err, SpiceParseError::Io(_)));
         assert!(err.to_string().contains("disk on fire"));
         assert_eq!(err.position(), None);
+    }
+
+    /// A one-net chain of `segments` unit resistors from the driver node
+    /// `n0` to the sink `n<segments>`, its resistor cards in driver→sink
+    /// order or reversed.
+    fn chain_deck(segments: usize, sink_first: bool) -> String {
+        let mut deck = String::from("*! net 0 victim v\nRDRV0 src0 n0 100\n");
+        let card = |k: usize| format!("R{k} n{k} n{} 1\n", k + 1);
+        if sink_first {
+            deck.extend((0..segments).rev().map(card));
+        } else {
+            deck.extend((0..segments).map(card));
+        }
+        deck.push_str(&format!("CL0 n{segments} 0 1f\n.end\n"));
+        deck
+    }
+
+    #[test]
+    fn resolve_is_linear_in_a_chain_written_sink_to_driver() {
+        // Growing ownership one hop per sweep over the resistor table
+        // would take 10^5 sweeps here; one search from the driver takes
+        // one pass.
+        const SEGMENTS: usize = 100_000;
+        let owners = |index: &DeckIndex| -> Vec<(String, Option<u32>)> {
+            let mut owners: Vec<_> = index
+                .names
+                .iter()
+                .zip(&index.node_net)
+                .map(|(name, &net)| (name.to_string(), net))
+                .collect();
+            owners.sort();
+            owners
+        };
+        let forward = DeckIndex::from_reader(
+            chain_deck(SEGMENTS, false).as_bytes(),
+            StreamOptions::default(),
+        )
+        .unwrap();
+        let backward = DeckIndex::from_reader(
+            chain_deck(SEGMENTS, true).as_bytes(),
+            StreamOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(backward.unassigned_nodes(), 0);
+        assert_eq!(owners(&forward), owners(&backward));
+        let (forward, backward) = (
+            forward.into_network().unwrap(),
+            backward.into_network().unwrap(),
+        );
+        let order = |network: &Network| -> Vec<String> {
+            let tree = network.tree(network.victim());
+            tree.order()
+                .iter()
+                .map(|&n| network.node_name(n).to_string())
+                .collect()
+        };
+        let order_forward = order(&forward);
+        assert_eq!(order_forward.len(), SEGMENTS + 1);
+        assert_eq!(order_forward[0], "n0");
+        assert_eq!(order_forward[SEGMENTS], format!("n{SEGMENTS}"));
+        assert_eq!(order_forward, order(&backward));
+    }
+
+    #[test]
+    fn resistor_across_nets_is_still_invalid() {
+        // `x` hangs off both drivers: whichever net claims it, one
+        // resistor joins two nets.
+        let deck = "*! net 0 victim v\n*! net 1 aggressor a\n\
+RDRV0 s0 n0 100\nRDRV1 s1 m0 100\nR0 x n0 5\nR1 m0 x 5\n\
+CL0 n0 0 1f\nCL1 m0 0 1f\nCC0 n0 m0 1f\n.end\n";
+        let err = parse_deck(deck).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpiceParseError::Invalid(crate::CircuitError::ResistorAcrossNets { .. })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::{NetId, NodeId};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Rooted-tree view of one net's resistive graph.
 ///
@@ -19,8 +19,9 @@ use std::collections::HashMap;
 pub struct NetTree {
     net: NetId,
     root: NodeId,
-    /// Global node id -> local slot.
-    index: HashMap<NodeId, usize>,
+    /// Global node id -> local slot in its own net's tree, shared by
+    /// every tree of the network; `order[slot]` confirms membership.
+    slot: Arc<[u32]>,
     /// Local: node ids in topological (root-first) order.
     order: Vec<NodeId>,
     /// Local slot -> (parent local slot, resistance to parent). Root: None.
@@ -32,33 +33,29 @@ pub struct NetTree {
 }
 
 impl NetTree {
-    /// Builds the rooted view from parent links discovered by the builder's
-    /// BFS. `parents` maps each non-root node to `(parent, resistance)`.
-    pub(crate) fn from_parents(
+    /// Builds the rooted view from the builder's BFS: `order` lists the
+    /// nodes root first, `parent[i]` is node `order[i]`'s parent slot in
+    /// `order` with the connecting resistance (`None` for the root), and
+    /// `slot` maps every node of the network to its slot in its own net.
+    pub(crate) fn from_bfs(
         net: NetId,
         root: NodeId,
         order: Vec<NodeId>,
-        parents: &HashMap<NodeId, (NodeId, f64)>,
+        parent: Vec<Option<(usize, f64)>>,
+        slot: Arc<[u32]>,
     ) -> Self {
-        let index: HashMap<NodeId, usize> =
-            order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let mut parent = vec![None; order.len()];
         let mut depth = vec![0usize; order.len()];
         let mut path_res = vec![0.0; order.len()];
-        for (i, &node) in order.iter().enumerate() {
-            if node == root {
-                continue;
+        for (i, link) in parent.iter().enumerate() {
+            if let Some((pi, r)) = *link {
+                depth[i] = depth[pi] + 1;
+                path_res[i] = path_res[pi] + r;
             }
-            let (p, r) = parents[&node];
-            let pi = index[&p];
-            parent[i] = Some((pi, r));
-            depth[i] = depth[pi] + 1;
-            path_res[i] = path_res[pi] + r;
         }
         NetTree {
             net,
             root,
-            index,
+            slot,
             order,
             parent,
             depth,
@@ -94,7 +91,7 @@ impl NetTree {
 
     /// `true` when the node belongs to this net.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.index.contains_key(&node)
+        self.find(node).is_some()
     }
 
     /// Parent of `node` and the connecting resistance; `None` for the root.
@@ -190,10 +187,13 @@ impl NetTree {
         }
     }
 
+    fn find(&self, node: NodeId) -> Option<usize> {
+        let slot = *self.slot.get(node.index())? as usize;
+        (self.order.get(slot) == Some(&node)).then_some(slot)
+    }
+
     fn slot(&self, node: NodeId) -> usize {
-        *self
-            .index
-            .get(&node)
+        self.find(node)
             .unwrap_or_else(|| panic!("node {node} is not on net {}", self.net))
     }
 }

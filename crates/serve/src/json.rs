@@ -236,6 +236,12 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one piece. Those bytes are ASCII, and so are char
+            // boundaries: the run is whole UTF-8 scalars.
+            let run = plain_run(&self.bytes[self.pos..]);
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -293,14 +299,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                0x00..=0x1F => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Consume one full UTF-8 scalar from the source.
-                    let rest = &self.input[self.pos..];
-                    let ch = rest.chars().next().expect("non-empty checked");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -362,6 +361,38 @@ impl<'a> Parser<'a> {
         }
         Ok(Value::Num(n))
     }
+}
+
+/// Length of the leading run of `bytes` that a JSON string copies as it
+/// stands: up to the first `"`, `\\` or control byte.
+///
+/// Eight bytes are tested at a time (SWAR): `(x - 0x01…01) & !x & 0x80…80`
+/// flags the zero bytes of `x`, and `(w - 0x20…20) & !w & 0x80…80` the
+/// bytes of `w` below 0x20. A borrow can flag a byte above a true hit,
+/// never below one, so the lowest flagged byte is the first stop byte.
+/// Bytes of 0x80 and up (UTF-8 continuation and lead bytes) never flag.
+fn plain_run(bytes: &[u8]) -> usize {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let mut i = 0;
+    while let Some(word) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+        let quote = w ^ (LO * u64::from(b'"'));
+        let slash = w ^ (LO * u64::from(b'\\'));
+        let hit = (quote.wrapping_sub(LO) & !quote
+            | slash.wrapping_sub(LO) & !slash
+            | w.wrapping_sub(LO * 0x20) & !w)
+            & HI;
+        if hit != 0 {
+            return i + (hit.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    let rest = &bytes[i..];
+    i + rest
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(rest.len())
 }
 
 /// Appends `s` to `out` as a JSON string literal (quotes included).
@@ -459,6 +490,37 @@ mod tests {
         ] {
             let r = parse(bad);
             assert!(r.is_err(), "{bad:?} should fail, got {r:?}");
+        }
+    }
+
+    #[test]
+    fn plain_runs_stop_at_the_first_special_byte() {
+        let oracle = |bytes: &[u8]| {
+            bytes
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(bytes.len())
+        };
+        // Every stop byte, and a non-stop byte on each side of every
+        // boundary the SWAR masks test, at every offset of a 19-byte
+        // buffer of non-stop bytes (ASCII and UTF-8 lead/continuation
+        // bytes), then scanned from every start.
+        let fill: Vec<u8> = "ab é~µ 0!#".bytes().cycle().take(19).collect();
+        let probes = (0u8..0x20).chain([
+            b'"', b'\\', b'!', b'#', b' ', b'[', b']', 0x7f, 0x80, 0xdc, 0xff,
+        ]);
+        for probe in probes {
+            for at in 0..fill.len() {
+                let mut bytes = fill.clone();
+                bytes[at] = probe;
+                for start in 0..bytes.len() {
+                    assert_eq!(
+                        plain_run(&bytes[start..]),
+                        oracle(&bytes[start..]),
+                        "probe {probe:#04x} at {at}, scanned from {start}"
+                    );
+                }
+            }
         }
     }
 

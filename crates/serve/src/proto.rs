@@ -141,7 +141,7 @@ fn render_id(v: &Value) -> Option<RequestId> {
 ///
 /// A [`RequestError`] describing the first schema violation found.
 pub fn parse_request(line: &str) -> (RequestId, Result<Request, RequestError>) {
-    let value = match json::parse(line) {
+    let mut value = match json::parse(line) {
         Ok(v) => v,
         Err(e) => {
             return (
@@ -176,7 +176,14 @@ pub fn parse_request(line: &str) -> (RequestId, Result<Request, RequestError>) {
             }
         },
     };
-    let req = validate(fields, &value);
+    let mut req = validate(fields, &value);
+    // The deck is the bulk of an analyze request: move it out of the
+    // parsed value rather than copy it.
+    if let (Ok(Request::Analyze(analyze)), Value::Obj(fields)) = (&mut req, &mut value) {
+        if let Some((_, Value::Str(deck))) = fields.iter_mut().find(|(k, _)| k == "deck") {
+            analyze.deck = std::mem::take(deck);
+        }
+    }
     (id, req)
 }
 
@@ -265,7 +272,8 @@ fn validate_analyze(value: &Value) -> Result<AnalyzeRequest, RequestError> {
         Some(Value::Str(s)) if s.trim().is_empty() => {
             return Err(RequestError::schema("\"deck\" is empty"))
         }
-        Some(Value::Str(s)) => s.clone(),
+        // Moved in by `parse_request`, which owns the parsed value.
+        Some(Value::Str(_)) => String::new(),
         Some(v) => {
             return Err(RequestError::schema(format!(
                 "\"deck\" must be a string of SPICE source, got {}",
