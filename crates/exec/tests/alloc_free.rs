@@ -11,7 +11,10 @@
 //! factorization on the cached symbolic structure, and solving into
 //! preallocated buffers — the exact per-`dt` sequence `SimWorkspace`
 //! executes across horizon retries. All of it must be allocation-free
-//! after warm-up for the refactor-reuse design to deliver.
+//! after warm-up for the refactor-reuse design to deliver. A third
+//! window covers the adaptive march's pair kernels: both stepping
+//! products in one pass over the shared pattern, and both solves in one
+//! sweep over the shared `L` structure.
 //!
 //! The windows also hammer disabled `xtalk_obs` probes (counter,
 //! histogram, span) directly: the observability layer instruments these
@@ -28,6 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use xtalk_circuit::signal::InputSignal;
 use xtalk_circuit::{NetRole, NetworkBuilder};
 use xtalk_core::{MetricOne, MetricTwo, NoiseAnalyzer};
+use xtalk_linalg::Solver;
 
 /// Delegates to the system allocator, counting every alloc/realloc.
 struct CountingAlloc;
@@ -178,6 +182,36 @@ fn metric_formulas_do_not_allocate() {
                 .solve_into(black_box(&b), &mut x, &mut scratch)
                 .expect("solve succeeds");
             black_box(&x);
+        }
+    });
+
+    // Adaptive stepping's pair kernels on two factors of one analysis
+    // (the trapezoidal and backward-Euler systems of a level).
+    let pattern = symbolic.pattern();
+    let trap_vals = a.values().to_vec();
+    let be_vals: Vec<f64> = trap_vals.iter().map(|v| v * 1.5).collect();
+    let trap = Solver::Sparse(Box::new(
+        symbolic.factor_values(&trap_vals).expect("matrix factors"),
+    ));
+    let be = Solver::Sparse(Box::new(
+        symbolic.factor_values(&be_vals).expect("matrix factors"),
+    ));
+    let mut bufs: [Vec<f64>; 6] = std::array::from_fn(|_| vec![0.0; N]);
+    let pair_step = |bufs: &mut [Vec<f64>; 6]| {
+        let [rhs_trap, rhs_be, x_trap, x_be, s_trap, s_be] = bufs;
+        pattern
+            .mul_vec_pair_into((&trap_vals, &be_vals), black_box(&b), (rhs_trap, rhs_be))
+            .expect("pair product succeeds");
+        trap.solve_pair_into(&be, (rhs_trap, rhs_be), (x_trap, x_be), (s_trap, s_be))
+            .expect("pair solve succeeds");
+        black_box(&x_trap);
+    };
+    for _ in 0..16 {
+        pair_step(&mut bufs);
+    }
+    assert_steady_state_alloc_free("pair product + pair solve (2k iterations)", || {
+        for _ in 0..2_000u32 {
+            pair_step(&mut bufs);
         }
     });
 }

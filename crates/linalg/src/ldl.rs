@@ -13,21 +13,26 @@
 //! structural analysis once:
 //!
 //! 1. [`LdlSymbolic::analyze`] — fill-reducing (minimum-degree)
-//!    permutation, elimination tree, per-column fill counts. Depends only
-//!    on the sparsity *pattern*; reused across every timestep matrix
-//!    `G + C/dt` sharing the pattern.
-//! 2. [`LdlSymbolic::factor`] — numeric factorization allocating the
-//!    `L`/`D` storage once.
+//!    permutation, elimination tree, and the full structure of `L` (row
+//!    indices per column, row patterns in solve order). Depends only on
+//!    the sparsity *pattern*; shared by every timestep matrix `G + C/dt`
+//!    on the pattern.
+//! 2. [`LdlSymbolic::factor`] / [`LdlSymbolic::factor_values`] — numeric
+//!    factorization allocating the `L`/`D` values once.
 //! 3. [`LdlFactors::refactor`] — numeric-only refactorization **in
 //!    place** for new matrix values on the same pattern (a changed `dt`,
 //!    a horizon retry). Allocation-free.
 //! 4. [`LdlFactors::solve_into`] — forward/diagonal/backward
-//!    substitution into caller buffers. Allocation-free.
+//!    substitution into caller buffers; two factors of one analysis
+//!    solve in one sweep through
+//!    [`Solver::solve_pair_into`](crate::Solver::solve_pair_into).
+//!    Allocation-free.
 //!
 //! The kernel is the classic up-looking method (cf. the SuiteSparse LDL
 //! algorithm): row `k` of `L` is computed by a sparse triangular solve
-//! whose nonzero pattern is read off the elimination tree, so the work is
-//! proportional to the entries touched, never to `n²`.
+//! whose nonzero pattern is read off the elimination tree (once, at
+//! analysis time), so the work is proportional to the entries touched,
+//! never to `n²`.
 //!
 //! # Examples
 //!
@@ -56,7 +61,8 @@
 use crate::sparse::Csr;
 use crate::LinalgError;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, BTreeSet};
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Sentinel for "no parent" in the elimination tree.
 const NONE: usize = usize::MAX;
@@ -68,50 +74,114 @@ const PIVOT_EPS: f64 = 1e-300;
 
 /// Minimum-degree ordering of a symmetric sparsity pattern.
 ///
-/// Greedy quotient-graph elimination: repeatedly eliminate the vertex of
-/// smallest current degree (ties broken by smallest index, so the result
-/// is deterministic), connecting its neighbors into a clique. On a tree
+/// Greedy elimination: repeatedly eliminate the vertex of smallest
+/// current degree (ties broken by smallest index, so the result is
+/// deterministic), connecting its neighbors into a clique. On a tree
 /// this eliminates leaves first and produces **no fill at all**; coupling
 /// caps that close cycles cost only local clique edges.
+///
+/// The adjacency lists share one flat buffer, each list duplicate-free
+/// and in no particular order: the greedy choice depends only on each
+/// vertex's degree and index, never on list order. A list that outgrows
+/// its slot moves to the end of the buffer with twice the room.
 fn min_degree_order(a: &Csr) -> (Vec<usize>, Vec<usize>) {
     let n = a.rows();
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    assert!(
+        n <= u32::MAX as usize,
+        "ordering keys hold 32-bit vertex indices"
+    );
+    // Symmetrized adjacency without self loops: count, place, then sort
+    // and dedup each list in place. On a symmetric pattern every edge
+    // arrives from both of its rows, so each list keeps half its slot as
+    // room to grow.
+    let mut start = vec![0usize; n + 1];
     for r in 0..n {
         for (c, _) in a.row(r) {
             if c != r {
-                adj[r].insert(c);
-                adj[c].insert(r);
+                start[r + 1] += 1;
+                start[c + 1] += 1;
             }
         }
     }
-    // Lazy-deletion heap of (degree, vertex); stale entries (degree no
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut cap: Vec<usize> = (0..n).map(|v| start[v + 1] - start[v]).collect();
+    let mut len = vec![0usize; n];
+    let mut buf = vec![0usize; start[n]];
+    for r in 0..n {
+        for (c, _) in a.row(r) {
+            if c != r {
+                buf[start[r] + len[r]] = c;
+                len[r] += 1;
+                buf[start[c] + len[c]] = r;
+                len[c] += 1;
+            }
+        }
+    }
+    for v in 0..n {
+        let list = &mut buf[start[v]..start[v] + len[v]];
+        list.sort_unstable();
+        let mut kept = 0;
+        for i in 0..list.len() {
+            if kept == 0 || list[i] != list[kept - 1] {
+                list[kept] = list[i];
+                kept += 1;
+            }
+        }
+        len[v] = kept;
+    }
+    // Lazy-deletion min-heap of `degree << 32 | vertex` keys, which
+    // order exactly as (degree, vertex) pairs; stale entries (degree no
     // longer current) are skipped on pop.
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-        (0..n).map(|v| Reverse((adj[v].len(), v))).collect();
+    let key = |deg: usize, v: usize| ((deg as u64) << 32) | v as u64;
+    let mut heap: BinaryHeap<Reverse<u64>> = (0..n).map(|v| Reverse(key(len[v], v))).collect();
     let mut eliminated = vec![false; n];
+    // `mark[w] == stamp` flags `w` as already adjacent to the vertex
+    // whose clique edges are being added.
+    let mut mark = vec![0usize; n];
+    let mut stamp = 0usize;
+    let mut neigh = Vec::new();
     let mut perm = Vec::with_capacity(n);
-    while let Some(Reverse((deg, v))) = heap.pop() {
-        if eliminated[v] || deg != adj[v].len() {
+    while let Some(Reverse(top)) = heap.pop() {
+        let (deg, v) = ((top >> 32) as usize, (top & u64::from(u32::MAX)) as usize);
+        if eliminated[v] || deg != len[v] {
             continue;
         }
         eliminated[v] = true;
         perm.push(v);
-        let neigh: Vec<usize> = adj[v].iter().copied().collect();
+        neigh.clear();
+        neigh.extend_from_slice(&buf[start[v]..start[v] + len[v]]);
+        len[v] = 0;
         for &u in &neigh {
-            adj[u].remove(&v);
+            let list = &mut buf[start[u]..start[u] + len[u]];
+            if let Some(at) = list.iter().position(|&w| w == v) {
+                list[at] = list[list.len() - 1];
+                len[u] -= 1;
+            }
         }
-        for i in 0..neigh.len() {
-            for j in (i + 1)..neigh.len() {
-                let (u, w) = (neigh[i], neigh[j]);
-                if adj[u].insert(w) {
-                    adj[w].insert(u);
+        for &u in &neigh {
+            stamp += 1;
+            for &w in &buf[start[u]..start[u] + len[u]] {
+                mark[w] = stamp;
+            }
+            for &w in &neigh {
+                if w == u || mark[w] == stamp {
+                    continue;
                 }
+                if len[u] == cap[u] {
+                    let (from, room) = (start[u], (2 * cap[u]).max(4));
+                    start[u] = buf.len();
+                    cap[u] = room;
+                    buf.extend_from_within(from..from + len[u]);
+                    buf.resize(start[u] + room, 0);
+                }
+                buf[start[u] + len[u]] = w;
+                len[u] += 1;
             }
         }
         for &u in &neigh {
-            if !eliminated[u] {
-                heap.push(Reverse((adj[u].len(), u)));
-            }
+            heap.push(Reverse(key(len[u], u)));
         }
     }
     let mut pinv = vec![0usize; n];
@@ -122,22 +192,41 @@ fn min_degree_order(a: &Csr) -> (Vec<usize>, Vec<usize>) {
 }
 
 /// Symbolic LDLᵀ analysis of a symmetric sparsity pattern: fill-reducing
-/// permutation, elimination tree, and the exact column pointers of `L`.
+/// permutation, elimination tree, and the exact structure of `L`.
 ///
-/// Depends only on *which* entries are nonzero, so one analysis serves
+/// Depends only on *which* entries are stored, so one analysis serves
 /// every matrix sharing the pattern — `G`, `G + C/dt` at any `dt`, and
-/// every horizon-retry refactorization.
+/// every horizon-retry refactorization. The analysis is shared, not
+/// copied: cloning an `LdlSymbolic` or factoring with it hands out a
+/// reference to the one structure, and factors of the same analysis can
+/// be solved together
+/// ([`Solver::solve_pair_into`](crate::Solver::solve_pair_into)).
 #[derive(Debug, Clone)]
 pub struct LdlSymbolic {
+    structure: Arc<Structure>,
+}
+
+/// The pattern-only half of an LDLᵀ factorization.
+#[derive(Debug)]
+struct Structure {
     n: usize,
+    /// The analyzed pattern, values zeroed. Numeric factorizations read
+    /// their values in its CSR entry order.
+    pattern: Csr,
     /// `perm[k]` = original index eliminated at step `k`.
     perm: Vec<usize>,
     /// `pinv[original]` = elimination position.
     pinv: Vec<usize>,
-    /// Elimination tree over the permuted matrix (`NONE` = root).
-    parent: Vec<usize>,
     /// Column pointers of `L` (`n + 1` entries); `lp[n]` = nnz(L).
     lp: Vec<usize>,
+    /// Row indices of `L`'s strictly-lower entries, column-major per
+    /// `lp`, ascending within each column.
+    li: Vec<usize>,
+    /// Row `k` of `L` has its entries in the columns
+    /// `ri[rp[k]..rp[k + 1]]`, listed in the topological order the
+    /// up-looking solve visits them.
+    rp: Vec<usize>,
+    ri: Vec<usize>,
 }
 
 impl LdlSymbolic {
@@ -190,58 +279,143 @@ impl LdlSymbolic {
         for k in 0..n {
             lp[k + 1] = lp[k] + lnz[k];
         }
+
+        // Row patterns of L: for every upper entry (i, k), the reach of i
+        // in the finished tree, each path pushed onto `order[top..n]` so
+        // the row ends up in topological order. Column k of every visited
+        // node gains row k, so `li` comes out ascending per column.
+        let mut li = vec![0usize; lp[n]];
+        let mut next = lp[..n].to_vec();
+        let mut rp = vec![0usize; n + 1];
+        let mut ri = Vec::with_capacity(lp[n]);
+        let mut stack = vec![0usize; n];
+        let mut order = vec![0usize; n];
+        flag.fill(NONE);
+        for k in 0..n {
+            let mut top = n;
+            flag[k] = k;
+            for (c, _) in a.row(perm[k]) {
+                let i0 = pinv[c];
+                if i0 > k {
+                    continue;
+                }
+                let mut len = 0;
+                let mut i = i0;
+                while flag[i] != k {
+                    stack[len] = i;
+                    len += 1;
+                    flag[i] = k;
+                    i = parent[i];
+                }
+                while len > 0 {
+                    len -= 1;
+                    top -= 1;
+                    order[top] = stack[len];
+                }
+            }
+            for &i in &order[top..] {
+                ri.push(i);
+                li[next[i]] = k;
+                next[i] += 1;
+            }
+            rp[k + 1] = ri.len();
+        }
         xtalk_obs::histogram!(perf: "linalg.ldl.fill").record(lp[n] as u64);
+        let mut pattern = a.clone();
+        pattern.values_mut().fill(0.0);
         Ok(LdlSymbolic {
-            n,
-            perm,
-            pinv,
-            parent,
-            lp,
+            structure: Arc::new(Structure {
+                n,
+                pattern,
+                perm,
+                pinv,
+                lp,
+                li,
+                rp,
+                ri,
+            }),
         })
     }
 
     /// Dimension of the analyzed pattern.
     pub fn dim(&self) -> usize {
-        self.n
+        self.structure.n
     }
 
     /// Number of strictly-lower-triangular nonzeros `L` will hold
     /// (0 for a tree under the fill-reducing ordering).
     pub fn fill_nnz(&self) -> usize {
-        self.lp[self.n]
+        self.structure.lp[self.structure.n]
     }
 
     /// The fill-reducing permutation (`perm[k]` = original index
     /// eliminated at step `k`).
     pub fn perm(&self) -> &[usize] {
-        &self.perm
+        &self.structure.perm
     }
 
-    /// Numerically factors `a`, which must be symmetric with the analyzed
-    /// pattern (a subset pattern is fine — missing entries are zeros).
-    /// Allocates the `L`/`D` storage; reuse it across value changes with
+    /// The analyzed pattern with every stored value zero. Matrices on it
+    /// can be kept as bare value arrays in its CSR entry order and
+    /// factored with [`LdlSymbolic::factor_values`].
+    pub fn pattern(&self) -> &Csr {
+        &self.structure.pattern
+    }
+
+    /// Numerically factors `a`, which must be symmetric and store exactly
+    /// the analyzed pattern (explicit zeros included). Allocates the
+    /// `L`/`D` storage; reuse it across value changes with
     /// [`LdlFactors::refactor`].
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::ShapeMismatch`] — `a` has a different dimension.
+    /// * [`LinalgError::ShapeMismatch`] — `a` has a different dimension
+    ///   or pattern.
     /// * [`LinalgError::NonFinite`] — `a` contains NaN/∞.
     /// * [`LinalgError::Singular`] — a diagonal pivot vanished (the
     ///   matrix is singular or far from positive definite).
     pub fn factor(&self, a: &Csr) -> Result<LdlFactors, LinalgError> {
-        let nnz = self.fill_nnz();
+        self.check_pattern(a)?;
+        self.factor_values(a.values())
+    }
+
+    /// Like [`LdlSymbolic::factor`] for the matrix with the analyzed
+    /// pattern and `values`, one per stored entry of
+    /// [`LdlSymbolic::pattern`] in CSR order.
+    ///
+    /// # Errors
+    ///
+    /// As [`LdlSymbolic::factor`].
+    pub fn factor_values(&self, values: &[f64]) -> Result<LdlFactors, LinalgError> {
+        let n = self.structure.n;
         let mut f = LdlFactors {
             sym: self.clone(),
-            li: vec![0usize; nnz],
-            lx: vec![0.0; nnz],
-            d: vec![0.0; self.n],
-            y: vec![0.0; self.n],
-            pattern: vec![0usize; self.n],
-            flag: vec![NONE; self.n],
-            lnz: vec![0usize; self.n],
+            lx: vec![0.0; self.fill_nnz()],
+            d: vec![0.0; n],
+            y: vec![0.0; n],
+            lnz: vec![0usize; n],
         };
-        f.refactor(a)?;
+        f.refactor_values(values)?;
         Ok(f)
+    }
+
+    fn check_pattern(&self, a: &Csr) -> Result<(), LinalgError> {
+        let n = self.structure.n;
+        if a.rows() != n || a.cols() != n {
+            return Err(LinalgError::ShapeMismatch {
+                found: format!("matrix of shape {}x{}", a.rows(), a.cols()),
+                expected: format!("{n}x{n}"),
+            });
+        }
+        if !a.same_pattern(&self.structure.pattern) {
+            return Err(LinalgError::ShapeMismatch {
+                found: format!("a pattern of {} stored entries", a.nnz()),
+                expected: format!(
+                    "the analyzed pattern of {} stored entries",
+                    self.structure.pattern.nnz()
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -251,21 +425,18 @@ impl LdlSymbolic {
 /// Obtained from [`LdlSymbolic::factor`]; [`LdlFactors::refactor`]
 /// rewrites the numeric content in place for new values on the same
 /// pattern, and [`LdlFactors::solve_into`] solves into caller buffers.
+/// The structure of `L` belongs to the shared [`LdlSymbolic`]; a factor
+/// holds only values.
 #[derive(Debug, Clone)]
 pub struct LdlFactors {
     sym: LdlSymbolic,
-    /// Row indices of L's strictly-lower entries, column-major per `lp`.
-    li: Vec<usize>,
-    /// Values of L's strictly-lower entries (unit diagonal implied).
+    /// Values of L's strictly-lower entries (unit diagonal implied), in
+    /// the symbolic analysis' column-major slot order.
     lx: Vec<f64>,
     /// The diagonal D.
     d: Vec<f64>,
     /// Sparse accumulator for the up-looking row solve.
     y: Vec<f64>,
-    /// Reach stack (row-pattern workspace).
-    pattern: Vec<usize>,
-    /// Visit marks, keyed by elimination step.
-    flag: Vec<usize>,
     /// Entries currently stored per column of L.
     lnz: Vec<usize>,
 }
@@ -273,7 +444,7 @@ pub struct LdlFactors {
 impl LdlFactors {
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.sym.n
+        self.sym.dim()
     }
 
     /// Number of strictly-lower-triangular nonzeros in `L`.
@@ -292,70 +463,58 @@ impl LdlFactors {
     ///
     /// As [`LdlSymbolic::factor`].
     pub fn refactor(&mut self, a: &Csr) -> Result<(), LinalgError> {
-        let n = self.sym.n;
-        if a.rows() != n || a.cols() != n {
+        self.sym.check_pattern(a)?;
+        self.refactor_values(a.values())
+    }
+
+    /// [`LdlFactors::refactor`] for the matrix with the analyzed pattern
+    /// and `values` (see [`LdlSymbolic::factor_values`]).
+    fn refactor_values(&mut self, values: &[f64]) -> Result<(), LinalgError> {
+        let s = &*self.sym.structure;
+        let n = s.n;
+        if values.len() != s.pattern.nnz() {
             return Err(LinalgError::ShapeMismatch {
-                found: format!("matrix of shape {}x{}", a.rows(), a.cols()),
-                expected: format!("{n}x{n}"),
+                found: format!("{} values", values.len()),
+                expected: format!("one per stored entry ({})", s.pattern.nnz()),
             });
         }
-        if !a.values().iter().all(|v| v.is_finite()) {
+        if !values.iter().all(|v| v.is_finite()) {
             return Err(LinalgError::NonFinite {
                 context: "LDL input matrix".to_string(),
             });
         }
         xtalk_obs::counter!(perf: "linalg.ldl.factor").add(1);
-        let (perm, pinv, parent, lp) =
-            (&self.sym.perm, &self.sym.pinv, &self.sym.parent, &self.sym.lp);
-        self.y.fill(0.0);
-        self.flag.fill(NONE);
-        self.lnz.fill(0);
+        let (row_ptr, col_idx) = (s.pattern.row_ptr(), s.pattern.col_idx());
+        let (y, lx, d, lnz) = (&mut self.y, &mut self.lx, &mut self.d, &mut self.lnz);
+        y.fill(0.0);
+        lnz.fill(0);
         for k in 0..n {
-            // Pattern of row k of L: for every upper entry (i, k) of the
-            // permuted matrix, the reach of i in the elimination tree.
-            // `pattern[top..n]` ends up holding it in topological order.
-            let mut top = n;
-            self.flag[k] = k;
-            for (c, v) in a.row(perm[k]) {
-                let i0 = pinv[c];
-                if i0 > k {
-                    continue;
-                }
-                self.y[i0] += v;
-                let mut len = 0;
-                let mut i = i0;
-                while self.flag[i] != k {
-                    self.pattern[len] = i;
-                    len += 1;
-                    self.flag[i] = k;
-                    i = parent[i];
-                }
-                while len > 0 {
-                    len -= 1;
-                    top -= 1;
-                    self.pattern[top] = self.pattern[len];
+            // Scatter the upper part of row k of the permuted matrix.
+            let row = row_ptr[s.perm[k]]..row_ptr[s.perm[k] + 1];
+            for (&c, &v) in col_idx[row.clone()].iter().zip(&values[row]) {
+                let i0 = s.pinv[c];
+                if i0 <= k {
+                    y[i0] += v;
                 }
             }
-            // Up-looking sparse triangular solve along the pattern.
-            self.d[k] = self.y[k];
-            self.y[k] = 0.0;
-            for t in top..n {
-                let i = self.pattern[t];
-                let yi = self.y[i];
-                self.y[i] = 0.0;
-                let p2 = lp[i] + self.lnz[i];
-                for p in lp[i]..p2 {
-                    self.y[self.li[p]] -= self.lx[p] * yi;
+            // Up-looking sparse triangular solve along row k's pattern.
+            d[k] = y[k];
+            y[k] = 0.0;
+            for &i in &s.ri[s.rp[k]..s.rp[k + 1]] {
+                let yi = y[i];
+                y[i] = 0.0;
+                let p2 = s.lp[i] + lnz[i];
+                for (&r, &l) in s.li[s.lp[i]..p2].iter().zip(&lx[s.lp[i]..p2]) {
+                    y[r] -= l * yi;
                 }
-                let l_ki = yi / self.d[i];
-                self.d[k] -= l_ki * yi;
-                self.li[p2] = k;
-                self.lx[p2] = l_ki;
-                self.lnz[i] += 1;
+                let l_ki = yi / d[i];
+                d[k] -= l_ki * yi;
+                lx[p2] = l_ki;
+                lnz[i] += 1;
             }
             // A NaN pivot (overflow products of finite inputs) must take
             // the singular branch too, hence the explicit is_nan arm.
-            if self.d[k].abs() < PIVOT_EPS || self.d[k].is_nan() {
+            if d[k].abs() < PIVOT_EPS || d[k].is_nan() {
                 return Err(LinalgError::Singular { pivot: k });
             }
         }
@@ -377,19 +536,10 @@ impl LdlFactors {
         x: &mut [f64],
         scratch: &mut [f64],
     ) -> Result<(), LinalgError> {
-        let n = self.sym.n;
-        if b.len() != n || x.len() != n || scratch.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                found: format!(
-                    "rhs length {} / out length {} / scratch length {}",
-                    b.len(),
-                    x.len(),
-                    scratch.len()
-                ),
-                expected: format!("all of length {n}"),
-            });
-        }
-        let (perm, lp) = (&self.sym.perm, &self.sym.lp);
+        let s = &*self.sym.structure;
+        let n = s.n;
+        check_solve_lengths(n, b, x, scratch)?;
+        let (perm, lp, li) = (&s.perm, &s.lp, &s.li);
         // ŷ = P·b.
         for i in 0..n {
             scratch[i] = b[perm[i]];
@@ -397,25 +547,92 @@ impl LdlFactors {
         // L·z = ŷ (unit lower triangular, column sweep).
         for j in 0..n {
             let zj = scratch[j];
-            for p in lp[j]..lp[j + 1] {
-                scratch[self.li[p]] -= self.lx[p] * zj;
+            let col = lp[j]..lp[j + 1];
+            for (&r, &l) in li[col.clone()].iter().zip(&self.lx[col]) {
+                scratch[r] -= l * zj;
             }
         }
         // D·w = z.
-        for j in 0..n {
-            scratch[j] /= self.d[j];
+        for (z, d) in scratch.iter_mut().zip(&self.d) {
+            *z /= d;
         }
         // Lᵀ·v = w (row sweep, bottom up).
         for j in (0..n).rev() {
             let mut acc = scratch[j];
-            for p in lp[j]..lp[j + 1] {
-                acc -= self.lx[p] * scratch[self.li[p]];
+            let col = lp[j]..lp[j + 1];
+            for (&r, &l) in li[col.clone()].iter().zip(&self.lx[col]) {
+                acc -= l * scratch[r];
             }
             scratch[j] = acc;
         }
         // x = Pᵀ·v.
         for i in 0..n {
             x[perm[i]] = scratch[i];
+        }
+        Ok(())
+    }
+
+    /// Solves `A·x₁ = b₁` with `self` and `B·x₂ = b₂` with `other` —
+    /// two factors of one [`LdlSymbolic`] (the simulator's trapezoidal
+    /// and backward-Euler stepping matrices) — in one sweep over the
+    /// shared permutation and `L` structure. Each solution goes through
+    /// exactly the operations of its own [`LdlFactors::solve_into`], in
+    /// the same order, so both are bit-equal to two single solves.
+    /// Factors of different analyses are solved one after the other.
+    /// Allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::ShapeMismatch`] when any buffer has the wrong
+    /// length.
+    pub(crate) fn solve_pair_into(
+        &self,
+        other: &LdlFactors,
+        (b1, b2): (&[f64], &[f64]),
+        (x1, x2): (&mut [f64], &mut [f64]),
+        (z1, z2): (&mut [f64], &mut [f64]),
+    ) -> Result<(), LinalgError> {
+        if !Arc::ptr_eq(&self.sym.structure, &other.sym.structure) {
+            self.solve_into(b1, x1, z1)?;
+            return other.solve_into(b2, x2, z2);
+        }
+        let s = &*self.sym.structure;
+        let n = s.n;
+        check_solve_lengths(n, b1, x1, z1)?;
+        check_solve_lengths(n, b2, x2, z2)?;
+        let (perm, lp, li) = (&s.perm, &s.lp, &s.li);
+        let (lx1, lx2) = (&self.lx, &other.lx);
+        for i in 0..n {
+            let p = perm[i];
+            z1[i] = b1[p];
+            z2[i] = b2[p];
+        }
+        for j in 0..n {
+            let (u1, u2) = (z1[j], z2[j]);
+            let col = lp[j]..lp[j + 1];
+            for ((&r, &l1), &l2) in li[col.clone()].iter().zip(&lx1[col.clone()]).zip(&lx2[col]) {
+                z1[r] -= l1 * u1;
+                z2[r] -= l2 * u2;
+            }
+        }
+        for j in 0..n {
+            z1[j] /= self.d[j];
+            z2[j] /= other.d[j];
+        }
+        for j in (0..n).rev() {
+            let (mut acc1, mut acc2) = (z1[j], z2[j]);
+            let col = lp[j]..lp[j + 1];
+            for ((&r, &l1), &l2) in li[col.clone()].iter().zip(&lx1[col.clone()]).zip(&lx2[col]) {
+                acc1 -= l1 * z1[r];
+                acc2 -= l2 * z2[r];
+            }
+            z1[j] = acc1;
+            z2[j] = acc2;
+        }
+        for i in 0..n {
+            let p = perm[i];
+            x1[p] = z1[i];
+            x2[p] = z2[i];
         }
         Ok(())
     }
@@ -428,7 +645,7 @@ impl LdlFactors {
     ///
     /// As [`LdlFactors::solve_into`].
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let n = self.sym.n;
+        let n = self.dim();
         let mut x = vec![0.0; n];
         let mut scratch = vec![0.0; n];
         self.solve_into(b, &mut x, &mut scratch)?;
@@ -436,11 +653,323 @@ impl LdlFactors {
     }
 }
 
+fn check_solve_lengths(n: usize, b: &[f64], x: &[f64], scratch: &[f64]) -> Result<(), LinalgError> {
+    if b.len() != n || x.len() != n || scratch.len() != n {
+        return Err(LinalgError::ShapeMismatch {
+            found: format!(
+                "rhs length {} / out length {} / scratch length {}",
+                b.len(),
+                x.len(),
+                scratch.len()
+            ),
+            expected: format!("all of length {n}"),
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sparse::Triplets;
-    use crate::Matrix;
+    use crate::{Matrix, Solver};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The original minimum-degree ordering, on ordered-set adjacency:
+    /// the oracle [`min_degree_order`] must match exactly.
+    fn min_degree_order_btree(a: &Csr) -> (Vec<usize>, Vec<usize>) {
+        let n = a.rows();
+        let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        for r in 0..n {
+            for (c, _) in a.row(r) {
+                if c != r {
+                    adj[r].insert(c);
+                    adj[c].insert(r);
+                }
+            }
+        }
+        let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
+            (0..n).map(|v| Reverse((adj[v].len(), v))).collect();
+        let mut eliminated = vec![false; n];
+        let mut perm = Vec::with_capacity(n);
+        while let Some(Reverse((deg, v))) = heap.pop() {
+            if eliminated[v] || deg != adj[v].len() {
+                continue;
+            }
+            eliminated[v] = true;
+            perm.push(v);
+            let neigh: Vec<usize> = adj[v].iter().copied().collect();
+            for &u in &neigh {
+                adj[u].remove(&v);
+            }
+            for i in 0..neigh.len() {
+                for j in (i + 1)..neigh.len() {
+                    let (u, w) = (neigh[i], neigh[j]);
+                    if adj[u].insert(w) {
+                        adj[w].insert(u);
+                    }
+                }
+            }
+            for &u in &neigh {
+                if !eliminated[u] {
+                    heap.push(Reverse((adj[u].len(), u)));
+                }
+            }
+        }
+        let mut pinv = vec![0usize; n];
+        for (k, &v) in perm.iter().enumerate() {
+            pinv[v] = k;
+        }
+        (perm, pinv)
+    }
+
+    /// Strategy: a randomized RC-tree-plus-coupling-caps MNA-style system.
+    ///
+    /// A random tree over `n` nodes carries edge conductances (resistor
+    /// stamps), every node gets a positive diagonal contribution (driver /
+    /// ground-cap stamps), and a few random node pairs get coupling-cap
+    /// style symmetric off-tree stamps — the exact matrix family the
+    /// transient simulator factors as `G + C/dt`.
+    fn rc_tree_system(n: usize) -> impl Strategy<Value = (Csr, Vec<f64>)> {
+        (
+            prop::collection::vec(0usize..1_000_000, n - 1),
+            prop::collection::vec(0.1..10.0f64, n - 1),
+            prop::collection::vec(0.5..5.0f64, n),
+            prop::collection::vec((0usize..1_000_000, 0usize..1_000_000, 0.01..1.0f64), 0..6),
+            prop::collection::vec(-10.0..10.0f64, n),
+        )
+            .prop_map(move |(parents, conds, diags, couplings, b)| {
+                let mut t = Triplets::new(n, n);
+                for i in 1..n {
+                    let p = parents[i - 1] % i;
+                    let g = conds[i - 1];
+                    t.push(i, i, g);
+                    t.push(p, p, g);
+                    t.push(i, p, -g);
+                    t.push(p, i, -g);
+                }
+                for (i, &d) in diags.iter().enumerate() {
+                    t.push(i, i, d);
+                }
+                for &(ra, rb, v) in &couplings {
+                    let (a, c) = (ra % n, rb % n);
+                    if a != c {
+                        t.push(a, a, v);
+                        t.push(c, c, v);
+                        t.push(a, c, -v);
+                        t.push(c, a, -v);
+                    }
+                }
+                (t.to_csr(), b)
+            })
+    }
+
+    /// The G∪C pattern of one PEX-deck island (the `PexDeckSpec`
+    /// topology): `lanes` RC chains of `segments + 1` nodes, every
+    /// segment node coupled to the same segment of the next two lanes.
+    /// Node `(lane, s)` gets the number `label[lane * (segments + 1) + s]`.
+    fn pex_island_pattern(lanes: usize, segments: usize, label: &[usize]) -> Csr {
+        let n = lanes * (segments + 1);
+        let node = |lane: usize, s: usize| label[lane * (segments + 1) + s];
+        let mut t = Triplets::new(n, n);
+        let mut edge = |a: usize, b: usize| {
+            t.push(a, a, 1.0);
+            t.push(b, b, 1.0);
+            t.push(a, b, -1.0);
+            t.push(b, a, -1.0);
+        };
+        for lane in 0..lanes {
+            for s in 1..=segments {
+                edge(node(lane, s - 1), node(lane, s));
+                for other in [lane + 1, lane + 2] {
+                    if other < lanes {
+                        edge(node(lane, s), node(other, s));
+                    }
+                }
+            }
+        }
+        t.to_csr()
+    }
+
+    /// A permutation of `0..keys.len()`: the ranks of `keys`.
+    fn ranks(keys: &[u64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&i| (keys[i], i));
+        let mut rank = vec![0; keys.len()];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r;
+        }
+        rank
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn min_degree_matches_the_oracle_on_a_pex_island() {
+        let label: Vec<usize> = (0..80).collect();
+        let a = pex_island_pattern(16, 4, &label);
+        assert_eq!(min_degree_order(&a), min_degree_order_btree(&a));
+    }
+
+    proptest! {
+        #[test]
+        fn min_degree_matches_the_oracle_on_rc_trees(
+            (a, _) in rc_tree_system(40),
+        ) {
+            prop_assert_eq!(min_degree_order(&a), min_degree_order_btree(&a));
+        }
+
+        #[test]
+        fn min_degree_matches_the_oracle_on_relabeled_pex_islands(
+            keys in prop::collection::vec(0u64..1_000_000, 80),
+        ) {
+            let a = pex_island_pattern(16, 4, &ranks(&keys));
+            prop_assert_eq!(min_degree_order(&a), min_degree_order_btree(&a));
+        }
+
+        #[test]
+        fn pair_kernels_are_bit_equal_to_single_calls(
+            (a, b1) in rc_tree_system(20),
+            scale in 0.25..4.0f64,
+        ) {
+            let sym = LdlSymbolic::analyze(&a).unwrap();
+            let pattern = sym.pattern();
+            let va = a.values().to_vec();
+            let vb: Vec<f64> = va.iter().map(|v| v * scale).collect();
+            let b2: Vec<f64> = b1.iter().rev().map(|v| v - 0.5).collect();
+            let n = a.rows();
+            let buf = || vec![0.0; n];
+
+            // One pass over the pattern == two products.
+            let (mut pa, mut pb, mut sa, mut sb) = (buf(), buf(), buf(), buf());
+            pattern.mul_vec_pair_into((&va, &vb), &b1, (&mut pa, &mut pb)).unwrap();
+            pattern.mul_vec_values_into(&va, &b1, &mut sa).unwrap();
+            pattern.mul_vec_values_into(&vb, &b1, &mut sb).unwrap();
+            prop_assert_eq!(bits(&pa), bits(&sa));
+            prop_assert_eq!(bits(&pb), bits(&sb));
+            a.mul_vec_into(&b1, &mut sa).unwrap();
+            prop_assert_eq!(bits(&pa), bits(&sa));
+
+            // One sweep over the shared L structure == two solves, for
+            // factors of one analysis, of two analyses, and for the
+            // dense backend and mixed pairs.
+            let fa = Solver::Sparse(Box::new(sym.factor_values(&va).unwrap()));
+            let fb = Solver::Sparse(Box::new(sym.factor_values(&vb).unwrap()));
+            let other = LdlSymbolic::analyze(&a).unwrap();
+            let fb_other = Solver::Sparse(Box::new(other.factor_values(&vb).unwrap()));
+            let mut m = a.to_dense();
+            let da = Solver::Dense(m.lu().unwrap());
+            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                m[(i, j)] *= scale;
+            }
+            let db = Solver::Dense(m.lu().unwrap());
+            for (first, second) in [(&fa, &fb), (&fa, &fb_other), (&da, &db), (&fa, &db), (&da, &fb)] {
+                let (mut x1, mut x2, mut z1, mut z2) = (buf(), buf(), buf(), buf());
+                first
+                    .solve_pair_into(second, (&b1, &b2), (&mut x1, &mut x2), (&mut z1, &mut z2))
+                    .unwrap();
+                let (mut y1, mut y2) = (buf(), buf());
+                first.solve_into(&b1, &mut y1, &mut z1).unwrap();
+                second.solve_into(&b2, &mut y2, &mut z2).unwrap();
+                prop_assert_eq!(bits(&x1), bits(&y1));
+                prop_assert_eq!(bits(&x2), bits(&y2));
+            }
+        }
+
+        #[test]
+        fn ldl_matches_lu_on_rc_trees(
+            (a, b) in rc_tree_system(24),
+        ) {
+            let sym = LdlSymbolic::analyze(&a).unwrap();
+            let f = sym.factor(&a).unwrap();
+            let x_ldl = f.solve(&b).unwrap();
+            let x_lu = a.to_dense().lu().unwrap().solve(&b).unwrap();
+            for (s, d) in x_ldl.iter().zip(&x_lu) {
+                prop_assert!(
+                    (s - d).abs() <= 1e-9 * (1.0 + d.abs()),
+                    "LDL {s} vs LU {d} diverged"
+                );
+            }
+            // Residual check against the matrix itself, independent of LU.
+            let r = a.mul_vec(&x_ldl).unwrap();
+            for (ri, bi) in r.iter().zip(&b) {
+                prop_assert!((ri - bi).abs() < 1e-8 * (1.0 + bi.abs()));
+            }
+        }
+
+        #[test]
+        fn ldl_refactor_equals_fresh_factor(
+            (a, b) in rc_tree_system(16),
+            scale in 0.25..4.0f64,
+        ) {
+            // Refactoring in place for scaled values (the dt-change case) must
+            // agree with a from-scratch factorization of the scaled matrix.
+            let sym = LdlSymbolic::analyze(&a).unwrap();
+            let mut f = sym.factor(&a).unwrap();
+            let mut t = Triplets::new(16, 16);
+            for r in 0..16 {
+                for (c, v) in a.row(r) {
+                    t.push(r, c, v * scale);
+                }
+            }
+            let a2 = t.to_csr();
+            f.refactor(&a2).unwrap();
+            let fresh = sym.factor(&a2).unwrap();
+            let x_re = f.solve(&b).unwrap();
+            let x_fresh = fresh.solve(&b).unwrap();
+            // Identical code path over identical structure: bitwise equal.
+            prop_assert_eq!(x_re, x_fresh);
+        }
+
+        #[test]
+        fn ldl_and_lu_both_reject_floating_nodes(
+            (a, _) in rc_tree_system(12),
+            dead in 0usize..12,
+        ) {
+            // Detach one node entirely (no driver, no resistors, no caps):
+            // the system is exactly singular and both backends must say so
+            // with the same error variant — the simulator maps either into
+            // SimError::Numerical unchanged.
+            let mut t = Triplets::new(12, 12);
+            for r in 0..12 {
+                for (c, v) in a.row(r) {
+                    if r != dead && c != dead {
+                        t.push(r, c, v);
+                    }
+                }
+            }
+            let cut = t.to_csr();
+            let ldl_err = LdlSymbolic::analyze(&cut).unwrap().factor(&cut).unwrap_err();
+            let lu_err = cut.to_dense().lu().unwrap_err();
+            prop_assert!(matches!(ldl_err, LinalgError::Singular { .. }), "{ldl_err:?}");
+            prop_assert!(matches!(lu_err, LinalgError::Singular { .. }), "{lu_err:?}");
+        }
+
+        #[test]
+        fn ldl_and_lu_both_reject_non_finite(
+            (a, _) in rc_tree_system(8),
+            bad in 0usize..8,
+        ) {
+            let mut t = Triplets::new(8, 8);
+            for r in 0..8 {
+                for (c, v) in a.row(r) {
+                    t.push(r, c, v);
+                }
+            }
+            t.push(bad, bad, f64::NAN);
+            let poisoned = t.to_csr();
+            let ldl_err = LdlSymbolic::analyze(&poisoned)
+                .unwrap()
+                .factor(&poisoned)
+                .unwrap_err();
+            let lu_err = poisoned.to_dense().lu().unwrap_err();
+            prop_assert!(matches!(ldl_err, LinalgError::NonFinite { .. }), "{ldl_err:?}");
+            prop_assert!(matches!(lu_err, LinalgError::NonFinite { .. }), "{lu_err:?}");
+        }
+    }
 
     /// Resistive-chain SPD matrix: 2 on the diagonal, -1 off.
     fn chain(n: usize) -> Csr {
@@ -558,6 +1087,34 @@ mod tests {
             LdlSymbolic::analyze(&t.to_csr()),
             Err(LinalgError::NotSquare { .. })
         ));
+    }
+
+    #[test]
+    fn factors_take_exactly_the_analyzed_pattern() {
+        let a = chain(6);
+        let sym = LdlSymbolic::analyze(&a).unwrap();
+        let mut t = Triplets::new(6, 6);
+        for i in 0..6 {
+            t.push(i, i, 2.0);
+        }
+        let diagonal = t.to_csr();
+        assert!(matches!(
+            sym.factor(&diagonal),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
+        let mut f = sym.factor(&a).unwrap();
+        assert!(matches!(
+            f.refactor(&diagonal),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            sym.factor_values(&[1.0; 3]),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
+        // Bare values on the analyzed pattern factor like the matrix.
+        let g = sym.factor_values(a.values()).unwrap();
+        let b = [1.0, 0.0, -1.0, 2.0, 0.5, 0.0];
+        assert_eq!(bits(&g.solve(&b).unwrap()), bits(&f.solve(&b).unwrap()));
     }
 
     #[test]

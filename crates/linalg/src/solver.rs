@@ -90,9 +90,9 @@ pub enum Solver {
     /// Dense LU with partial pivoting.
     Dense(LuFactors),
     /// Sparse LDLᵀ with fill-reducing ordering. Boxed: the factor
-    /// bundle (symbolic clone + six work arrays) dwarfs `LuFactors`'
-    /// three pointers, and a `Solver` lives behind long-lived workspace
-    /// options anyway.
+    /// bundle (shared symbolic handle + four work arrays) dwarfs
+    /// `LuFactors`' three pointers, and a `Solver` lives behind
+    /// long-lived workspace options anyway.
     Sparse(Box<LdlFactors>),
 }
 
@@ -125,6 +125,33 @@ impl Solver {
         match self {
             Solver::Dense(f) => f.solve_into(b, x),
             Solver::Sparse(f) => f.solve_into(b, x, scratch),
+        }
+    }
+
+    /// Solves `A·x₁ = b₁` with `self` and `B·x₂ = b₂` with `other`, each
+    /// with its own scratch buffer. Two sparse factors of one symbolic
+    /// analysis share a single sweep over the permutation and `L`
+    /// structure; any other pair is two plain [`Solver::solve_into`]
+    /// calls. Either
+    /// way both solutions are bit-equal to two single solves.
+    /// Allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] on buffer-length mismatch.
+    pub fn solve_pair_into(
+        &self,
+        other: &Solver,
+        b: (&[f64], &[f64]),
+        (x1, x2): (&mut [f64], &mut [f64]),
+        (s1, s2): (&mut [f64], &mut [f64]),
+    ) -> Result<(), LinalgError> {
+        match (self, other) {
+            (Solver::Sparse(f), Solver::Sparse(g)) => f.solve_pair_into(g, b, (x1, x2), (s1, s2)),
+            _ => {
+                self.solve_into(b.0, x1, s1)?;
+                other.solve_into(b.1, x2, s2)
+            }
         }
     }
 }

@@ -193,18 +193,85 @@ impl Csr {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] on a length mismatch.
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                found: format!("x of length {}, y of length {}", x.len(), y.len()),
-                expected: format!("x of length {}, y of length {}", self.cols, self.rows),
-            });
-        }
-        for r in 0..self.rows {
+        self.mul_vec_values_into(&self.values, x, y)
+    }
+
+    /// Like [`Csr::mul_vec_into`] for the matrix with this pattern and
+    /// `values` (one per stored entry, in CSR order) — for matrices that
+    /// share one pattern and keep only their value arrays.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] on a length mismatch.
+    pub fn mul_vec_values_into(
+        &self,
+        values: &[f64],
+        x: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        self.check_mul_shapes(values, x, y)?;
+        for (yr, bounds) in y.iter_mut().zip(self.row_ptr.windows(2)) {
+            let row = bounds[0]..bounds[1];
             let mut acc = 0.0;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
+            for (&c, &v) in self.col_idx[row.clone()].iter().zip(&values[row]) {
+                acc += v * x[c];
             }
-            y[r] = acc;
+            *yr = acc;
+        }
+        Ok(())
+    }
+
+    /// Two products on this pattern in one pass over it: `ya = A·x` and
+    /// `yb = B·x`, where `A` and `B` carry the value arrays `a` and `b`.
+    /// Each row sum accumulates in the same order as
+    /// [`Csr::mul_vec_values_into`], so both outputs are bit-equal to two
+    /// single calls.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] on a length mismatch.
+    pub fn mul_vec_pair_into(
+        &self,
+        (a, b): (&[f64], &[f64]),
+        x: &[f64],
+        (ya, yb): (&mut [f64], &mut [f64]),
+    ) -> Result<(), LinalgError> {
+        self.check_mul_shapes(a, x, ya)?;
+        self.check_mul_shapes(b, x, yb)?;
+        for (r, bounds) in self.row_ptr.windows(2).enumerate() {
+            let row = bounds[0]..bounds[1];
+            let (mut acc_a, mut acc_b) = (0.0, 0.0);
+            for ((&c, &va), &vb) in self.col_idx[row.clone()]
+                .iter()
+                .zip(&a[row.clone()])
+                .zip(&b[row])
+            {
+                let xc = x[c];
+                acc_a += va * xc;
+                acc_b += vb * xc;
+            }
+            ya[r] = acc_a;
+            yb[r] = acc_b;
+        }
+        Ok(())
+    }
+
+    fn check_mul_shapes(&self, values: &[f64], x: &[f64], y: &[f64]) -> Result<(), LinalgError> {
+        if values.len() != self.nnz() || x.len() != self.cols || y.len() != self.rows {
+            return Err(LinalgError::ShapeMismatch {
+                found: format!(
+                    "{} values, x of length {}, y of length {}",
+                    values.len(),
+                    x.len(),
+                    y.len()
+                ),
+                expected: format!(
+                    "{} values, x of length {}, y of length {}",
+                    self.nnz(),
+                    self.cols,
+                    self.rows
+                ),
+            });
         }
         Ok(())
     }
@@ -248,6 +315,25 @@ impl Csr {
     /// (shape, `row_ptr`, `col_idx`) cannot change through this view.
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
+    }
+
+    /// Row pointers (`rows + 1` entries).
+    pub(crate) fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
+    }
+
+    /// Column index of every stored entry, in CSR order.
+    pub(crate) fn col_idx(&self) -> &[usize] {
+        &self.col_idx
+    }
+
+    /// `true` when `other` has the same shape and stores exactly the same
+    /// entries (values aside).
+    pub(crate) fn same_pattern(&self, other: &Csr) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
     }
 
     /// `true` when the matrix is square and exactly (bitwise) symmetric —

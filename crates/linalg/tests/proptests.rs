@@ -1,8 +1,11 @@
 //! Property-based tests for the linear-algebra kernel.
+//!
+//! The sparse LDLᵀ properties live with the kernel, in the `ldl` unit
+//! tests, where they share the RC-tree strategy with the
+//! minimum-degree ordering oracle.
 
 use proptest::prelude::*;
-use xtalk_linalg::sparse::{Csr, Triplets};
-use xtalk_linalg::{vec_ops, LdlSymbolic, LinalgError, Matrix};
+use xtalk_linalg::{vec_ops, Matrix};
 
 /// Strategy: well-conditioned random matrices (diagonally dominant).
 fn dominant_matrix(n: usize) -> impl Strategy<Value = Matrix> {
@@ -23,139 +26,7 @@ fn dominant_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
-/// Strategy: a randomized RC-tree-plus-coupling-caps MNA-style system.
-///
-/// A random tree over `n` nodes carries edge conductances (resistor
-/// stamps), every node gets a positive diagonal contribution (driver /
-/// ground-cap stamps), and a few random node pairs get coupling-cap
-/// style symmetric off-tree stamps — the exact matrix family the
-/// transient simulator factors as `G + C/dt`.
-fn rc_tree_system(n: usize) -> impl Strategy<Value = (Csr, Vec<f64>)> {
-    (
-        prop::collection::vec(0usize..1_000_000, n - 1),
-        prop::collection::vec(0.1..10.0f64, n - 1),
-        prop::collection::vec(0.5..5.0f64, n),
-        prop::collection::vec((0usize..1_000_000, 0usize..1_000_000, 0.01..1.0f64), 0..6),
-        prop::collection::vec(-10.0..10.0f64, n),
-    )
-        .prop_map(move |(parents, conds, diags, couplings, b)| {
-            let mut t = Triplets::new(n, n);
-            for i in 1..n {
-                let p = parents[i - 1] % i;
-                let g = conds[i - 1];
-                t.push(i, i, g);
-                t.push(p, p, g);
-                t.push(i, p, -g);
-                t.push(p, i, -g);
-            }
-            for (i, &d) in diags.iter().enumerate() {
-                t.push(i, i, d);
-            }
-            for &(ra, rb, v) in &couplings {
-                let (a, c) = (ra % n, rb % n);
-                if a != c {
-                    t.push(a, a, v);
-                    t.push(c, c, v);
-                    t.push(a, c, -v);
-                    t.push(c, a, -v);
-                }
-            }
-            (t.to_csr(), b)
-        })
-}
-
 proptest! {
-    #[test]
-    fn ldl_matches_lu_on_rc_trees(
-        (a, b) in rc_tree_system(24),
-    ) {
-        let sym = LdlSymbolic::analyze(&a).unwrap();
-        let f = sym.factor(&a).unwrap();
-        let x_ldl = f.solve(&b).unwrap();
-        let x_lu = a.to_dense().lu().unwrap().solve(&b).unwrap();
-        for (s, d) in x_ldl.iter().zip(&x_lu) {
-            prop_assert!(
-                (s - d).abs() <= 1e-9 * (1.0 + d.abs()),
-                "LDL {s} vs LU {d} diverged"
-            );
-        }
-        // Residual check against the matrix itself, independent of LU.
-        let r = a.mul_vec(&x_ldl).unwrap();
-        for (ri, bi) in r.iter().zip(&b) {
-            prop_assert!((ri - bi).abs() < 1e-8 * (1.0 + bi.abs()));
-        }
-    }
-
-    #[test]
-    fn ldl_refactor_equals_fresh_factor(
-        (a, b) in rc_tree_system(16),
-        scale in 0.25..4.0f64,
-    ) {
-        // Refactoring in place for scaled values (the dt-change case) must
-        // agree with a from-scratch factorization of the scaled matrix.
-        let sym = LdlSymbolic::analyze(&a).unwrap();
-        let mut f = sym.factor(&a).unwrap();
-        let mut t = Triplets::new(16, 16);
-        for r in 0..16 {
-            for (c, v) in a.row(r) {
-                t.push(r, c, v * scale);
-            }
-        }
-        let a2 = t.to_csr();
-        f.refactor(&a2).unwrap();
-        let fresh = sym.factor(&a2).unwrap();
-        let x_re = f.solve(&b).unwrap();
-        let x_fresh = fresh.solve(&b).unwrap();
-        // Identical code path over identical structure: bitwise equal.
-        prop_assert_eq!(x_re, x_fresh);
-    }
-
-    #[test]
-    fn ldl_and_lu_both_reject_floating_nodes(
-        (a, _) in rc_tree_system(12),
-        dead in 0usize..12,
-    ) {
-        // Detach one node entirely (no driver, no resistors, no caps):
-        // the system is exactly singular and both backends must say so
-        // with the same error variant — the simulator maps either into
-        // SimError::Numerical unchanged.
-        let mut t = Triplets::new(12, 12);
-        for r in 0..12 {
-            for (c, v) in a.row(r) {
-                if r != dead && c != dead {
-                    t.push(r, c, v);
-                }
-            }
-        }
-        let cut = t.to_csr();
-        let ldl_err = LdlSymbolic::analyze(&cut).unwrap().factor(&cut).unwrap_err();
-        let lu_err = cut.to_dense().lu().unwrap_err();
-        prop_assert!(matches!(ldl_err, LinalgError::Singular { .. }), "{ldl_err:?}");
-        prop_assert!(matches!(lu_err, LinalgError::Singular { .. }), "{lu_err:?}");
-    }
-
-    #[test]
-    fn ldl_and_lu_both_reject_non_finite(
-        (a, _) in rc_tree_system(8),
-        bad in 0usize..8,
-    ) {
-        let mut t = Triplets::new(8, 8);
-        for r in 0..8 {
-            for (c, v) in a.row(r) {
-                t.push(r, c, v);
-            }
-        }
-        t.push(bad, bad, f64::NAN);
-        let poisoned = t.to_csr();
-        let ldl_err = LdlSymbolic::analyze(&poisoned)
-            .unwrap()
-            .factor(&poisoned)
-            .unwrap_err();
-        let lu_err = poisoned.to_dense().lu().unwrap_err();
-        prop_assert!(matches!(ldl_err, LinalgError::NonFinite { .. }), "{ldl_err:?}");
-        prop_assert!(matches!(lu_err, LinalgError::NonFinite { .. }), "{lu_err:?}");
-    }
-
     #[test]
     fn lu_solve_satisfies_residual(
         a in dominant_matrix(5),

@@ -879,13 +879,16 @@ fn writer_loop<W: Write>(
     let mut pending: BTreeMap<u64, String> = BTreeMap::new();
     let mut next: u64 = 1;
     // Once a write fails the client is gone; keep draining and counting
-    // so the server-side drain never wedges on a dead connection.
+    // so the server-side drain never wedges on a dead connection. Each
+    // reply leaves with its newline in one write: the stream is
+    // unbuffered (and TCP runs with TCP_NODELAY), so a separate newline
+    // write would send every reply as two segments.
     let mut sink = false;
-    let mut deliver = |reply: &str, sink: &mut bool| {
+    let mut deliver = |mut reply: String, sink: &mut bool| {
         if !*sink {
+            reply.push('\n');
             let ok = writer
                 .write_all(reply.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
                 .and_then(|()| writer.flush())
                 .is_ok();
             if !ok {
@@ -897,7 +900,7 @@ fn writer_loop<W: Write>(
     while let Ok((seq, reply)) = rx.recv() {
         pending.insert(seq, reply);
         while let Some(reply) = pending.remove(&next) {
-            deliver(&reply, &mut sink);
+            deliver(reply, &mut sink);
             next += 1;
         }
     }
@@ -906,7 +909,7 @@ fn writer_loop<W: Write>(
     // assigned sequence number sends exactly one reply — but iterate in
     // order regardless rather than trust that invariant with a wedge.
     for (_, reply) in pending {
-        deliver(&reply, &mut sink);
+        deliver(reply, &mut sink);
     }
 }
 
@@ -1007,6 +1010,44 @@ mod tests {
             replies[4].get("type").and_then(Value::as_str),
             Some("stats")
         );
+    }
+
+    /// A writer that keeps the bytes of every `write` call it receives.
+    struct WriteLog(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_loop_writes_each_reply_line_in_one_call() {
+        let (tx, rx) = mpsc::channel();
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let conn = Arc::new(ConnState {
+            submitted: AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
+        });
+        // Out of order, and with a gap that only the final drain
+        // delivers: both delivery paths must write whole lines.
+        for (seq, reply) in [(2, "{\"id\":2}"), (1, "{\"id\":1}"), (4, "{\"id\":4}")] {
+            tx.send((seq, reply.to_string())).unwrap();
+        }
+        drop(tx);
+        writer_loop(&rx, WriteLog(Arc::clone(&calls)), &conn);
+        let calls = calls.lock().unwrap();
+        let calls: Vec<&[u8]> = calls.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            calls,
+            [&b"{\"id\":1}\n"[..], b"{\"id\":2}\n", b"{\"id\":4}\n"]
+        );
+        assert_eq!(conn.delivered.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -272,9 +272,19 @@ pub fn analytic_noise(
 /// Bisects for the time where monotone `f` crosses `level` inside
 /// `[lo, hi]`: `rising = true` for the increasing flank (crossing from
 /// below), `false` for the decreasing one.
+///
+/// Stops early at the float fixed point, with the result the full 128
+/// halvings would give. Once `mid` equals `lo` (or `hi`), the next
+/// halving either keeps `(lo, hi)` as it is, so every later iteration
+/// repeats this one, or collapses the interval onto `mid`, after which
+/// `0.5 * (mid + mid)` is `mid` again (the times here are far from
+/// overflow). Either way the final `0.5 * (lo + hi)` is `mid`.
 fn bisect(f: &impl Fn(f64) -> f64, mut lo: f64, mut hi: f64, level: f64, rising: bool) -> f64 {
     for _ in 0..128 {
         let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            return mid;
+        }
         if (f(mid) < level) == rising {
             lo = mid;
         } else {

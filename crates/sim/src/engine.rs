@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 use xtalk_circuit::{signal::InputSignal, NetId, NetRole, Network, NodeId};
 use xtalk_linalg::sparse::{Csr, Triplets};
-use xtalk_linalg::{LdlSymbolic, Matrix, Solver, SolverKind};
+use xtalk_linalg::{LdlSymbolic, LinalgError, Matrix, Solver, SolverKind};
 use xtalk_moments::tree;
 
 /// Process-wide solver-backend override, set by the CLI `--solver` flag
@@ -369,8 +369,11 @@ pub struct SimWorkspace {
     v: Vec<f64>,
     v_next: Vec<f64>,
     /// Second trial solution for the adaptive path (the embedded
-    /// backward-Euler step the error estimate compares against).
+    /// backward-Euler step the error estimate compares against), with
+    /// its own right-hand side and solve scratch.
     v_alt: Vec<f64>,
+    rhs_alt: Vec<f64>,
+    scratch_alt: Vec<f64>,
     /// Running per-component amplitude scale for the adaptive error
     /// norm (largest |v_i| seen this run).
     vscale: Vec<f64>,
@@ -393,6 +396,8 @@ impl SimWorkspace {
             &mut self.v,
             &mut self.v_next,
             &mut self.v_alt,
+            &mut self.rhs_alt,
+            &mut self.scratch_alt,
             &mut self.vscale,
             &mut self.scratch,
         ] {
@@ -421,12 +426,11 @@ enum Backend {
     /// so one symbolic analysis serves all timesteps and horizon
     /// retries.
     Sparse {
-        /// Symbolic factorization (ordering, etree, fill) of the union
-        /// pattern — computed once per simulator.
+        /// Symbolic factorization (ordering, etree, structure of `L`) of
+        /// the union pattern — computed once per simulator and shared by
+        /// every factor built from it. Its [`LdlSymbolic::pattern`] is
+        /// the G∪C pattern every stepping matrix lives on.
         symbolic: LdlSymbolic,
-        /// The G∪C pattern with zero values; cloned into workspaces that
-        /// rewrite the values per `dt`.
-        pattern: Csr,
         /// `G` scattered onto the union pattern (zeros where absent).
         g_vals: Vec<f64>,
         /// `C` scattered onto the union pattern.
@@ -540,20 +544,17 @@ impl<'a> TransientSim<'a> {
                 c_vals[p] = c_csr.values()[k];
             }
             let symbolic = LdlSymbolic::analyze(&pattern)?;
-            // G on the union pattern (explicit zeros where only C has
-            // entries) for the DC factorization.
-            let mut g_union = pattern.clone();
-            g_union.values_mut().copy_from_slice(&g_vals);
-            // A numeric failure here means G is not positive-definite
-            // after all; the pivoting dense path below handles it.
-            if let Ok(dc) = symbolic.factor(&g_union) {
+            // The DC factorization takes G on the union pattern (explicit
+            // zeros where only C has entries). A numeric failure here
+            // means G is not positive-definite after all; the pivoting
+            // dense path below handles it.
+            if let Ok(dc) = symbolic.factor_values(&g_vals) {
                 xtalk_obs::counter!(perf: "sim.solve.path.sparse").add(1);
                 return Ok(TransientSim {
                     network,
                     id,
                     backend: Backend::Sparse {
                         symbolic,
-                        pattern,
                         g_vals,
                         c_vals,
                     },
@@ -703,7 +704,6 @@ impl<'a> TransientSim<'a> {
                 }
                 Backend::Sparse {
                     symbolic,
-                    pattern,
                     g_vals,
                     c_vals,
                 } => {
@@ -724,8 +724,8 @@ impl<'a> TransientSim<'a> {
                         && ws.step.is_some();
                     if !reusable {
                         ws.owner = None;
-                        ws.lhs = Some(pattern.clone());
-                        ws.step = Some(pattern.clone());
+                        ws.lhs = Some(symbolic.pattern().clone());
+                        ws.step = Some(symbolic.pattern().clone());
                         ws.solver = None;
                     }
                     let inv_dt = 1.0 / dt;
@@ -903,43 +903,47 @@ impl<'a> TransientSim<'a> {
     }
 
     /// Builds the trapezoidal + backward-Euler stepping systems for one
-    /// adaptive level (step `dt`). The sparse backend reuses the one-time
-    /// symbolic analysis of the G∪C union pattern, so each level costs
-    /// only a value rewrite plus a numeric factorization.
-    fn build_level(&self, dt: f64) -> Result<LevelSystem, SimError> {
+    /// adaptive level (step `dt`). The sparse backend keeps both stepping
+    /// matrices as value arrays on the simulator's G∪C pattern and
+    /// factors both left-hand sides against its one symbolic analysis,
+    /// so each level costs only value rewrites plus two numeric
+    /// factorizations.
+    fn build_level(&self, dt: f64) -> Result<LevelSystem<'_>, SimError> {
         match &self.backend {
             Backend::Dense { g, c } => {
                 let lhs_tr = c.add_scaled(g, 0.5 * dt).expect("same shape");
                 let step_tr = c.add_scaled(g, -0.5 * dt).expect("same shape");
                 let lhs_be = c.add_scaled(g, dt).expect("same shape");
                 Ok(LevelSystem {
-                    step_trap: Csr::from_dense(&step_tr.scaled(1.0 / dt)),
-                    solver_trap: Solver::Dense(lhs_tr.scaled(1.0 / dt).lu()?),
-                    step_be: Csr::from_dense(&c.scaled(1.0 / dt)),
-                    solver_be: Solver::Dense(lhs_be.scaled(1.0 / dt).lu()?),
+                    step: LevelSteps::Own {
+                        trap: Csr::from_dense(&step_tr.scaled(1.0 / dt)),
+                        be: Csr::from_dense(&c.scaled(1.0 / dt)),
+                    },
+                    trap: Solver::Dense(lhs_tr.scaled(1.0 / dt).lu()?),
+                    be: Solver::Dense(lhs_be.scaled(1.0 / dt).lu()?),
                 })
             }
             Backend::Sparse {
                 symbolic,
-                pattern,
                 g_vals,
                 c_vals,
             } => {
                 let inv_dt = 1.0 / dt;
-                let fill = |coeff: f64| {
-                    let mut m = pattern.clone();
-                    for ((dst, gv), cv) in m.values_mut().iter_mut().zip(g_vals).zip(c_vals) {
-                        *dst = (cv + coeff * gv) * inv_dt;
-                    }
-                    m
+                let values = |coeff: f64| -> Vec<f64> {
+                    g_vals
+                        .iter()
+                        .zip(c_vals)
+                        .map(|(gv, cv)| (cv + coeff * gv) * inv_dt)
+                        .collect()
                 };
-                let lhs_trap = fill(0.5 * dt);
-                let lhs_be = fill(dt);
                 Ok(LevelSystem {
-                    step_trap: fill(-0.5 * dt),
-                    solver_trap: Solver::Sparse(Box::new(symbolic.factor(&lhs_trap)?)),
-                    step_be: fill(0.0),
-                    solver_be: Solver::Sparse(Box::new(symbolic.factor(&lhs_be)?)),
+                    step: LevelSteps::Shared {
+                        pattern: symbolic.pattern(),
+                        trap: values(-0.5 * dt),
+                        be: values(0.0),
+                    },
+                    trap: Solver::Sparse(Box::new(symbolic.factor_values(&values(0.5 * dt))?)),
+                    be: Solver::Sparse(Box::new(symbolic.factor_values(&values(dt))?)),
                 })
             }
         }
@@ -957,8 +961,14 @@ impl<'a> TransientSim<'a> {
     /// backward-Euler companion step from the same state provides the
     /// local-truncation-error estimate (their difference bounds the
     /// lower-order error). Steps never reject at the base level, so the
-    /// accuracy floor is the fixed-step march itself. `options.method` is
-    /// ignored — the scheme pair is fixed by the estimator.
+    /// accuracy floor is the fixed-step march itself. The companion runs
+    /// only where it can change a decision — not on base steps that end
+    /// while the inputs still slew — and shares one pass over the
+    /// stepping pattern and one sweep over `L` with the trapezoidal step
+    /// (the sparse backend's pair kernels), so every sample is
+    /// bit-identical to computing both schemes on every step.
+    /// `options.method` is ignored — the scheme pair is fixed by the
+    /// estimator.
     ///
     /// # Errors
     ///
@@ -1021,7 +1031,7 @@ impl<'a> TransientSim<'a> {
         // Per-level stepping systems, built on first use. Level 0 (the
         // base step) reproduces the fixed-path trapezoidal numbers
         // bit-for-bit.
-        let mut levels: Vec<Option<LevelSystem>> = Vec::new();
+        let mut levels: Vec<Option<LevelSystem<'_>>> = Vec::new();
         levels.resize_with(max_k + 1, || None);
 
         workspace.resize(self.network.node_count());
@@ -1072,27 +1082,44 @@ impl<'a> TransientSim<'a> {
             let sys = levels[k].as_ref().expect("built above");
             let t1 = (idx + stride) as f64 * dt;
             rhs_inputs(t1, &mut ws.b_next);
-            // Trapezoidal trial step into v_next.
-            sys.step_trap.mul_vec_into(&ws.v, &mut ws.rhs)?;
+            // The backward-Euler companion and its error norm matter only
+            // where they can change a decision. A base-level step always
+            // accepts and no step grows before `active_idx`, so a base
+            // step that ends short of it skips both.
+            let estimate = !(k == 0 && idx + 1 < active_idx);
+            // Trapezoidal trial step into v_next; when estimating, the
+            // backward-Euler companion from the same state into v_alt.
+            if estimate {
+                sys.step.mul_pair(&ws.v, &mut ws.rhs, &mut ws.rhs_alt)?;
+            } else {
+                sys.step.mul_trap(&ws.v, &mut ws.rhs)?;
+            }
             for (r, (b0, b1)) in ws.rhs.iter_mut().zip(ws.b_now.iter().zip(&ws.b_next)) {
                 *r += 0.5 * (b0 + b1);
             }
-            sys.solver_trap
-                .solve_into(&ws.rhs, &mut ws.v_next, &mut ws.scratch)?;
-            // Backward-Euler companion from the same state into v_alt.
-            sys.step_be.mul_vec_into(&ws.v, &mut ws.rhs)?;
-            for (r, b1) in ws.rhs.iter_mut().zip(&ws.b_next) {
-                *r += b1;
-            }
-            sys.solver_be
-                .solve_into(&ws.rhs, &mut ws.v_alt, &mut ws.scratch)?;
-            // Scaled max-norm of the scheme difference.
-            let mut err = 0.0_f64;
-            for ((trap, be), scale) in ws.v_next.iter().zip(&ws.v_alt).zip(&ws.vscale) {
-                let tol = ATOL + RTOL * scale.max(trap.abs());
-                err = err.max((trap - be).abs() / tol);
-            }
-            if err <= 1.0 || k == 0 {
+            let err = if estimate {
+                for (r, b1) in ws.rhs_alt.iter_mut().zip(&ws.b_next) {
+                    *r += b1;
+                }
+                sys.trap.solve_pair_into(
+                    &sys.be,
+                    (&ws.rhs, &ws.rhs_alt),
+                    (&mut ws.v_next, &mut ws.v_alt),
+                    (&mut ws.scratch, &mut ws.scratch_alt),
+                )?;
+                // Scaled max-norm of the scheme difference.
+                let mut err = 0.0_f64;
+                for ((trap, be), scale) in ws.v_next.iter().zip(&ws.v_alt).zip(&ws.vscale) {
+                    let tol = ATOL + RTOL * scale.max(trap.abs());
+                    err = err.max((trap - be).abs() / tol);
+                }
+                Some(err)
+            } else {
+                sys.trap
+                    .solve_into(&ws.rhs, &mut ws.v_next, &mut ws.scratch)?;
+                None
+            };
+            if k == 0 || err.is_some_and(|e| e <= 1.0) {
                 // Accept: fill the skipped base-grid samples by linear
                 // interpolation between the endpoint states.
                 accepted += 1;
@@ -1110,12 +1137,12 @@ impl<'a> TransientSim<'a> {
                     *s = s.max(v.abs());
                 }
                 idx += stride;
-                if err < GROW_THRESHOLD && k < max_k && idx >= active_idx {
+                if err.is_some_and(|e| e < GROW_THRESHOLD) && k < max_k && idx >= active_idx {
                     k += 1;
                 }
             } else {
                 rejected += 1;
-                k -= 1; // err > 1 implies k > 0 here
+                k -= 1; // a rejection implies k > 0 here
             }
         }
 
@@ -1135,17 +1162,56 @@ impl<'a> TransientSim<'a> {
 
 /// Prepared stepping systems (trapezoidal + embedded backward Euler) for
 /// one adaptive doubling level.
-struct LevelSystem {
-    /// Trapezoidal stepping matrix `(C/dt − G/2)` at this level's step.
-    step_trap: Csr,
+struct LevelSystem<'p> {
+    /// The stepping matrices at this level's step.
+    step: LevelSteps<'p>,
     /// Factorization of the trapezoidal LHS `(C/dt + G/2)`.
-    solver_trap: Solver,
-    /// Backward-Euler stepping matrix `C/dt`.
-    step_be: Csr,
+    trap: Solver,
     /// Factorization of the backward-Euler LHS `(C/dt + G)`.
-    solver_be: Solver,
+    be: Solver,
 }
 
+/// One level's trapezoidal `(C/dt − G/2)` and backward-Euler `C/dt`
+/// stepping matrices.
+enum LevelSteps<'p> {
+    /// Dense backend: each matrix compressed on its own nonzeros.
+    Own { trap: Csr, be: Csr },
+    /// Sparse backend: value arrays on the simulator's G∪C pattern.
+    Shared {
+        pattern: &'p Csr,
+        trap: Vec<f64>,
+        be: Vec<f64>,
+    },
+}
+
+impl LevelSteps<'_> {
+    /// `out = trap·v`.
+    fn mul_trap(&self, v: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
+        match self {
+            LevelSteps::Own { trap, .. } => trap.mul_vec_into(v, out),
+            LevelSteps::Shared { pattern, trap, .. } => pattern.mul_vec_values_into(trap, v, out),
+        }
+    }
+
+    /// `out_trap = trap·v` and `out_be = be·v`, each bit-equal to its
+    /// single product.
+    fn mul_pair(
+        &self,
+        v: &[f64],
+        out_trap: &mut [f64],
+        out_be: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        match self {
+            LevelSteps::Own { trap, be } => {
+                trap.mul_vec_into(v, out_trap)?;
+                be.mul_vec_into(v, out_be)
+            }
+            LevelSteps::Shared { pattern, trap, be } => {
+                pattern.mul_vec_pair_into((trap, be), v, (out_trap, out_be))
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
