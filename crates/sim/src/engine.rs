@@ -610,8 +610,9 @@ impl<'a> TransientSim<'a> {
     /// options. Aggressor nets without a stimulus are held quiet at 0; the
     /// victim source is always quiet (the noise-analysis convention).
     ///
-    /// The initial state is the DC solution for the inputs at `t = 0`
-    /// (falling inputs start their net at 1).
+    /// The initial state is the DC solution for the inputs before the run
+    /// starts (falling inputs start their net at 1; an input switching at
+    /// `t = 0`, a step included, has not switched yet).
     ///
     /// # Errors
     ///
@@ -839,8 +840,9 @@ impl<'a> TransientSim<'a> {
         let solver = ws.solver.as_ref().expect("prepared above");
         let step = ws.step.as_ref().expect("prepared above");
 
-        // Initial condition: the resumed state, or the DC solution at
-        // t = 0 (G factored once at construction).
+        // Initial condition: the resumed state, or the DC solution before
+        // the run starts (G factored once at construction; `b_next` is
+        // rewritten before its first use).
         rhs_inputs(t0, &mut ws.b_now);
         match resume {
             Some((_, v0)) => {
@@ -855,7 +857,10 @@ impl<'a> TransientSim<'a> {
                 }
                 ws.v.copy_from_slice(v0);
             }
-            None => self.dc.solve_into(&ws.b_now, &mut ws.v, &mut ws.scratch)?,
+            None => {
+                dc_inputs(&sources, &mut ws.b_next);
+                self.dc.solve_into(&ws.b_next, &mut ws.v, &mut ws.scratch)?;
+            }
         }
 
         // Probe bookkeeping: resolve the probe set and reserve every
@@ -1040,9 +1045,11 @@ impl<'a> TransientSim<'a> {
         workspace.key = None;
         let ws = workspace;
 
-        // Initial condition: DC solution at t = 0.
+        // Initial condition: the DC solution before the run starts
+        // (`b_next` is rewritten before its first use).
         rhs_inputs(0.0, &mut ws.b_now);
-        self.dc.solve_into(&ws.b_now, &mut ws.v, &mut ws.scratch)?;
+        dc_inputs(&sources, &mut ws.b_next);
+        self.dc.solve_into(&ws.b_next, &mut ws.v, &mut ws.scratch)?;
         for (s, v) in ws.vscale.iter_mut().zip(&ws.v) {
             *s = v.abs();
         }
@@ -1210,6 +1217,24 @@ impl LevelSteps<'_> {
                 pattern.mul_vec_pair_into((trap, be), v, (out_trap, out_be))
             }
         }
+    }
+}
+
+/// Right-hand side of the DC initial condition: every source at the value
+/// its input rests at before the run starts. An input that switches at
+/// `t ≥ 0` rests at [`InputSignal::initial_value`] — a step at `t = 0` has
+/// not switched yet, although its `value(0)` is already 1 — while one that
+/// switched earlier rests at `value(0)`. For every other input the two
+/// agree bit for bit.
+fn dc_inputs(sources: &[(usize, f64, InputSignal)], out: &mut [f64]) {
+    out.fill(0.0);
+    for (node, cond, sig) in sources {
+        let rest = if sig.arrival() >= 0.0 {
+            sig.initial_value()
+        } else {
+            sig.value(0.0)
+        };
+        out[*node] += cond * rest;
     }
 }
 

@@ -79,7 +79,8 @@ fn pex_cases() -> Vec<Case> {
 
 /// Seeded cases of every sweep family, each under a rising ramp and a
 /// falling ramp with the drawn arrival and transition, and a step one
-/// transition later (a step at `t = 0` is already in the DC state).
+/// transition after the drawn arrival, so that every step case switches
+/// strictly after `t = 0`.
 fn sweep_cases() -> Vec<Case> {
     let tech = Technology::p25();
     let mut cases = Vec::new();
