@@ -9,6 +9,8 @@
 
 use crate::ErrorEnvelopes;
 use std::fmt;
+use std::fmt::Write as _;
+use xtalk_obs::json;
 
 /// One violated invariant on one audited case. Everything needed to
 /// reproduce the case is in the finding: regenerate it with
@@ -137,88 +139,102 @@ impl AuditReport {
     /// across worker counts and machines for the same inputs.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"cases\": {},\n", self.cases));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str("  \"envelopes\": {\n");
-        s.push_str(&format!(
-            "    \"metric_one\": {{\"vp\": {}, \"tp\": {}, \"wn\": {}}},\n",
-            json_num(self.envelopes.metric_one.vp),
-            json_num(self.envelopes.metric_one.tp),
-            json_num(self.envelopes.metric_one.wn)
-        ));
-        s.push_str(&format!(
-            "    \"metric_two\": {{\"vp\": {}, \"tp\": {}, \"wn\": {}}},\n",
-            json_num(self.envelopes.metric_two.vp),
-            json_num(self.envelopes.metric_two.tp),
-            json_num(self.envelopes.metric_two.wn)
-        ));
-        s.push_str(&format!(
-            "    \"bound_margin\": {}\n",
-            json_num(self.envelopes.bound_margin)
-        ));
-        s.push_str("  },\n");
-        s.push_str(&format!("  \"checked\": {},\n", self.checked));
-        s.push_str(&format!("  \"violations\": {},\n", self.findings.len()));
-        s.push_str("  \"worst_errors\": [\n");
+        let _ = write!(
+            s,
+            "{{\n  \"cases\": {},\n  \"seed\": {},\n  \"envelopes\": {{\n",
+            self.cases, self.seed
+        );
+        let envelopes = &self.envelopes;
+        for (key, env) in [
+            ("metric_one", &envelopes.metric_one),
+            ("metric_two", &envelopes.metric_two),
+        ] {
+            let _ = write!(s, "    \"{key}\": {{\"vp\": ");
+            json::write_report_number(&mut s, env.vp);
+            s.push_str(", \"tp\": ");
+            json::write_report_number(&mut s, env.tp);
+            s.push_str(", \"wn\": ");
+            json::write_report_number(&mut s, env.wn);
+            s.push_str("},\n");
+        }
+        s.push_str("    \"bound_margin\": ");
+        json::write_report_number(&mut s, envelopes.bound_margin);
+        let _ = write!(
+            s,
+            "\n  }},\n  \"checked\": {},\n  \"violations\": {},\n  \"worst_errors\": [\n",
+            self.checked,
+            self.findings.len()
+        );
         for (i, w) in self.worst.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"metric\": {}, \"param\": {}, \"error\": {}, \"case\": {}, \"seed\": {}}}{}\n",
-                json_str(w.metric),
-                json_str(w.param),
-                json_num(w.error),
-                w.case_index,
-                w.seed,
-                comma(i, self.worst.len())
-            ));
+            s.push_str("    {\"metric\": ");
+            json::write_escaped(&mut s, w.metric);
+            s.push_str(", \"param\": ");
+            json::write_escaped(&mut s, w.param);
+            s.push_str(", \"error\": ");
+            json::write_report_number(&mut s, w.error);
+            let _ = write!(s, ", \"case\": {}, \"seed\": {}}}", w.case_index, w.seed);
+            end_item(&mut s, i, self.worst.len());
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"skipped\": [\n");
+        s.push_str("  ],\n  \"skipped\": [\n");
         for (i, sk) in self.skipped.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"case\": {}, \"seed\": {}, \"family\": {}, \"reason\": {}}}{}\n",
-                sk.case_index,
-                sk.seed,
-                json_str(sk.family),
-                json_str(&sk.reason),
-                comma(i, self.skipped.len())
-            ));
+            let _ = write!(
+                s,
+                "    {{\"case\": {}, \"seed\": {}, \"family\": ",
+                sk.case_index, sk.seed
+            );
+            json::write_escaped(&mut s, sk.family);
+            s.push_str(", \"reason\": ");
+            json::write_escaped(&mut s, &sk.reason);
+            s.push('}');
+            end_item(&mut s, i, self.skipped.len());
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"declined\": [\n");
+        s.push_str("  ],\n  \"declined\": [\n");
         for (i, d) in self.declined.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"case\": {}, \"seed\": {}, \"metric\": {}, \"reason\": {}}}{}\n",
-                d.case_index,
-                d.seed,
-                json_str(d.metric),
-                json_str(&d.reason),
-                comma(i, self.declined.len())
-            ));
+            let _ = write!(
+                s,
+                "    {{\"case\": {}, \"seed\": {}, \"metric\": ",
+                d.case_index, d.seed
+            );
+            json::write_escaped(&mut s, d.metric);
+            s.push_str(", \"reason\": ");
+            json::write_escaped(&mut s, &d.reason);
+            s.push('}');
+            end_item(&mut s, i, self.declined.len());
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"findings\": [\n");
+        s.push_str("  ],\n  \"findings\": [\n");
         for (i, f) in self.findings.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"case\": {}, \"seed\": {}, \"family\": {}, \"label\": {}, \"metric\": {}, \
-                 \"invariant\": {}, \"observed\": {}, \"expected\": {}, \"rung\": {}, \"detail\": {}}}{}\n",
-                f.case_index,
-                f.seed,
-                json_str(f.family),
-                json_str(&f.label),
-                json_str(f.metric),
-                json_str(f.invariant),
-                json_num(f.observed),
-                json_num(f.expected),
-                json_str(f.rung),
-                json_str(&f.detail),
-                comma(i, self.findings.len())
-            ));
+            let _ = write!(
+                s,
+                "    {{\"case\": {}, \"seed\": {}, \"family\": ",
+                f.case_index, f.seed
+            );
+            json::write_escaped(&mut s, f.family);
+            s.push_str(", \"label\": ");
+            json::write_escaped(&mut s, &f.label);
+            s.push_str(", \"metric\": ");
+            json::write_escaped(&mut s, f.metric);
+            s.push_str(", \"invariant\": ");
+            json::write_escaped(&mut s, f.invariant);
+            s.push_str(", \"observed\": ");
+            json::write_report_number(&mut s, f.observed);
+            s.push_str(", \"expected\": ");
+            json::write_report_number(&mut s, f.expected);
+            s.push_str(", \"rung\": ");
+            json::write_escaped(&mut s, f.rung);
+            s.push_str(", \"detail\": ");
+            json::write_escaped(&mut s, &f.detail);
+            s.push('}');
+            end_item(&mut s, i, self.findings.len());
         }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
+        s.push_str("  ]\n}\n");
         s
     }
+}
+
+/// Ends item `i` of a `len`-item JSON array: a comma unless it is the
+/// last, then the line break.
+fn end_item(s: &mut String, i: usize, len: usize) {
+    s.push_str(if i + 1 < len { ",\n" } else { "\n" });
 }
 
 impl fmt::Display for AuditReport {
@@ -257,48 +273,6 @@ impl fmt::Display for AuditReport {
         }
         Ok(())
     }
-}
-
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
-    }
-}
-
-/// JSON number: finite floats print via Rust's shortest-round-trip
-/// `Display` (deterministic); non-finite values, which JSON cannot carry
-/// as numbers, become quoted strings.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "\"NaN\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
-    } else {
-        "\"-inf\"".to_string()
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -354,19 +328,6 @@ mod tests {
         // JSON parser dependency).
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
-    }
-
-    #[test]
-    fn non_finite_numbers_become_strings() {
-        assert_eq!(json_num(f64::NAN), "\"NaN\"");
-        assert_eq!(json_num(f64::INFINITY), "\"inf\"");
-        assert_eq!(json_num(f64::NEG_INFINITY), "\"-inf\"");
-        assert_eq!(json_num(0.25), "0.25");
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

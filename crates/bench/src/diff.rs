@@ -15,7 +15,7 @@
 //! The CLI front-end is `xtalk bench-diff OLD NEW`; regressions surface
 //! through the audit-violation exit code (3) so CI can gate on it.
 
-use xtalk_serve::json::{self, Value};
+use xtalk_obs::json::{self, Value};
 
 /// Whether a larger value of a field is an improvement, a regression,
 /// or neither.

@@ -1,4 +1,5 @@
 use std::error::Error;
+use xtalk_circuit::signal::Shape;
 use xtalk_circuit::spice::parse_si_value;
 use xtalk_exec::Jobs;
 use xtalk_linalg::SolverKind;
@@ -56,18 +57,6 @@ pub enum DelayMetricArg {
     TwoPole,
 }
 
-/// Aggressor input shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShapeArg {
-    /// Saturated ramp — the default.
-    #[default]
-    Ramp,
-    /// Exponential.
-    Exp,
-    /// Ideal step.
-    Step,
-}
-
 /// Fully parsed invocation.
 #[derive(Debug, Clone)]
 pub struct Invocation {
@@ -80,7 +69,7 @@ pub struct Invocation {
     /// Aggressor input arrival (s).
     pub arrival: f64,
     /// Input shape.
-    pub shape: ShapeArg,
+    pub shape: Shape,
     /// Noise metric.
     pub metric: MetricArg,
     /// Delay metric.
@@ -96,9 +85,9 @@ pub struct Invocation {
     /// Fail hard instead of degrading: reject decks with validation
     /// warnings and refuse metric fallback.
     pub strict: bool,
-    /// Worker-count policy for the per-aggressor noise loop. The report
-    /// is byte-identical for every value; `--jobs 1` is the serial
-    /// reference path.
+    /// Worker-count policy for the golden cross-checks of the noise
+    /// report. The report is byte-identical for every value; `--jobs 1`
+    /// is the serial reference path.
     pub jobs: Jobs,
 }
 
@@ -199,7 +188,7 @@ pub struct ScreenCmdArgs {
     /// Aggressor input arrival (s).
     pub arrival: f64,
     /// Aggressor input shape.
-    pub shape: ShapeArg,
+    pub shape: Shape,
     /// Failure threshold (× Vdd) nets are ranked against.
     pub threshold: f64,
     /// Escalate nets whose `vp/threshold` reaches this ratio.
@@ -551,7 +540,7 @@ fn parse_command(argv: &[String]) -> Result<ParseOutcome, Box<dyn Error>> {
         deck_path,
         slew: 100e-12,
         arrival: 0.0,
-        shape: ShapeArg::default(),
+        shape: Shape::default(),
         metric: MetricArg::default(),
         delay_metric: DelayMetricArg::default(),
         golden: false,
@@ -576,12 +565,7 @@ fn parse_command(argv: &[String]) -> Result<ParseOutcome, Box<dyn Error>> {
                     .ok_or_else(|| "bad --arrival value".to_string())?;
             }
             "--shape" => {
-                inv.shape = match value()?.as_str() {
-                    "ramp" => ShapeArg::Ramp,
-                    "exp" => ShapeArg::Exp,
-                    "step" => ShapeArg::Step,
-                    other => return Err(format!("unknown shape {other:?}").into()),
-                };
+                inv.shape = parse_shape(value()?)?;
             }
             "--metric" => {
                 inv.metric = match value()?.as_str() {
@@ -619,7 +603,7 @@ fn parse_command(argv: &[String]) -> Result<ParseOutcome, Box<dyn Error>> {
             other => return Err(format!("unknown flag {other:?}; try --help").into()),
         }
     }
-    if !(inv.slew.is_finite() && inv.slew > 0.0) && inv.shape != ShapeArg::Step {
+    if !(inv.slew.is_finite() && inv.slew > 0.0) && inv.shape != Shape::Step {
         return Err("--slew must be positive".into());
     }
     Ok(ParseOutcome::Run(inv))
@@ -714,6 +698,11 @@ fn parse_sweep(
     Ok(ParseOutcome::Sweep(sweep))
 }
 
+/// `--shape ramp|exp|step`.
+fn parse_shape(name: &str) -> Result<Shape, Box<dyn Error>> {
+    Shape::parse(name).ok_or_else(|| format!("unknown shape {name:?}").into())
+}
+
 fn parse_screen(
     mut it: std::iter::Peekable<std::slice::Iter<'_, String>>,
 ) -> Result<ParseOutcome, Box<dyn Error>> {
@@ -724,7 +713,7 @@ fn parse_screen(
             .to_string(),
         slew: 100e-12,
         arrival: 0.0,
-        shape: ShapeArg::default(),
+        shape: Shape::default(),
         threshold: 0.1,
         escalate_ratio: 0.8,
         no_escalate: false,
@@ -746,12 +735,7 @@ fn parse_screen(
                     .ok_or_else(|| "bad --arrival value".to_string())?;
             }
             "--shape" => {
-                screen.shape = match value()?.as_str() {
-                    "ramp" => ShapeArg::Ramp,
-                    "exp" => ShapeArg::Exp,
-                    "step" => ShapeArg::Step,
-                    other => return Err(format!("unknown shape {other:?}").into()),
-                };
+                screen.shape = parse_shape(value()?)?;
             }
             "--threshold" => {
                 screen.threshold = value()?
@@ -777,7 +761,7 @@ fn parse_screen(
             other => return Err(format!("unknown flag {other:?}; try --help").into()),
         }
     }
-    if !(screen.slew.is_finite() && screen.slew > 0.0) && screen.shape != ShapeArg::Step {
+    if !(screen.slew.is_finite() && screen.slew > 0.0) && screen.shape != Shape::Step {
         return Err("--slew must be positive".into());
     }
     Ok(ParseOutcome::Screen(screen))
@@ -1005,7 +989,7 @@ mod tests {
             "noise", "d.sp", "--shape", "exp", "--metric", "closed", "--golden",
             "--threshold", "0.15", "--strict",
         ]);
-        assert_eq!(inv.shape, ShapeArg::Exp);
+        assert_eq!(inv.shape, Shape::Exp);
         assert_eq!(inv.metric, MetricArg::Closed);
         assert!(inv.golden);
         assert!(inv.strict);
@@ -1247,7 +1231,7 @@ mod tests {
             other => panic!("expected Screen, got {other:?}"),
         };
         assert!((screen.slew - 250e-12).abs() < 1e-20);
-        assert_eq!(screen.shape, ShapeArg::Exp);
+        assert_eq!(screen.shape, Shape::Exp);
         assert!((screen.threshold - 0.15).abs() < 1e-12);
         assert!((screen.escalate_ratio - 0.5).abs() < 1e-12);
         assert!(screen.no_escalate);

@@ -51,8 +51,7 @@ mod top_cmd;
 
 pub use args::{
     AuditArgs, BenchDiffArgs, Command, DelayMetricArg, MetricArg, ObsArgs, OptimizeArgs,
-    ParseOutcome, ScreenCmdArgs, ServeArgs, ShapeArg, SweepCmdArgs, SweepFamily, TopArgs,
-    Transport,
+    ParseOutcome, ScreenCmdArgs, ServeArgs, SweepCmdArgs, SweepFamily, TopArgs, Transport,
 };
 pub use exit::{ExitCode, FatalServerError};
 pub use report::{delay_report, info_report, noise_report};

@@ -10,9 +10,9 @@ use std::error::Error;
 use std::fs::File;
 use std::io::BufReader;
 
-use xtalk_eval::screen::{screen_deck, ScreenConfig, ScreenShape};
+use xtalk_eval::screen::{screen_deck, ScreenConfig};
 
-use crate::args::{ScreenCmdArgs, ShapeArg};
+use crate::args::ScreenCmdArgs;
 use crate::RunOutcome;
 
 /// Runs the screening pipeline on the deck at `args.deck_path`.
@@ -22,11 +22,7 @@ pub fn run_screen(args: &ScreenCmdArgs) -> Result<RunOutcome, Box<dyn Error>> {
     let config = ScreenConfig {
         slew: args.slew,
         arrival: args.arrival,
-        shape: match args.shape {
-            ShapeArg::Ramp => ScreenShape::Ramp,
-            ShapeArg::Exp => ScreenShape::Exp,
-            ShapeArg::Step => ScreenShape::Step,
-        },
+        shape: args.shape,
         threshold: args.threshold,
         escalate_ratio: args.escalate_ratio,
         jobs: args.jobs,

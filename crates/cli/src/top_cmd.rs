@@ -18,7 +18,7 @@ use std::error::Error;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as IoWrite};
 use std::time::Duration;
-use xtalk_serve::json::{self, Value};
+use xtalk_obs::json::{self, Value};
 
 /// One round trip: connect, send a `stats` request, read one reply line.
 fn poll_stats(transport: &Transport) -> Result<Value, String> {

@@ -73,6 +73,7 @@ pub mod receiver;
 pub mod resilience;
 pub mod superpose;
 pub mod template;
+pub mod victim;
 
 pub use analyzer::{MetricKind, MomentSource, NoiseAnalyzer, SharedMoments};
 pub use batch::{BoundsBatch, EstimateBatch, MomentBatch};

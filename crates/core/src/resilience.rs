@@ -244,6 +244,16 @@ impl FallbackPolicy {
             floor: Rung::MetricTwo,
         }
     }
+
+    /// The policy a front end's strict flag selects:
+    /// [`FallbackPolicy::strict`] when set, the default chain otherwise.
+    pub fn for_strict(strict: bool) -> Self {
+        if strict {
+            Self::strict()
+        } else {
+            Self::default()
+        }
+    }
 }
 
 /// Where an estimate came from: the rung that produced it, every rung
@@ -523,18 +533,6 @@ impl<'a, M: MomentSource> RobustAnalyzer<'a, M> {
             .transfer_taylor(aggressor, node)
             .and_then(|h| OutputMoments::from_transfer(&h, input));
         self.chain(moments, aggressor, input)
-    }
-
-    /// Per-aggressor results for a batch — one entry per input, failures
-    /// collected instead of aborting the batch.
-    pub fn analyze_all(
-        &self,
-        inputs: &[(NetId, InputSignal)],
-    ) -> Vec<(NetId, Result<RobustEstimate, RobustError>)> {
-        inputs
-            .iter()
-            .map(|(net, input)| (*net, self.analyze(*net, input)))
-            .collect()
     }
 
     /// Walks the rung chain over precomputed output moments.
@@ -1097,19 +1095,6 @@ mod tests {
         assert_eq!(r.provenance.validation_warnings(), warnings);
         assert!(!r.provenance.degraded());
         assert!(r.provenance.to_string().contains("validation warning"));
-    }
-
-    #[test]
-    fn analyze_all_collects_per_aggressor_results() {
-        let (net, agg) = coupled_network();
-        let analyzer = RobustAnalyzer::new(&net).unwrap();
-        let results = analyzer.analyze_all(&[
-            (agg, InputSignal::rising_ramp(0.0, 1e-10)),
-            (agg, InputSignal::step(0.0)),
-        ]);
-        assert_eq!(results.len(), 2);
-        assert!(!results[0].1.as_ref().unwrap().provenance.degraded());
-        assert!(results[1].1.as_ref().unwrap().provenance.degraded());
     }
 
     #[test]

@@ -2,11 +2,13 @@
 
 use crate::view::View;
 use std::fmt;
+use std::fmt::Write as _;
 use xtalk_circuit::{signal::InputSignal, CircuitError, Delta, DeltaError, NetId, Network};
 use xtalk_core::memo::{MemoStats, StageMemo};
 use xtalk_core::superpose::{worst_case, TimingWindow};
 use xtalk_core::{MetricKind, OutputMoments};
 use xtalk_exec::{ExecError, Jobs};
+use xtalk_obs::json;
 
 /// Session parameters: the aggressor input shape and which metric ranks
 /// the nets.
@@ -116,28 +118,34 @@ impl NoiseReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"schema\":\"xtalk-incr-report-v1\",\"nets\":[");
         for (i, n) in self.nets.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"net\":{},\"index\":{},\"vp\":{},\"at\":{},\"aligned\":{},\
-                 \"worst_single\":{},\"bound_hi\":{},\"aggressors\":{},\"skipped\":{}}}{}",
-                json_str(&n.net),
-                n.index,
-                json_num(n.vp),
-                json_num(n.at),
-                n.aligned,
-                json_num(n.worst_single),
-                json_num(n.bound_hi),
-                n.aggressors,
-                n.skipped,
-                comma(i, self.nets.len())
-            ));
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"net\":");
+            json::write_escaped(&mut out, &n.net);
+            let _ = write!(out, ",\"index\":{},\"vp\":", n.index);
+            json::write_report_number(&mut out, n.vp);
+            out.push_str(",\"at\":");
+            json::write_report_number(&mut out, n.at);
+            let _ = write!(out, ",\"aligned\":{},\"worst_single\":", n.aligned);
+            json::write_report_number(&mut out, n.worst_single);
+            out.push_str(",\"bound_hi\":");
+            json::write_report_number(&mut out, n.bound_hi);
+            let _ = write!(
+                out,
+                ",\"aggressors\":{},\"skipped\":{}}}",
+                n.aggressors, n.skipped
+            );
         }
         out.push_str("],\"worst\":");
         match self.worst() {
-            Some(w) => out.push_str(&format!(
-                "{{\"net\":{},\"vp\":{}}}",
-                json_str(&w.net),
-                json_num(w.vp)
-            )),
+            Some(w) => {
+                out.push_str("{\"net\":");
+                json::write_escaped(&mut out, &w.net);
+                out.push_str(",\"vp\":");
+                json::write_report_number(&mut out, w.vp);
+                out.push('}');
+            }
             None => out.push_str("null"),
         }
         out.push('}');
@@ -415,47 +423,6 @@ fn compute_view(
         aggressors,
         skipped,
     }
-}
-
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
-    }
-}
-
-/// JSON number: finite floats print via Rust's shortest-round-trip
-/// `Display` (deterministic); non-finite values become quoted strings.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "\"NaN\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
-    } else {
-        "\"-inf\"".to_string()
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

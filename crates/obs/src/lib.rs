@@ -67,6 +67,7 @@
 #![warn(missing_docs)]
 
 mod hist;
+pub mod json;
 mod registry;
 mod snapshot;
 mod span;

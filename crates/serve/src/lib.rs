@@ -32,11 +32,13 @@
 
 pub mod engine;
 pub mod events;
-pub mod json;
 pub mod proto;
 pub mod queue;
 pub mod server;
 pub mod signal;
+
+/// The JSON reader and writers (they live in `xtalk-obs`).
+pub use xtalk_obs::json;
 
 pub use engine::RequestTrace;
 pub use events::{EventLog, DEFAULT_EVENT_CAPACITY};

@@ -15,29 +15,9 @@ use crate::json::{self, Value};
 /// net name from a real deck.
 const MAX_NAME_BYTES: usize = 4096;
 
-/// Input waveform shape for the switching aggressor, mirroring the CLI
-/// `--shape` flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shape {
-    /// Saturated linear ramp (the paper's model).
-    Ramp,
-    /// Exponential settling edge.
-    Exp,
-    /// Ideal step (defeats metric II seeding; exercises the fallback
-    /// chain).
-    Step,
-}
-
-impl Shape {
-    /// Wire name, as accepted in the `shape` field.
-    pub fn wire_name(self) -> &'static str {
-        match self {
-            Shape::Ramp => "ramp",
-            Shape::Exp => "exp",
-            Shape::Step => "step",
-        }
-    }
-}
+/// Input waveform shape for the switching aggressor (the `shape` field),
+/// shared with the CLI `--shape` flag.
+pub use xtalk_circuit::signal::Shape;
 
 /// A validated `analyze` request.
 #[derive(Debug, Clone, PartialEq)]
@@ -300,14 +280,11 @@ fn validate_analyze(value: &Value) -> Result<AnalyzeRequest, RequestError> {
     let shape = match value.get("shape") {
         None => Shape::Ramp,
         Some(v) => match v.as_str() {
-            Some("ramp") => Shape::Ramp,
-            Some("exp") => Shape::Exp,
-            Some("step") => Shape::Step,
-            Some(other) => {
-                return Err(RequestError::schema(format!(
-                    "\"shape\" must be \"ramp\", \"exp\" or \"step\", got {other:?}"
-                )))
-            }
+            Some(name) => Shape::parse(name).ok_or_else(|| {
+                RequestError::schema(format!(
+                    "\"shape\" must be \"ramp\", \"exp\" or \"step\", got {name:?}"
+                ))
+            })?,
             None => {
                 return Err(RequestError::schema(format!(
                     "\"shape\" must be a string, got {}",
