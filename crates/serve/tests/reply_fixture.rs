@@ -9,7 +9,8 @@
 //! that match none. Every reply, with its `elapsed_ms` field removed, must
 //! equal the matching line of `fixtures/analyze_replies.ndjson` byte for
 //! byte: JSON parsing, deck tokenizing, node interning, net resolution and
-//! network building may get faster, never different.
+//! network building may get faster, never different. On a mismatch the
+//! full output is written to the system temp directory for inspection.
 
 use std::time::Instant;
 use xtalk_circuit::spice;
@@ -97,6 +98,14 @@ fn analyze_replies_match_the_fixture_byte_for_byte() {
         })
         .collect();
     let expected: Vec<&str> = FIXTURE.lines().collect();
+    if replies != expected {
+        let actual = std::env::temp_dir().join(format!(
+            "analyze_replies.actual.{}.ndjson",
+            std::process::id()
+        ));
+        std::fs::write(&actual, replies.join("\n") + "\n").expect("actual output written");
+        eprintln!("full output in {}", actual.display());
+    }
     assert_eq!(replies.len(), expected.len(), "reply count");
     for (k, (got, want)) in replies.iter().zip(&expected).enumerate() {
         assert_eq!(got, want, "reply {k} differs from the fixture");

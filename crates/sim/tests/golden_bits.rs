@@ -13,7 +13,8 @@
 //!
 //! Every line must equal the matching line of `fixtures/golden_bits.txt`:
 //! the stepping kernels, factorizations and orderings may get faster,
-//! never different.
+//! never different. On a mismatch the full output is written to the
+//! system temp directory for inspection.
 
 use xtalk_circuit::cluster::CouplingClusters;
 use xtalk_circuit::signal::InputSignal;
@@ -233,6 +234,12 @@ fn adaptive_and_analytic_golden_bits_match_the_fixture() {
     let mut ws = SimWorkspace::new();
     let lines: Vec<String> = cases.iter().flat_map(|c| case_lines(c, &mut ws)).collect();
     let expected: Vec<&str> = FIXTURE.lines().collect();
+    if lines != expected {
+        let actual =
+            std::env::temp_dir().join(format!("golden_bits.actual.{}.txt", std::process::id()));
+        std::fs::write(&actual, lines.join("\n") + "\n").expect("actual output written");
+        eprintln!("full output in {}", actual.display());
+    }
     assert_eq!(lines.len(), expected.len(), "fixture line count");
     for (got, want) in lines.iter().zip(&expected) {
         assert_eq!(got, want);
