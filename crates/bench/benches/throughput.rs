@@ -6,7 +6,7 @@
 //! 1. `metric_formulas` — eqs. (30)–(36)/(48)–(53) alone, from
 //!    precomputed moments (what a router's inner loop re-evaluates after
 //!    an incremental moment update): tens of nanoseconds;
-//! 2. `moments_plus_metric` — the full analysis including the MNA moment
+//! 2. `moments_plus_metric` — the full analysis including the tree moment
 //!    solve: microseconds;
 //! 3. `transient_simulation` — the golden simulation the metrics replace:
 //!    milliseconds.
@@ -46,7 +46,7 @@ fn bench_throughput(c: &mut Criterion) {
         })
     });
     group.bench_function("moments_plus_metric/full_setup", |b| {
-        // Including the one-off MNA factorization (per-net cost in a flow).
+        // Including the one-off tree-engine build (per-net cost in a flow).
         b.iter(|| {
             let a = NoiseAnalyzer::new(black_box(&network)).unwrap();
             a.analyze(aggressor, &input, MetricKind::Two).unwrap()
@@ -61,15 +61,7 @@ fn bench_throughput(c: &mut Criterion) {
         })
     });
 
-    // Engine ablation: dense O(n³) factorization vs the O(n) tree solver.
-    group.bench_function("moment_engines/dense", |b| {
-        let engine = xtalk_moments::MomentEngine::new(&network).unwrap();
-        b.iter(|| {
-            engine
-                .transfer_taylor(black_box(aggressor), network.victim_output(), 4)
-                .unwrap()
-        })
-    });
+    // The moment solve alone, without the metric formulas.
     group.bench_function("moment_engines/tree_linear", |b| {
         let engine = xtalk_moments::TreeMomentEngine::new(&network);
         b.iter(|| {

@@ -3,14 +3,14 @@ use crate::{
 };
 use std::cell::OnceCell;
 use xtalk_circuit::{signal::InputSignal, NetId, Network, NodeId};
-use xtalk_moments::{MomentEngine, MomentError};
+use xtalk_moments::{MomentError, TreeMomentEngine};
 
 /// Where the metric chain reads its moments: the exact transfer Taylor
 /// coefficients `h0..h3` from a net's source to an observation node.
 ///
-/// [`NoiseAnalyzer`] answers from the dense engine it factors for its
-/// own network; [`SharedMoments`] answers every victim designation of
-/// one network from a single factorization.
+/// [`NoiseAnalyzer`] solves on each query with the tree engine it builds
+/// for its own network; [`SharedMoments`] answers every victim
+/// designation of one network from moment vectors solved once.
 pub trait MomentSource {
     /// `h0..h3` of the transfer function from the source of `net` to
     /// `node`.
@@ -27,32 +27,29 @@ impl<M: MomentSource + ?Sized> MomentSource for &M {
     }
 }
 
-/// One network's dense [`MomentEngine`], factored once, with each source
-/// net's moment vectors `m0..m3` solved on first use and kept.
+/// One network's [`TreeMomentEngine`], built once, with each source net's
+/// moment vectors `m0..m3` solved on first use and kept.
 ///
-/// The engine is built from element and net order alone, never from
-/// roles, and the moment vectors for a unit input at net `j` do not
-/// depend on which net is the victim — the victim only picks the node
-/// they are read at. So one `SharedMoments` serves every victim
-/// designation of the same elements, bit-identically to a fresh engine
-/// per designation.
+/// The engine is built from element values and net order alone, never
+/// from roles, and borrows nothing from the network. The moment vectors
+/// for a unit input at net `j` do not depend on which net is the victim
+/// — the victim only picks the node they are read at. So one
+/// `SharedMoments` serves every victim designation of the same
+/// elements, bit-identically to a fresh engine per designation.
 #[derive(Debug)]
 pub struct SharedMoments {
-    engine: MomentEngine,
+    engine: TreeMomentEngine,
     vectors: Vec<OnceCell<Result<Vec<Vec<f64>>, MomentError>>>,
 }
 
 impl SharedMoments {
-    /// Builds and factors the engine for `network`'s elements.
-    ///
-    /// # Errors
-    ///
-    /// Propagates moment-engine construction failures.
-    pub fn new(network: &Network) -> Result<Self, MetricError> {
-        Ok(SharedMoments {
-            engine: MomentEngine::new(network)?,
+    /// Builds the engine for `network`'s elements (`O(n)`; nothing is
+    /// solved yet).
+    pub fn new(network: &Network) -> Self {
+        SharedMoments {
+            engine: TreeMomentEngine::new(network),
             vectors: (0..network.net_count()).map(|_| OnceCell::new()).collect(),
-        })
+        }
     }
 }
 
@@ -87,36 +84,33 @@ pub enum MetricKind {
 
 /// High-level facade: network in, noise estimates out.
 ///
-/// Owns a factored [`MomentEngine`] for the network, so per-aggressor
-/// estimates cost a few `O(n²)` solves plus constant-time metric formulas.
-/// See the [crate-level example](crate).
+/// Owns a [`TreeMomentEngine`] for the network, so per-aggressor
+/// estimates cost four `O(n)` tree solves plus constant-time metric
+/// formulas. See the [crate-level example](crate).
 #[derive(Debug)]
 pub struct NoiseAnalyzer<'a> {
     network: &'a Network,
-    engine: MomentEngine,
+    engine: TreeMomentEngine,
 }
 
 impl<'a> NoiseAnalyzer<'a> {
-    /// Builds the analyzer (factors the MNA system once).
+    /// Builds the analyzer (the tree engine's `O(n)` tables; no
+    /// factorization).
     ///
     /// # Errors
     ///
-    /// Propagates moment-engine construction failures.
+    /// None: building the tree engine cannot fail. Moment failures
+    /// surface from the queries.
     pub fn new(network: &'a Network) -> Result<Self, MetricError> {
         Ok(NoiseAnalyzer {
             network,
-            engine: MomentEngine::new(network)?,
+            engine: TreeMomentEngine::new(network),
         })
     }
 
     /// The analyzed network.
     pub fn network(&self) -> &Network {
         self.network
-    }
-
-    /// The underlying moment engine (for baselines and diagnostics).
-    pub fn engine(&self) -> &MomentEngine {
-        &self.engine
     }
 
     /// Exact transfer Taylor coefficients `h0..h3` from `aggressor` to the
@@ -196,7 +190,7 @@ impl<'a> NoiseAnalyzer<'a> {
 
     /// The paper's *fully closed-form* pipeline: the transfer coefficients
     /// come from the tree formulas (`a1`, `b1`, `b2` — refs. \[11\]\[13\]; no
-    /// matrix solve anywhere) instead of the exact MNA recursion. A few
+    /// matrix solve anywhere) instead of the exact moment recursion. A few
     /// percent less accurate than [`NoiseAnalyzer::analyze`] (the
     /// second-order numerator terms are truncated, as in the paper), but
     /// `O(n + k²)` per net with five basic operations only.

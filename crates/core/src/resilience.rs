@@ -418,7 +418,7 @@ impl From<MetricError> for RobustError {
 /// [`RobustEstimate`] or a structured [`RobustError`] — never a panic.
 ///
 /// Moments come from a [`MomentSource`]: by default a [`NoiseAnalyzer`]
-/// that factors its own engine ([`RobustAnalyzer::with_policy`]), or any
+/// that builds its own tree engine ([`RobustAnalyzer::with_policy`]), or any
 /// source the caller shares across victim designations
 /// ([`RobustAnalyzer::with_source`]).
 #[derive(Debug)]

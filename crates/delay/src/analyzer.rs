@@ -2,7 +2,7 @@ use crate::metrics::step_delay;
 use crate::{DelayError, DelayMetric, SwitchFactor};
 use std::collections::HashMap;
 use xtalk_circuit::{NetId, NetRole, Network, NetworkBuilder, NodeId};
-use xtalk_moments::MomentEngine;
+use xtalk_moments::TreeMomentEngine;
 
 /// Coupling-aware delay analysis of the victim net.
 ///
@@ -110,7 +110,7 @@ impl<'a> DelayAnalyzer<'a> {
         }
 
         let (decoupled, node_map) = self.decoupled_victim(&factors)?;
-        let engine = MomentEngine::new(&decoupled)?;
+        let engine = TreeMomentEngine::new(&decoupled);
         let out = node_map[&node];
         Ok(engine.transfer_taylor(decoupled.victim(), out, 4)?)
     }

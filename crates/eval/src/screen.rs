@@ -12,9 +12,9 @@
 //! 2. **Partition** nets into coupling islands with
 //!    [`CouplingClusters`](xtalk_circuit::cluster::CouplingClusters).
 //! 3. **Screen** islands, not nets: each island is materialized once,
-//!    validated structurally once and its moment engine factored once
-//!    ([`SharedMoments`]); then every member takes a turn as the victim
-//!    — its own validation findings, Metric II through the
+//!    validated structurally once and its `O(n)` tree moment engine
+//!    built once ([`SharedMoments`]); then every member takes a turn as
+//!    the victim — its own validation findings, Metric II through the
 //!    fallback chain ([`RobustAnalyzer`]) per directly coupled
 //!    aggressor, per-aggressor estimates combined by worst-case
 //!    superposition. Outputs are bit-identical to analyzing each net
@@ -53,7 +53,7 @@ use xtalk_circuit::spice::stream::{DeckIndex, StreamOptions};
 use xtalk_circuit::spice::{DeckLimits, SpiceParseError};
 use xtalk_circuit::{NetId, Network, ValidationReport};
 use xtalk_core::victim::coupled_nets;
-use xtalk_core::{FallbackPolicy, MetricError, RobustAnalyzer, SharedMoments};
+use xtalk_core::{FallbackPolicy, RobustAnalyzer, SharedMoments};
 use xtalk_exec::{par_map_indexed_with, Jobs};
 use xtalk_obs::json;
 use xtalk_sim::{golden_noise_tiered, GoldenOpts, SimWorkspace};
@@ -353,8 +353,8 @@ pub fn screen_deck<R: BufRead>(
 
 /// Screens every member of island `cluster` as its victim in turn.
 ///
-/// One materialization, one structural validation and one moment-engine
-/// factorization serve the whole island, and each source net's moment
+/// One materialization, one structural validation and one tree moment
+/// engine serve the whole island, and each source net's moment
 /// vectors are solved once ([`SharedMoments`]). Per victim remain only
 /// the designation, its victim findings, the rung chain per directly
 /// coupled aggressor, superposition and escalation. Never panics on
@@ -416,7 +416,7 @@ fn screen_island(
 fn screen_victim(
     network: &Network,
     structure: &ValidationReport,
-    moments: &Result<SharedMoments, MetricError>,
+    moments: &SharedMoments,
     coupled: &[Vec<NetId>],
     config: &ScreenConfig,
     ws: &mut SimWorkspace,
@@ -424,9 +424,7 @@ fn screen_victim(
 ) {
     let policy = FallbackPolicy::for_strict(config.strict);
     let validation = network.validate_victim(structure);
-    let robust = match RobustAnalyzer::with_source(network, policy, validation, || {
-        moments.as_ref().map_err(Clone::clone)
-    }) {
+    let robust = match RobustAnalyzer::with_source(network, policy, validation, || Ok(moments)) {
         Ok(r) => r,
         Err(e) => {
             screen.error = Some(e.to_string());

@@ -3,7 +3,7 @@
 //! The crosstalk-analysis stack needs exactly three numerical services:
 //!
 //! 1. dense matrices with LU factorization ([`Matrix`], [`LuFactors`]) —
-//!    used by the MNA moment engine and the transient simulator, where the
+//!    used by the dense moment oracle and the transient simulator, where the
 //!    same system matrix is factored once and solved against many
 //!    right-hand sides;
 //! 2. sparse matrices in CSR form ([`sparse::Csr`]) for building and

@@ -4,9 +4,12 @@ use xtalk_circuit::{NetId, Network, NodeId};
 use xtalk_linalg::sparse::Csr;
 use xtalk_linalg::{LuFactors, Matrix};
 
-/// Exact MNA moment engine for a coupled RC network.
+/// Dense MNA moment engine: the test oracle for
+/// [`TreeMomentEngine`](crate::TreeMomentEngine).
 ///
-/// Builds the nodal conductance matrix `G` (wire resistors plus driver
+/// No production path uses this engine; the tests compare the tree
+/// engine's moments, and the closed-form tree formulas, against it. It
+/// builds the nodal conductance matrix `G` (wire resistors plus driver
 /// conductances; ideal sources are folded into the right-hand side) and
 /// capacitance matrix `C` (grounded wire caps, sink loads, coupling caps),
 /// factors `G` once, and evaluates the moment recursion
@@ -21,8 +24,8 @@ use xtalk_linalg::{LuFactors, Matrix};
 /// transfer function to node `o` are `h_k = m_k[o]`; they are **exact** for
 /// the linearized network (no model-order reduction involved).
 ///
-/// Construction is `O(n³)` once; each additional moment order or source is
-/// an `O(n²)` solve.
+/// Construction is `O(n³)` once and holds two dense `n × n` matrices;
+/// each additional moment order or source is an `O(n²)` solve.
 #[derive(Debug)]
 pub struct MomentEngine {
     n: usize,

@@ -7,9 +7,10 @@ use xtalk_linalg::LinalgError;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum MomentError {
-    /// The MNA conductance matrix could not be factored. With validated
-    /// networks (every net grounded through its driver) this indicates a
-    /// pathological conditioning problem, not a structural one.
+    /// The moments are not finite numbers (the tree engine), or the dense
+    /// oracle's conductance matrix could not be factored. Validated
+    /// networks never get here: it takes a non-finite or zero-ohm element
+    /// value that only a build without value checks lets through.
     Numerical(LinalgError),
     /// The requested net does not have the expected role (e.g. transfer
     /// moments requested *from* the victim's own source with an

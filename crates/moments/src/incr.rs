@@ -1,6 +1,6 @@
 //! Incrementally-repairable tree moment engine.
 //!
-//! [`TreeMomentEngine`](crate::TreeMomentEngine) recomputes every moment
+//! [`TreeMomentEngine`] recomputes every moment
 //! vector from scratch on each call — `O(order · (n + k))` over the whole
 //! network. Inside a what-if loop (move one wire, resize one driver) that
 //! is pure waste: the conductance matrix is block-diagonal per net, so a
@@ -11,8 +11,8 @@
 //!   capacitors), which in turn feed nets coupled to *B* at the next
 //!   moment order.
 //!
-//! [`IncrTreeEngine`] owns the traversal structures, caches the full
-//! moment vectors per driven (source) net, and on [`IncrTreeEngine::refresh`]
+//! [`IncrTreeEngine`] owns a tree engine, caches the full moment
+//! vectors per driven (source) net, and on [`IncrTreeEngine::refresh`]
 //! diffs element *values* against the network (topology is frozen —
 //! the [`xtalk_circuit::Delta`] contract). A subsequent query repairs
 //! only the dirty blocks per moment order using the propagation
@@ -26,17 +26,18 @@
 //! conductances changed and `cdirty` nets whose capacitor rows changed.
 //! Clean blocks are reused verbatim.
 //!
-//! **Bit-identity.** The per-block kernels perform *exactly* the same
-//! floating-point operations in the same order as the global kernels:
-//! `solve_g`'s two passes never cross nets (parent links stay within a
-//! net, and the global order lists each net contiguously), and the rhs
+//! **Bit-identity.** Fresh caches and per-block repairs both run the
+//! kernel of the owned [`TreeMomentEngine`]:
+//! a fresh cache is its whole recursion, and a repair re-solves single
+//! net blocks with the same per-net solve. That solve never
+//! crosses nets (parent links stay within a net), and the repair's rhs
 //! accumulation preserves the per-row relative order of `C` entries. So
 //! a repaired cache is bit-identical to a from-scratch recompute — the
 //! property the `incremental` audit family enforces end to end. The
 //! dirty sets are conservative supersets; recomputing a block whose
 //! inputs did not change reproduces the identical bits.
 
-use crate::MomentError;
+use crate::{MomentError, TreeMomentEngine};
 use std::collections::HashMap;
 use xtalk_circuit::{NetId, Network, NodeId};
 
@@ -53,7 +54,7 @@ pub struct IncrStats {
     pub refreshes_clean: u64,
 }
 
-/// Owned, cache-carrying variant of [`crate::TreeMomentEngine`] that
+/// Cache-carrying wrapper of a [`crate::TreeMomentEngine`] that
 /// repairs its moment vectors after value-only network edits instead of
 /// recomputing them (see the [module docs](self) for the invalidation
 /// rule and the bit-identity argument).
@@ -94,28 +95,14 @@ pub struct IncrStats {
 /// ```
 #[derive(Debug)]
 pub struct IncrTreeEngine {
-    n: usize,
-    num_nets: usize,
+    /// The tree engine whose kernel computes fresh caches and repairs;
+    /// `refresh` keeps its values current.
+    tree: TreeMomentEngine,
     moment_order: usize,
-    /// Per node: resistance to its tree parent (0 for roots).
-    parent_res: Vec<f64>,
-    /// Per node: parent index, usize::MAX for roots.
-    parent: Vec<usize>,
-    /// Per node: its net's driver resistance if it is the root, else 0.
-    root_res: Vec<f64>,
-    /// Global traversal order, each net contiguous, roots first.
-    order: Vec<usize>,
-    /// Per net: its `[start, end)` slice of `order`.
-    net_ranges: Vec<(usize, usize)>,
-    /// Per net: owning-net index of each node.
+    /// Per node: owning-net index.
     node_net: Vec<usize>,
-    /// Per net: driver attachment node and resistance.
-    driver_node: Vec<usize>,
-    driver_ohms: Vec<f64>,
-    /// Capacitance triplets in the reference construction order
-    /// (ground caps, sinks per net, coupling caps ×4) — the diff target.
-    c_entries: Vec<(usize, usize, f64)>,
-    /// The same triplets grouped by *row* net, relative order preserved.
+    /// The tree engine's capacitance triplets grouped by *row* net,
+    /// relative order preserved.
     net_c_entries: Vec<Vec<(usize, usize, f64)>>,
     /// Coupling adjacency over nets (sorted, deduplicated).
     net_neighbors: Vec<Vec<usize>>,
@@ -139,54 +126,16 @@ impl IncrTreeEngine {
     pub fn new(network: &Network, moment_order: usize) -> Self {
         assert!(moment_order > 0, "taylor order must be at least 1");
         let _span = xtalk_obs::span!("moments.incr_build");
-        let n = network.node_count();
-        let num_nets = network.nets().count();
-        let mut parent_res = vec![0.0; n];
-        let mut parent = vec![usize::MAX; n];
-        let mut root_res = vec![0.0; n];
-        let mut node_net = vec![0usize; n];
-        let mut order = Vec::with_capacity(n);
-        let mut net_ranges = Vec::with_capacity(num_nets);
-        let mut driver_node = Vec::with_capacity(num_nets);
-        let mut driver_ohms = Vec::with_capacity(num_nets);
-        for (id, net) in network.nets() {
-            let tree = network.tree(id);
-            let start = order.len();
-            root_res[tree.root().index()] = net.driver().ohms;
-            driver_node.push(net.driver().node.index());
-            driver_ohms.push(net.driver().ohms);
-            for &node in tree.order() {
-                node_net[node.index()] = id.index();
-                order.push(node.index());
-                if let Some((p, r)) = tree.parent(node) {
-                    parent[node.index()] = p.index();
-                    parent_res[node.index()] = r;
-                }
+        let tree = TreeMomentEngine::new(network);
+        let num_nets = tree.net_count();
+        let mut node_net = vec![0usize; tree.node_count()];
+        for (net, &(start, end)) in tree.net_ranges.iter().enumerate() {
+            for &node in &tree.order[start..end] {
+                node_net[node] = net;
             }
-            net_ranges.push((start, order.len()));
-        }
-
-        // Reference construction order — must match TreeMomentEngine so
-        // the per-row relative order (and hence every floating-point
-        // accumulation) is identical.
-        let mut c_entries = Vec::new();
-        for gc in network.ground_caps() {
-            c_entries.push((gc.node.index(), gc.node.index(), gc.farads));
-        }
-        for (_, net) in network.nets() {
-            for s in net.sinks() {
-                c_entries.push((s.node.index(), s.node.index(), s.farads));
-            }
-        }
-        for cc in network.coupling_caps() {
-            let (a, b) = (cc.a.index(), cc.b.index());
-            c_entries.push((a, a, cc.farads));
-            c_entries.push((b, b, cc.farads));
-            c_entries.push((a, b, -cc.farads));
-            c_entries.push((b, a, -cc.farads));
         }
         let mut net_c_entries = vec![Vec::new(); num_nets];
-        for &(i, j, c) in &c_entries {
+        for &(i, j, c) in &tree.c_entries {
             net_c_entries[node_net[i]].push((i, j, c));
         }
 
@@ -204,18 +153,9 @@ impl IncrTreeEngine {
         }
 
         IncrTreeEngine {
-            n,
-            num_nets,
+            tree,
             moment_order,
-            parent_res,
-            parent,
-            root_res,
-            order,
-            net_ranges,
             node_net,
-            driver_node,
-            driver_ohms,
-            c_entries,
             net_c_entries,
             net_neighbors,
             cache: HashMap::new(),
@@ -237,23 +177,26 @@ impl IncrTreeEngine {
     /// the engine was built on (a topology change, which deltas never
     /// produce).
     pub fn refresh(&mut self, network: &Network) -> bool {
-        assert_eq!(network.node_count(), self.n, "topology changed under engine");
-        assert_eq!(network.nets().count(), self.num_nets);
+        assert_eq!(
+            network.node_count(),
+            self.tree.node_count(),
+            "topology changed under engine"
+        );
+        assert_eq!(network.net_count(), self.tree.net_count());
         let mut changed = false;
         for (id, net) in network.nets() {
             let k = id.index();
             let ohms = net.driver().ohms;
-            if ohms.to_bits() != self.driver_ohms[k].to_bits() {
-                self.driver_ohms[k] = ohms;
-                self.root_res[self.driver_node[k]] = ohms;
+            if ohms.to_bits() != self.tree.driver_ohms[k].to_bits() {
+                self.tree.driver_ohms[k] = ohms;
                 self.gdirty[k] = true;
                 changed = true;
             }
             let tree = network.tree(id);
             for &node in tree.order() {
                 if let Some((_, r)) = tree.parent(node) {
-                    if r.to_bits() != self.parent_res[node.index()].to_bits() {
-                        self.parent_res[node.index()] = r;
+                    if r.to_bits() != self.tree.parent_res[node.index()].to_bits() {
+                        self.tree.parent_res[node.index()] = r;
                         self.gdirty[k] = true;
                         changed = true;
                     }
@@ -276,30 +219,31 @@ impl IncrTreeEngine {
             }
             idx += 1;
         };
+        let entries = &mut self.tree.c_entries;
         for gc in network.ground_caps() {
-            diff_c(&mut self.c_entries, &mut self.cdirty, &self.node_net, gc.farads);
+            diff_c(entries, &mut self.cdirty, &self.node_net, gc.farads);
         }
         for (_, net) in network.nets() {
             for s in net.sinks() {
-                diff_c(&mut self.c_entries, &mut self.cdirty, &self.node_net, s.farads);
+                diff_c(entries, &mut self.cdirty, &self.node_net, s.farads);
             }
         }
         for cc in network.coupling_caps() {
-            diff_c(&mut self.c_entries, &mut self.cdirty, &self.node_net, cc.farads);
-            diff_c(&mut self.c_entries, &mut self.cdirty, &self.node_net, cc.farads);
-            diff_c(&mut self.c_entries, &mut self.cdirty, &self.node_net, -cc.farads);
-            diff_c(&mut self.c_entries, &mut self.cdirty, &self.node_net, -cc.farads);
+            diff_c(entries, &mut self.cdirty, &self.node_net, cc.farads);
+            diff_c(entries, &mut self.cdirty, &self.node_net, cc.farads);
+            diff_c(entries, &mut self.cdirty, &self.node_net, -cc.farads);
+            diff_c(entries, &mut self.cdirty, &self.node_net, -cc.farads);
         }
-        assert_eq!(idx, self.c_entries.len(), "capacitor table changed shape");
+        assert_eq!(idx, entries.len(), "capacitor table changed shape");
 
         if changed {
             // Regroup only the rows of nets whose C values moved.
-            for k in 0..self.num_nets {
+            for k in 0..self.net_c_entries.len() {
                 if self.cdirty[k] {
                     self.net_c_entries[k].clear();
                 }
             }
-            for &(i, j, c) in &self.c_entries {
+            for &(i, j, c) in entries.iter() {
                 if self.cdirty[self.node_net[i]] {
                     self.net_c_entries[self.node_net[i]].push((i, j, c));
                 }
@@ -325,11 +269,7 @@ impl IncrTreeEngine {
     /// # Panics
     ///
     /// Panics if `output` is out of bounds.
-    pub fn transfer_taylor(
-        &mut self,
-        net: NetId,
-        output: NodeId,
-    ) -> Result<Vec<f64>, MomentError> {
+    pub fn transfer_taylor(&mut self, net: NetId, output: NodeId) -> Result<Vec<f64>, MomentError> {
         let vectors = self.moment_vectors(net)?;
         Ok(vectors.iter().map(|m| m[output.index()]).collect())
     }
@@ -349,8 +289,8 @@ impl IncrTreeEngine {
         }
         let src = net.index();
         if !self.cache.contains_key(&src) {
-            let vectors = self.full_compute(src);
-            self.stats.blocks_recomputed += (self.moment_order * self.num_nets) as u64;
+            let vectors = self.tree.recursion(src, self.moment_order);
+            self.stats.blocks_recomputed += (self.moment_order * self.tree.net_count()) as u64;
             self.cache.insert(src, vectors);
         }
         Ok(self.cache.get(&src).expect("just inserted"))
@@ -366,6 +306,7 @@ impl IncrTreeEngine {
     /// flags, then clears them.
     fn repair_all(&mut self) {
         let _span = xtalk_obs::span!("moments.incr_repair");
+        let num_nets = self.tree.net_count();
         let sources: Vec<usize> = self.cache.keys().copied().collect();
         let mut recomputed = 0u64;
         let mut reused = 0u64;
@@ -374,21 +315,18 @@ impl IncrTreeEngine {
             // m0 depends only on the source net's driver (R·(1/R) is not
             // always exactly 1.0), so its sole non-zero block is dirty
             // iff that net's conductances changed.
-            let mut dirty_prev = vec![false; self.num_nets];
+            let mut dirty_prev = vec![false; num_nets];
             if self.gdirty[src] {
-                let mut rhs = vec![0.0; self.n];
-                rhs[self.driver_node[src]] = 1.0 / self.driver_ohms[src];
-                self.solve_block(src, &rhs, &mut vectors[0]);
+                self.tree.solve_source(src, &mut vectors[0]);
                 dirty_prev[src] = true;
                 recomputed += 1;
-                reused += (self.num_nets - 1) as u64;
+                reused += (num_nets - 1) as u64;
             } else {
-                reused += self.num_nets as u64;
+                reused += num_nets as u64;
             }
-            let mut rhs = vec![0.0; self.n];
             for k in 1..self.moment_order {
                 let mut dirty = self.gdirty.clone();
-                for b in 0..self.num_nets {
+                for b in 0..num_nets {
                     if self.cdirty[b] || dirty_prev[b] {
                         dirty[b] = true;
                     }
@@ -402,20 +340,22 @@ impl IncrTreeEngine {
                 let prev = &prev[k - 1];
                 let cur = &mut rest[0];
                 #[allow(clippy::needless_range_loop)]
-                for b in 0..self.num_nets {
+                for b in 0..num_nets {
                     if !dirty[b] {
                         reused += 1;
                         continue;
                     }
                     recomputed += 1;
-                    let (s, e) = self.net_ranges[b];
-                    for &node in &self.order[s..e] {
-                        rhs[node] = 0.0;
+                    // The block's rhs −C·m_{k−1} is accumulated in place
+                    // and then solved.
+                    let (s, e) = self.tree.net_ranges[b];
+                    for &node in &self.tree.order[s..e] {
+                        cur[node] = 0.0;
                     }
                     for &(i, j, c) in &self.net_c_entries[b] {
-                        rhs[i] -= c * prev[j];
+                        cur[i] -= c * prev[j];
                     }
-                    self.solve_block(b, &rhs, cur);
+                    self.tree.solve_net(b, cur);
                 }
                 dirty_prev = dirty;
             }
@@ -428,76 +368,6 @@ impl IncrTreeEngine {
         self.gdirty.fill(false);
         self.cdirty.fill(false);
         self.any_dirty = false;
-    }
-
-    /// Per-net `G`-solve: the global two-pass kernel restricted to one
-    /// net's contiguous slice of the traversal order. Writes the block's
-    /// voltages into `out`; other entries are untouched.
-    fn solve_block(&self, b: usize, rhs: &[f64], out: &mut [f64]) {
-        let (s, e) = self.net_ranges[b];
-        let block = &self.order[s..e];
-        let mut subtree = vec![0.0; block.len()];
-        // Local slot of each node is its position in the block; parents
-        // precede children, so a reverse pass accumulates subtree sums.
-        let mut slot = HashMap::with_capacity(block.len());
-        for (i, &node) in block.iter().enumerate() {
-            slot.insert(node, i);
-            subtree[i] = rhs[node];
-        }
-        for i in (0..block.len()).rev() {
-            let p = self.parent[block[i]];
-            if p != usize::MAX {
-                let pi = slot[&p];
-                subtree[pi] += subtree[i];
-            }
-        }
-        for (i, &node) in block.iter().enumerate() {
-            let p = self.parent[node];
-            if p == usize::MAX {
-                out[node] = self.root_res[node] * subtree[i];
-            } else {
-                out[node] = out[p] + self.parent_res[node] * subtree[i];
-            }
-        }
-    }
-
-    /// From-scratch moment computation for one source net — the exact
-    /// global kernel of [`crate::TreeMomentEngine::moment_vectors`], so
-    /// fresh caches are bit-identical to the reference engine.
-    fn full_compute(&self, src: usize) -> Vec<Vec<f64>> {
-        let mut rhs = vec![0.0; self.n];
-        rhs[self.driver_node[src]] = 1.0 / self.driver_ohms[src];
-        let mut out = vec![self.solve_g(&rhs)];
-        for _ in 1..self.moment_order {
-            let prev = out.last().expect("at least m0");
-            rhs.fill(0.0);
-            for &(i, j, c) in &self.c_entries {
-                rhs[i] -= c * prev[j];
-            }
-            out.push(self.solve_g(&rhs));
-        }
-        out
-    }
-
-    fn solve_g(&self, b: &[f64]) -> Vec<f64> {
-        let n = b.len();
-        let mut subtree = b.to_vec();
-        for &node in self.order.iter().rev() {
-            let p = self.parent[node];
-            if p != usize::MAX {
-                subtree[p] += subtree[node];
-            }
-        }
-        let mut v = vec![0.0; n];
-        for &node in &self.order {
-            let p = self.parent[node];
-            if p == usize::MAX {
-                v[node] = self.root_res[node] * subtree[node];
-            } else {
-                v[node] = v[p] + self.parent_res[node] * subtree[node];
-            }
-        }
-        v
     }
 }
 

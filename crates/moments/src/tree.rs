@@ -15,8 +15,8 @@
 //! * [`elmore_delay`] — the classical Elmore delay of a net node with all
 //!   coupling capacitance grounded (the lumped-aggressor convention).
 //!
-//! All three are validated against the exact [`crate::MomentEngine`] in
-//! this crate's integration tests.
+//! All three are validated against the exact moments of the dense oracle
+//! engine in this crate's integration tests.
 
 use crate::TwoPoleFit;
 use xtalk_circuit::{NetId, Network, NodeId};
@@ -26,7 +26,7 @@ use xtalk_circuit::{NetId, Network, NodeId};
 /// `a1` from [`coupling_a1`] (ref. \[13\]), `b1` from [`open_circuit_b1`]
 /// and `b2` from [`short_circuit_b2`] (ref. \[11\]).
 ///
-/// Relative to [`crate::MomentEngine`]'s exact Taylor coefficients this
+/// Relative to [`crate::TreeMomentEngine`]'s exact Taylor coefficients this
 /// truncates the numerator at first order (the `a2`, `a3` terms the paper
 /// also drops, §2.1.2), trading a few percent of accuracy for `O(n + k²)`
 /// evaluation with the five basic operations only — the configuration the
@@ -79,7 +79,7 @@ pub fn coupling_a1(network: &Network, aggressor: NetId, output: NodeId) -> f64 {
 /// `Rd + R_path(i)`; for a coupling capacitor between nodes `i` and `j` of
 /// two different nets it is the sum of both sides' resistances (the nets
 /// are resistively disjoint, so the cross term vanishes). Equals the exact
-/// `tr(G⁻¹C)` computed by [`crate::MomentEngine::denominator`].
+/// `tr(G⁻¹C)`, which the tests take from the dense oracle engine.
 pub fn open_circuit_b1(network: &Network) -> f64 {
     let mut b1 = 0.0;
     let r_to_ground = |node: NodeId| -> f64 {
@@ -117,8 +117,8 @@ pub fn open_circuit_b1(network: &Network) -> f64 {
 /// driver resistance plus a common-path resistance, so the whole
 /// coefficient is closed-form — together with [`coupling_a1`] and
 /// [`open_circuit_b1`] this gives the paper's entire FrontEnd without a
-/// matrix solve. Equals the exact second invariant computed by
-/// [`crate::MomentEngine::denominator`].
+/// matrix solve. Equals the exact second invariant of `G⁻¹C`, which the
+/// tests take from the dense oracle engine.
 ///
 /// Complexity: `O(k²)` over the `k` capacitors.
 pub fn short_circuit_b2(network: &Network) -> f64 {

@@ -1,7 +1,9 @@
 use crate::MomentError;
 use xtalk_circuit::{NetId, Network, NodeId};
+use xtalk_linalg::LinalgError;
 
-/// Linear-time moment engine exploiting the tree structure.
+/// Linear-time moment engine for coupled RC trees — the one every
+/// production path uses.
 ///
 /// The conductance matrix of a coupled-tree network is block-diagonal per
 /// net (nets are resistively disjoint), and each block is tree-structured,
@@ -12,12 +14,15 @@ use xtalk_circuit::{NetId, Network, NodeId};
 ///
 /// The capacitance matvec in the moment recursion `G·m_k = −C·m_{k−1}` is
 /// `O(#caps)`, so the whole transfer-function evaluation is
-/// `O(order · (n + k))` — against `O(n³)` for the dense
-/// [`crate::MomentEngine`], with bit-identical mathematics (both are
-/// exact; they are cross-checked on randomized networks in the tests).
-/// Use this engine for large extracted nets; the dense engine remains the
-/// reference and additionally offers the characteristic-polynomial
-/// invariants.
+/// `O(order · (n + k))`, with no factorization and no dense matrix. Every
+/// [`Network`] is a resistive forest (the builder rejects anything else),
+/// so the engine covers every input. The dense [`crate::MomentEngine`]
+/// is kept only as the oracle the tests compare this engine against.
+///
+/// The engine owns its tables and borrows nothing from the network it
+/// was built from: one engine can outlive re-designations of that
+/// network's victim, because moments depend on element values and net
+/// order alone.
 ///
 /// # Examples
 ///
@@ -45,33 +50,36 @@ use xtalk_circuit::{NetId, Network, NodeId};
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct TreeMomentEngine<'a> {
-    network: &'a Network,
-    /// Per node: resistance to its tree parent (0 for roots).
-    parent_res: Vec<f64>,
-    /// Per node: parent index, usize::MAX for roots.
-    parent: Vec<usize>,
-    /// Global traversal order, roots first within each net.
-    order: Vec<usize>,
-    /// Per node: its net's driver resistance if it is the root, else 0.
-    root_res: Vec<f64>,
-    /// Capacitance matrix as (row, col, value) triplets.
-    c_entries: Vec<(usize, usize, f64)>,
+pub struct TreeMomentEngine {
+    /// Per node: its tree parent (unused for roots).
+    pub(crate) parent: Vec<usize>,
+    /// Per node: resistance to its tree parent (unused for roots).
+    pub(crate) parent_res: Vec<f64>,
+    /// Every node, each net contiguous and root (driver node) first.
+    pub(crate) order: Vec<usize>,
+    /// Per net: its `[start, end)` slice of `order`.
+    pub(crate) net_ranges: Vec<(usize, usize)>,
+    /// Per net: driver resistance.
+    pub(crate) driver_ohms: Vec<f64>,
+    /// Capacitance matrix as (row, col, value) triplets: ground caps,
+    /// sinks net by net, then the four stamps of each coupling cap.
+    pub(crate) c_entries: Vec<(usize, usize, f64)>,
 }
 
-impl<'a> TreeMomentEngine<'a> {
-    /// Builds the traversal structures (no factorization — `O(n + k)`).
-    pub fn new(network: &'a Network) -> Self {
+impl TreeMomentEngine {
+    /// Builds the traversal tables (no factorization — `O(n + k)`).
+    pub fn new(network: &Network) -> Self {
         let _span = xtalk_obs::span!("moments.tree_build");
         xtalk_obs::counter!("moments.tree.builds").add(1);
         let n = network.node_count();
-        let mut parent_res = vec![0.0; n];
         let mut parent = vec![usize::MAX; n];
-        let mut root_res = vec![0.0; n];
+        let mut parent_res = vec![0.0; n];
         let mut order = Vec::with_capacity(n);
+        let mut net_ranges = Vec::with_capacity(network.net_count());
+        let mut driver_ohms = Vec::with_capacity(network.net_count());
         for (id, net) in network.nets() {
             let tree = network.tree(id);
-            root_res[tree.root().index()] = net.driver().ohms;
+            let start = order.len();
             for &node in tree.order() {
                 order.push(node.index());
                 if let Some((p, r)) = tree.parent(node) {
@@ -79,6 +87,8 @@ impl<'a> TreeMomentEngine<'a> {
                     parent_res[node.index()] = r;
                 }
             }
+            net_ranges.push((start, order.len()));
+            driver_ohms.push(net.driver().ohms);
         }
 
         let mut c_entries = Vec::new();
@@ -99,64 +109,104 @@ impl<'a> TreeMomentEngine<'a> {
         }
 
         TreeMomentEngine {
-            network,
-            parent_res,
             parent,
+            parent_res,
             order,
-            root_res,
+            net_ranges,
+            driver_ohms,
             c_entries,
         }
     }
 
-    /// Solves `G·x = b` over the whole network in `O(n)` (per-net tree
-    /// passes).
-    fn solve_g(&self, b: &[f64]) -> Vec<f64> {
-        let n = b.len();
-        // Pass 1: subtree injection sums, children before parents.
-        let mut subtree = b.to_vec();
-        for &node in self.order.iter().rev() {
-            let p = self.parent[node];
-            if p != usize::MAX {
-                subtree[p] += subtree[node];
-            }
-        }
-        // Pass 2: voltages, parents before children.
-        let mut v = vec![0.0; n];
-        for &node in &self.order {
-            let p = self.parent[node];
-            if p == usize::MAX {
-                v[node] = self.root_res[node] * subtree[node];
-            } else {
-                v[node] = v[p] + self.parent_res[node] * subtree[node];
-            }
-        }
-        v
+    /// Number of nodes in the underlying network.
+    pub(crate) fn node_count(&self) -> usize {
+        self.order.len()
     }
 
-    /// Taylor-coefficient vectors `m_0 … m_{order−1}` for a unit input at
-    /// the source of `net` — same contract as
-    /// [`crate::MomentEngine::moment_vectors`].
+    /// Number of nets in the underlying network.
+    pub(crate) fn net_count(&self) -> usize {
+        self.net_ranges.len()
+    }
+
+    /// Solves net `net`'s block of `G·x = b` in place: on entry `x` holds
+    /// `b` on that net's nodes, on exit their voltages. Other nets'
+    /// entries are untouched, so solving every block in turn solves the
+    /// whole system with the same operations in the same order.
+    pub(crate) fn solve_net(&self, net: usize, x: &mut [f64]) {
+        let (start, end) = self.net_ranges[net];
+        let (&root, rest) = self.order[start..end]
+            .split_first()
+            .expect("every net has its driver node");
+        // Pass 1: subtree injection sums, children before parents.
+        for &node in rest.iter().rev() {
+            x[self.parent[node]] += x[node];
+        }
+        // Pass 2: voltages, parents before children.
+        x[root] *= self.driver_ohms[net];
+        for &node in rest {
+            x[node] = x[self.parent[node]] + self.parent_res[node] * x[node];
+        }
+    }
+
+    /// Writes the unit-input right-hand side of `net`'s source into that
+    /// net's block of `x` (one driver conductance at its root, zero
+    /// elsewhere) and solves the block: `m0` restricted to `net`.
+    pub(crate) fn solve_source(&self, net: usize, x: &mut [f64]) {
+        let (start, end) = self.net_ranges[net];
+        for &node in &self.order[start..end] {
+            x[node] = 0.0;
+        }
+        x[self.order[start]] = 1.0 / self.driver_ohms[net];
+        self.solve_net(net, x);
+    }
+
+    /// The moment recursion for a unit input at the source of net
+    /// `source`: `m0 … m_{order−1}`, with no argument or finiteness
+    /// checks. [`crate::IncrTreeEngine`] builds its fresh caches with it.
+    pub(crate) fn recursion(&self, source: usize, order: usize) -> Vec<Vec<f64>> {
+        let n = self.node_count();
+        let mut out = Vec::with_capacity(order);
+        // Only the source net's block of m0 is non-zero.
+        let mut m0 = vec![0.0; n];
+        self.solve_source(source, &mut m0);
+        out.push(m0);
+        for _ in 1..order {
+            let prev = out.last().expect("at least m0");
+            let mut next = vec![0.0; n];
+            for &(i, j, c) in &self.c_entries {
+                next[i] -= c * prev[j];
+            }
+            for net in 0..self.net_count() {
+                self.solve_net(net, &mut next);
+            }
+            out.push(next);
+        }
+        out
+    }
+
+    /// Taylor-coefficient vectors `m_0 … m_{order−1}` of all node voltages
+    /// for a unit input at the source of `net` (all other sources quiet).
     ///
     /// # Errors
     ///
-    /// [`MomentError::ZeroOrder`] when `order == 0`.
+    /// [`MomentError::ZeroOrder`] when `order == 0`;
+    /// [`MomentError::Numerical`] when an entry is not finite (a
+    /// non-finite or zero-ohm element value in a network built without
+    /// value checks).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of bounds for the engine's network.
     pub fn moment_vectors(&self, net: NetId, order: usize) -> Result<Vec<Vec<f64>>, MomentError> {
         if order == 0 {
             return Err(MomentError::ZeroOrder);
         }
         xtalk_obs::counter!("moments.tree.moment_vectors").add(1);
-        let n = self.network.node_count();
-        let driver = self.network.net(net).driver();
-        let mut rhs = vec![0.0; n];
-        rhs[driver.node.index()] = 1.0 / driver.ohms;
-        let mut out = vec![self.solve_g(&rhs)];
-        for _ in 1..order {
-            let prev = out.last().expect("at least m0");
-            rhs.fill(0.0);
-            for &(i, j, c) in &self.c_entries {
-                rhs[i] -= c * prev[j];
-            }
-            out.push(self.solve_g(&rhs));
+        let out = self.recursion(net.index(), order);
+        if out.iter().flatten().any(|x| !x.is_finite()) {
+            return Err(MomentError::Numerical(LinalgError::NonFinite {
+                context: format!("the moment vectors of net {net}"),
+            }));
         }
         Ok(out)
     }
@@ -164,13 +214,16 @@ impl<'a> TreeMomentEngine<'a> {
     /// Taylor coefficients `h_0 … h_{order−1}` of the transfer function
     /// from the source of `net` to `output`.
     ///
+    /// For an aggressor source and a victim observation node, `h0 = 0`
+    /// and `h1` is the paper's `a1` coefficient.
+    ///
     /// # Errors
     ///
-    /// [`MomentError::ZeroOrder`] when `order == 0`.
+    /// As [`TreeMomentEngine::moment_vectors`].
     ///
     /// # Panics
     ///
-    /// Panics if `output` is out of bounds.
+    /// Panics if `net` or `output` is out of bounds.
     pub fn transfer_taylor(
         &self,
         net: NetId,

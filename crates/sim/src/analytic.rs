@@ -28,7 +28,7 @@
 use crate::measure::PULSE_FLOOR;
 use crate::{FastTier, NoiseWaveformParams};
 use xtalk_circuit::{signal::InputSignal, signal::Waveshape, NetId, Network, NodeId};
-use xtalk_moments::{MomentEngine, PoleKind, TwoPoleFit};
+use xtalk_moments::{PoleKind, TreeMomentEngine, TwoPoleFit};
 
 /// Largest `|p2/p1|` pole-separation ratio the [`FastTier::Auto`] gate
 /// accepts. Beyond this the fast pole's dynamics are numerically
@@ -160,8 +160,7 @@ pub fn analytic_noise(
 
     // Transfer-function Taylor coefficients h0..h4 at the observed node
     // (h4 feeds the model-adequacy margin).
-    let engine = MomentEngine::new(network).map_err(|_| FastTierFallback::DegenerateFit)?;
-    let h = engine
+    let h = TreeMomentEngine::new(network)
         .transfer_taylor(net, node, 5)
         .map_err(|_| FastTierFallback::DegenerateFit)?;
     let fit = TwoPoleFit::from_taylor(&h[..4]).map_err(|_| FastTierFallback::DegenerateFit)?;
