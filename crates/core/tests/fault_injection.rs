@@ -10,13 +10,19 @@
 //!   (possibly garbage-in-garbage-out, e.g. NaN fields from NaN moments —
 //!   they are deliberately thin);
 //! * the [`RobustAnalyzer`] path is stricter: any accepted estimate has
-//!   all-finite fields and `vp ∈ [0, 1]` under the default policy.
+//!   all-finite fields and `vp ∈ [0, 1]` under the default policy;
+//! * a raw [`NoiseAnalyzer`], which skips validation, turns non-finite
+//!   moments into a structured error rather than a NaN estimate.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use xtalk_circuit::signal::InputSignal;
 use xtalk_circuit::spice::parse_deck;
-use xtalk_core::{MetricOne, MetricTwo, OutputMoments, RobustAnalyzer};
+use xtalk_core::{
+    MetricError, MetricKind, MetricOne, MetricTwo, NoiseAnalyzer, OutputMoments, RobustAnalyzer,
+};
+use xtalk_linalg::LinalgError;
+use xtalk_moments::MomentError;
 
 /// Helpers for building deliberately corrupted inputs.
 mod faults {
@@ -399,4 +405,35 @@ fn healthy_reference_case_stays_healthy() {
     let re = robust.analyze(agg, &input).expect("healthy pair analyzes");
     assert!(!re.provenance.degraded(), "{}", re.provenance);
     assert!(re.estimate.vp > 0.0 && re.estimate.vp < 1.0);
+}
+
+#[test]
+fn raw_analyzer_rejects_non_finite_moments() {
+    // The tree engine factors nothing, so a corrupt value that slips past
+    // a build without value checks shows up only in the moments: the
+    // engine must report it instead of handing NaNs to the metrics.
+    let ramp = InputSignal::rising_ramp(0.0, 1e-10);
+    let poisons: [ValueFault; 2] = [
+        ("NaN wire resistance", |t| t.wire_res = f64::NAN),
+        ("zero-ohm aggressor driver", |t| t.aggressor_driver = 0.0),
+    ];
+    for (name, poison) in poisons {
+        let mut pair = TwoPin::default();
+        poison(&mut pair);
+        let network = pair
+            .build()
+            .expect("the permissive builder takes any value");
+        let analyzer = NoiseAnalyzer::new(&network).expect("the engine builds");
+        let (agg, _) = network.aggressor_nets().next().expect("one aggressor");
+        for kind in [MetricKind::One, MetricKind::OneSymmetric, MetricKind::Two] {
+            match analyzer.analyze(agg, &ramp, kind) {
+                Err(MetricError::Moments(MomentError::Numerical(LinalgError::NonFinite {
+                    ..
+                }))) => {}
+                other => {
+                    panic!("{name}, {kind:?}: expected a non-finite moment error, got {other:?}")
+                }
+            }
+        }
+    }
 }
