@@ -57,12 +57,28 @@ fn slow_ladder_deck() -> String {
     spice::write_deck(&b.build().unwrap())
 }
 
-fn write_deck(name: &str, deck: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("xtalk-noise-golden-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
-    fs::write(&path, deck).expect("deck written");
-    path
+/// A deck written into a temp directory of the test's own, which is
+/// removed when the guard drops, so a failing test cleans up as well.
+struct TempDeck {
+    dir: PathBuf,
+    path: PathBuf,
+}
+
+impl TempDeck {
+    fn new(test: &str, deck: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("xtalk-noise-golden-{}-{test}", std::process::id()));
+        fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("deck.sp");
+        fs::write(&path, deck).expect("deck written");
+        TempDeck { dir, path }
+    }
+}
+
+impl Drop for TempDeck {
+    fn drop(&mut self) {
+        fs::remove_dir_all(&self.dir).ok();
+    }
 }
 
 fn noise(path: &Path, flags: &[&str]) -> Result<xtalk_cli::RunOutcome, String> {
@@ -73,8 +89,8 @@ fn noise(path: &Path, flags: &[&str]) -> Result<xtalk_cli::RunOutcome, String> {
 
 #[test]
 fn slow_tails_get_the_horizon_retries() {
-    let path = write_deck("ladder.sp", &slow_ladder_deck());
-    let out = noise(&path, &["--golden", "--shape", "exp", "--slew", "10n"])
+    let deck = TempDeck::new("ladder", &slow_ladder_deck());
+    let out = noise(&deck.path, &["--golden", "--shape", "exp", "--slew", "10n"])
         .expect("the truncated first horizon is retried, not fatal");
     assert!(!out.degraded, "{}", out.report);
     let simulated = out
@@ -89,8 +105,8 @@ fn slow_tails_get_the_horizon_retries() {
 fn a_failed_cross_check_degrades_its_row() {
     // 1e-23 F of coupling: the closed form still answers (a vanishing
     // peak), but the simulated waveform has no measurable pulse.
-    let path = write_deck("tiny.sp", &smoke_deck("1e-23"));
-    let out = noise(&path, &["--golden"]).expect("the report completes");
+    let deck = TempDeck::new("tiny", &smoke_deck("1e-23"));
+    let out = noise(&deck.path, &["--golden"]).expect("the report completes");
     assert!(out.degraded, "a failed cross-check means exit code 2");
     let lines: Vec<&str> = out.report.lines().collect();
     let row = lines
@@ -123,9 +139,9 @@ fn golden_rows_are_identical_at_every_job_count() {
         b.add_coupling_cap(a0, if k == 1 { v0 } else { v1 }, 10e-15)
             .unwrap();
     }
-    let path = write_deck("three.sp", &spice::write_deck(&b.build().unwrap()));
-    let serial = noise(&path, &["--golden", "--jobs", "1"]).expect("serial run");
-    let parallel = noise(&path, &["--golden", "--jobs", "3"]).expect("parallel run");
+    let deck = TempDeck::new("three", &spice::write_deck(&b.build().unwrap()));
+    let serial = noise(&deck.path, &["--golden", "--jobs", "1"]).expect("serial run");
+    let parallel = noise(&deck.path, &["--golden", "--jobs", "3"]).expect("parallel run");
     assert_eq!(serial.report, parallel.report);
     assert_eq!(
         serial.report.matches("(simulated)").count(),
