@@ -1,9 +1,18 @@
+//! The `xtalk` command line: one flag table per command, one table of
+//! global flags, and one reader that walks `argv` once against them.
+//! The USAGE lines of `xtalk --help` are built from the same tables, so
+//! a flag cannot be accepted without being listed.
+
+use std::cmp::Ordering;
 use std::error::Error;
+use std::slice::Iter;
 use xtalk_circuit::signal::Shape;
 use xtalk_circuit::spice::parse_si_value;
 use xtalk_exec::Jobs;
 use xtalk_linalg::SolverKind;
 use xtalk_sim::{FastTier, SimMode};
+use xtalk_tech::sweep::SweepConfig;
+use xtalk_tech::PexDeckSpec;
 
 /// Which analysis to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +29,7 @@ pub enum Command {
 
 /// Parsed `xtalk audit` invocation — deck-free, so it is parsed apart
 /// from [`Invocation`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditArgs {
     /// Number of randomized cases.
     pub cases: usize,
@@ -45,6 +54,17 @@ pub enum MetricArg {
     Closed,
 }
 
+impl MetricArg {
+    fn parse(name: &str) -> Option<Self> {
+        match name {
+            "one" | "1" | "I" => Some(MetricArg::One),
+            "two" | "2" | "II" => Some(MetricArg::Two),
+            "closed" => Some(MetricArg::Closed),
+            _ => None,
+        }
+    }
+}
+
 /// Delay metric selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DelayMetricArg {
@@ -55,6 +75,17 @@ pub enum DelayMetricArg {
     /// Two-pole 50% — the default.
     #[default]
     TwoPole,
+}
+
+impl DelayMetricArg {
+    fn parse(name: &str) -> Option<Self> {
+        match name {
+            "elmore" => Some(DelayMetricArg::Elmore),
+            "d2m" => Some(DelayMetricArg::D2m),
+            "two-pole" => Some(DelayMetricArg::TwoPole),
+            _ => None,
+        }
+    }
 }
 
 /// Fully parsed invocation.
@@ -91,9 +122,30 @@ pub struct Invocation {
     pub jobs: Jobs,
 }
 
-/// Observability switches — accepted by every sub-command, extracted in
-/// a pre-pass so `--metrics-out` works identically on `noise`, `sweep`
-/// and `audit`.
+impl Invocation {
+    /// `command` with every flag at its default and no deck path yet.
+    pub(crate) fn new(command: Command) -> Self {
+        Invocation {
+            command,
+            deck_path: String::new(),
+            slew: 100e-12,
+            arrival: 0.0,
+            shape: Shape::default(),
+            metric: MetricArg::default(),
+            delay_metric: DelayMetricArg::default(),
+            golden: false,
+            threshold: None,
+            reduce_tau: None,
+            aggressor: None,
+            strict: false,
+            jobs: Jobs::Auto,
+        }
+    }
+}
+
+/// Observability switches — the global flags, accepted by every
+/// sub-command anywhere on the line, so `--metrics-out` works identically
+/// on `noise`, `sweep` and `audit`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsArgs {
     /// Write the deterministic metrics snapshot (JSON) here.
@@ -160,10 +212,22 @@ impl SweepFamily {
             SweepFamily::All => "all",
         }
     }
+
+    fn parse(name: &str) -> Option<Self> {
+        [
+            SweepFamily::Far,
+            SweepFamily::Near,
+            SweepFamily::Tree,
+            SweepFamily::All,
+        ]
+        .into_iter()
+        .find(|family| family.name() == name)
+    }
 }
 
 /// Parsed `xtalk sweep` invocation: an instrumented randomized accuracy
-/// sweep (generation + degradation scan + golden evaluation).
+/// sweep (generation + degradation scan + golden evaluation). `xtalk
+/// lambda` and `xtalk delay-table` read the same fields (not `family`).
 #[derive(Debug, Clone)]
 pub struct SweepCmdArgs {
     /// Number of randomized cases per family.
@@ -178,8 +242,19 @@ pub struct SweepCmdArgs {
     pub family: SweepFamily,
 }
 
+impl SweepCmdArgs {
+    /// The case-generation settings.
+    pub(crate) fn config(&self) -> SweepConfig {
+        SweepConfig {
+            cases: self.cases,
+            seed: self.seed,
+            corner_fraction: self.corners,
+        }
+    }
+}
+
 /// Parsed `xtalk screen` invocation: full-deck screen-then-escalate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScreenCmdArgs {
     /// Path to the (possibly extractor-shaped) SPICE deck.
     pub deck_path: String,
@@ -205,9 +280,10 @@ pub struct ScreenCmdArgs {
 }
 
 /// Which transport `xtalk serve` listens on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Transport {
     /// Newline-delimited JSON over stdin/stdout — the default.
+    #[default]
     Stdio,
     /// Listen on this TCP address (e.g. `127.0.0.1:7777`).
     Tcp(String),
@@ -216,7 +292,7 @@ pub enum Transport {
 }
 
 /// Parsed `xtalk serve` invocation: the resident analysis daemon.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeArgs {
     /// Where to listen.
     pub transport: Transport,
@@ -239,7 +315,7 @@ pub struct ServeArgs {
 
 /// Parsed `xtalk top` invocation: poll a running daemon's `stats` reply
 /// and render a live dashboard.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TopArgs {
     /// Daemon address (`--tcp` or `--unix`; `top` cannot attach to a
     /// stdio daemon).
@@ -252,7 +328,7 @@ pub struct TopArgs {
 
 /// Parsed `xtalk bench-diff` invocation: compare two `BENCH_*.json`
 /// artifacts against regression thresholds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BenchDiffArgs {
     /// Baseline (old) benchmark JSON path.
     pub old_path: String,
@@ -267,7 +343,7 @@ pub struct BenchDiffArgs {
 
 /// Parsed `xtalk optimize` invocation: the closed-loop noise-driven
 /// optimizer over a generated Figure-4 coupled-lane cluster.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OptimizeArgs {
     /// Lanes in the generated cluster.
     pub lanes: usize,
@@ -279,6 +355,15 @@ pub struct OptimizeArgs {
     pub jobs: Jobs,
     /// When set, write the final noise report as deterministic JSON.
     pub json: Option<String>,
+}
+
+/// Parsed `xtalk pexgen` invocation: a PEX-shaped bus-array deck.
+#[derive(Debug, Clone)]
+pub struct PexgenArgs {
+    /// Deck shape.
+    pub spec: PexDeckSpec,
+    /// Write the deck to this path instead of stdout.
+    pub out: Option<String>,
 }
 
 /// Result of parsing: either run an analysis or print help.
@@ -300,35 +385,577 @@ pub enum ParseOutcome {
     BenchDiff(BenchDiffArgs),
     /// Run the closed-loop noise-driven optimizer demo.
     Optimize(OptimizeArgs),
+    /// Regenerate Figure 5 over this many coupling locations.
+    Figure5(usize),
+    /// Run metric II's λ ablation.
+    Lambda(SweepCmdArgs),
+    /// Run the crosstalk-delay evaluation table.
+    DelayTable(SweepCmdArgs),
+    /// Write a PEX-shaped bus-array deck.
+    Pexgen(PexgenArgs),
     /// Print this help text and exit successfully.
     Help(String),
 }
 
-const HELP: &str = "\
-xtalk — closed-form crosstalk noise and delay analysis
+/// Checks a flag's value and stores it; a failed check returns a phrase
+/// that the reader prefixes with the flag name ("must be ...").
+type Setter<A> = fn(&mut A, &str) -> Result<(), String>;
 
-USAGE:
-    xtalk info  <deck.sp>
-    xtalk noise <deck.sp> [--slew T] [--arrival T] [--shape ramp|exp|step]
-                          [--metric one|two|closed] [--golden] [--threshold V]
-                          [--aggressor NAME] [--strict] [--jobs N|auto]
-    xtalk delay <deck.sp> [--delay-metric elmore|d2m|two-pole]
-    xtalk reduce <deck.sp> [--tau T]
-    xtalk audit [--cases N] [--seed S] [--jobs N|auto] [--json PATH]
-    xtalk sweep [--cases N] [--seed S] [--corners F]
-                [--family far|near|tree|all] [--jobs N|auto]
-    xtalk serve [--tcp ADDR | --unix PATH] [--jobs N|auto]
-                [--queue-capacity N] [--max-request-bytes N]
-                [--deadline-ms T] [--test-faults] [--events-out PATH]
-    xtalk screen <deck.sp> [--slew T] [--arrival T] [--shape ramp|exp|step]
-                 [--threshold V] [--escalate-ratio R] [--no-escalate]
-                 [--strict] [--jobs N|auto] [--json PATH]
-    xtalk top (--tcp ADDR | --unix PATH) [--interval MS] [--once]
-    xtalk bench-diff <old.json> <new.json> [--max-regress-pct P]
-                     [--fields SUBSTR[,SUBSTR...]]
-    xtalk optimize [--lanes N] [--iters N] [--slew T] [--jobs N|auto]
-                   [--json PATH]
+/// One accepted flag and what follows it on the command line.
+struct Flag<A> {
+    name: &'static str,
+    arity: Arity<A>,
+}
 
+enum Arity<A> {
+    /// Nothing follows: the flag is a switch.
+    Switch(fn(&mut A)),
+    /// A value follows, shown in the usage as the placeholder.
+    Value(&'static str, Setter<A>),
+}
+
+impl<A> Flag<A> {
+    const fn switch(name: &'static str, set: fn(&mut A)) -> Self {
+        Flag {
+            name,
+            arity: Arity::Switch(set),
+        }
+    }
+
+    const fn value(name: &'static str, placeholder: &'static str, set: Setter<A>) -> Self {
+        Flag {
+            name,
+            arity: Arity::Value(placeholder, set),
+        }
+    }
+}
+
+/// A path, address or name: any non-empty text.
+fn text(v: &str) -> Result<String, String> {
+    if v.is_empty() {
+        Err("must not be empty".into())
+    } else {
+        Ok(v.to_string())
+    }
+}
+
+/// `N`: a whole number of at least `min`.
+fn count(v: &str, min: usize) -> Result<usize, String> {
+    v.parse()
+        .ok()
+        .filter(|&n| n >= min)
+        .ok_or_else(|| format!("must be a whole number >= {min}, got {v:?}"))
+}
+
+fn seed(v: &str) -> Result<u64, String> {
+    v.parse()
+        .map_err(|_| format!("must be an unsigned 64-bit integer, got {v:?}"))
+}
+
+/// A finite number above zero.
+fn positive(v: &str) -> Result<f64, String> {
+    v.parse()
+        .ok()
+        .filter(|x: &f64| x.is_finite() && *x > 0.0)
+        .ok_or_else(|| format!("must be a finite number > 0, got {v:?}"))
+}
+
+/// A finite number at or above zero.
+fn non_negative(v: &str) -> Result<f64, String> {
+    v.parse()
+        .ok()
+        .filter(|x: &f64| x.is_finite() && *x >= 0.0)
+        .ok_or_else(|| format!("must be a finite number >= 0, got {v:?}"))
+}
+
+/// A time in seconds, SPICE suffixes allowed: finite and at or above zero.
+fn time(v: &str) -> Result<f64, String> {
+    parse_si_value(v)
+        .filter(|t| t.is_finite() && *t >= 0.0)
+        .ok_or_else(|| format!("must be a finite time >= 0 such as 100p, got {v:?}"))
+}
+
+fn fraction(v: &str) -> Result<f64, String> {
+    v.parse()
+        .ok()
+        .filter(|x| (0.0..=1.0).contains(x))
+        .ok_or_else(|| format!("must be a fraction in [0, 1], got {v:?}"))
+}
+
+/// A value `parse` accepted, or an error naming the `expected` choices.
+fn choice<T>(v: &str, parse: fn(&str) -> Option<T>, expected: &str) -> Result<T, String> {
+    parse(v).ok_or_else(|| format!("must be {expected}, got {v:?}"))
+}
+
+fn jobs(v: &str) -> Result<Jobs, String> {
+    choice(v, |v| Jobs::parse(v).ok(), "a count >= 1 or \"auto\"")
+}
+
+/// The cross-flag check on `--slew`: only a step has no transition time.
+fn check_slew(slew: f64, shape: Shape) -> Result<(), String> {
+    if slew > 0.0 || shape == Shape::Step {
+        Ok(())
+    } else {
+        Err("--slew must be positive unless --shape step".into())
+    }
+}
+
+const DECK: &[&str] = &["<deck.sp>"];
+const JOBS: &str = "N|auto";
+const SHAPES: &str = "ramp|exp|step";
+const METRICS: &str = "one|two|closed";
+const DELAY_METRICS: &str = "elmore|d2m|two-pole";
+const FAMILIES: &str = "far|near|tree|all";
+const SOLVERS: &str = "auto|dense|sparse";
+const SIM_MODES: &str = "fixed|adaptive";
+const FAST_TIERS: &str = "off|on|auto";
+/// Default and cap of `--cases` for `lambda` and `delay-table`.
+const EVAL_CASES: usize = 300;
+
+/// The global flags: accepted by every command, before or after its name.
+#[rustfmt::skip]
+const GLOBAL: &[Flag<ObsArgs>] = &[
+    Flag::value("--metrics-out", "PATH", |o, v| text(v).map(|s| o.metrics_out = Some(s))),
+    Flag::value("--trace-out", "PATH", |o, v| text(v).map(|s| o.trace_out = Some(s))),
+    Flag::switch("--stats", |o| o.stats = true),
+    Flag::switch("--quiet", |o| o.quiet = true),
+    Flag::value("--solver", SOLVERS,
+        |o, v| choice(v, SolverKind::parse, SOLVERS).map(|k| o.solver = Some(k))),
+    Flag::value("--sim", SIM_MODES,
+        |o, v| choice(v, SimMode::parse, SIM_MODES).map(|m| o.sim = Some(m))),
+    Flag::value("--fast-tier", FAST_TIERS,
+        |o, v| choice(v, FastTier::parse, FAST_TIERS).map(|t| o.fast_tier = Some(t))),
+    Flag::value("--metrics-full-out", "PATH",
+        |o, v| text(v).map(|s| o.metrics_full_out = Some(s))),
+];
+
+/// One command's grammar: the positionals it takes, its flag table, its
+/// defaults, and the cross-flag checks that run after the last flag.
+struct Spec<A: 'static> {
+    name: &'static str,
+    positionals: &'static [&'static str],
+    flags: &'static [Flag<A>],
+    init: fn() -> A,
+    finish: fn(A, Vec<String>) -> Result<ParseOutcome, String>,
+}
+
+/// A [`Spec`] with its argument type erased, so one table lists every
+/// command.
+trait Subcommand {
+    fn name(&self) -> &'static str;
+    /// The command's USAGE line(s) for `--help`.
+    fn usage(&self) -> String;
+    /// Reads the rest of `argv` after the command name; global flags go
+    /// to `obs`.
+    fn read(&self, argv: &mut Iter<'_, String>, obs: &mut ObsArgs) -> Result<ParseOutcome, String>;
+}
+
+impl<A> Subcommand for Spec<A> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// `    xtalk NAME POSITIONALS [--flag V] ...`, wrapped under the first
+    /// flag at 78 columns.
+    fn usage(&self) -> String {
+        let mut out = format!("    xtalk {}", self.name);
+        for p in self.positionals {
+            out.push(' ');
+            out.push_str(p);
+        }
+        let indent = out.len();
+        let mut width = indent;
+        for flag in self.flags {
+            let item = match flag.arity {
+                Arity::Switch(_) => format!("[{}]", flag.name),
+                Arity::Value(placeholder, _) => format!("[{} {placeholder}]", flag.name),
+            };
+            if width + 1 + item.len() > 78 {
+                out.push('\n');
+                out.push_str(&" ".repeat(indent));
+                width = indent;
+            }
+            out.push(' ');
+            out.push_str(&item);
+            width += 1 + item.len();
+        }
+        out
+    }
+
+    fn read(&self, argv: &mut Iter<'_, String>, obs: &mut ObsArgs) -> Result<ParseOutcome, String> {
+        let mut args = (self.init)();
+        let mut positionals = Vec::new();
+        while let Some(arg) = argv.next() {
+            if arg == "--help" || arg == "-h" {
+                return Ok(ParseOutcome::Help(help()));
+            }
+            if let Some(flag) = find(self.flags, arg) {
+                apply(flag, &mut args, argv)?;
+            } else if let Some(flag) = find(GLOBAL, arg) {
+                apply(flag, obs, argv)?;
+            } else if arg.starts_with('-') {
+                return Err(format!(
+                    "unknown flag {arg:?} for xtalk {}; try --help",
+                    self.name
+                ));
+            } else {
+                positionals.push(arg.clone());
+            }
+        }
+        match positionals.len().cmp(&self.positionals.len()) {
+            Ordering::Less => Err(format!(
+                "xtalk {} needs {}; try --help",
+                self.name,
+                self.positionals.join(" ")
+            )),
+            Ordering::Greater => Err(format!(
+                "unexpected argument {:?} for xtalk {}; try --help",
+                positionals[self.positionals.len()],
+                self.name
+            )),
+            Ordering::Equal => (self.finish)(args, positionals),
+        }
+    }
+}
+
+fn find<'t, A>(flags: &'t [Flag<A>], arg: &str) -> Option<&'t Flag<A>> {
+    flags.iter().find(|flag| flag.name == arg)
+}
+
+/// Runs `flag`'s setter on `target`, taking its value from `argv`.
+fn apply<A>(flag: &Flag<A>, target: &mut A, argv: &mut Iter<'_, String>) -> Result<(), String> {
+    match flag.arity {
+        Arity::Switch(set) => {
+            set(target);
+            Ok(())
+        }
+        Arity::Value(_, set) => {
+            let value = argv
+                .next()
+                .ok_or_else(|| format!("{} needs a value", flag.name))?;
+            set(target, value).map_err(|e| format!("{} {e}", flag.name))
+        }
+    }
+}
+
+/// `info`, `noise`, `delay` and `reduce`: one deck path, then the
+/// `--slew` cross-check.
+fn deck_command(mut inv: Invocation, mut positionals: Vec<String>) -> Result<ParseOutcome, String> {
+    inv.deck_path = positionals.pop().unwrap_or_default();
+    check_slew(inv.slew, inv.shape)?;
+    Ok(ParseOutcome::Run(inv))
+}
+
+/// `sweep`, `lambda` and `delay-table` defaults: `SweepConfig`'s seed and
+/// corner fraction.
+fn sweep_args(cases: usize) -> SweepCmdArgs {
+    let config = SweepConfig::default();
+    SweepCmdArgs {
+        cases,
+        seed: config.seed,
+        corners: config.corner_fraction,
+        jobs: Jobs::Auto,
+        family: SweepFamily::default(),
+    }
+}
+
+// The flag tables, one row per flag; `--help` lists the rows in order.
+
+const INFO: Spec<Invocation> = Spec {
+    name: "info",
+    positionals: DECK,
+    flags: &[],
+    init: || Invocation::new(Command::Info),
+    finish: deck_command,
+};
+
+#[rustfmt::skip]
+const NOISE: Spec<Invocation> = Spec {
+    name: "noise",
+    positionals: DECK,
+    flags: &[
+        Flag::value("--slew", "T", |a, v| time(v).map(|t| a.slew = t)),
+        Flag::value("--arrival", "T", |a, v| time(v).map(|t| a.arrival = t)),
+        Flag::value("--shape", SHAPES, |a, v| choice(v, Shape::parse, SHAPES).map(|s| a.shape = s)),
+        Flag::value("--metric", METRICS,
+            |a, v| choice(v, MetricArg::parse, METRICS).map(|m| a.metric = m)),
+        Flag::switch("--golden", |a| a.golden = true),
+        Flag::value("--threshold", "V", |a, v| positive(v).map(|t| a.threshold = Some(t))),
+        Flag::value("--aggressor", "NAME", |a, v| text(v).map(|s| a.aggressor = Some(s))),
+        Flag::switch("--strict", |a| a.strict = true),
+        Flag::value("--jobs", JOBS, |a, v| jobs(v).map(|j| a.jobs = j)),
+    ],
+    init: || Invocation::new(Command::Noise),
+    finish: deck_command,
+};
+
+#[rustfmt::skip]
+const DELAY: Spec<Invocation> = Spec {
+    name: "delay",
+    positionals: DECK,
+    flags: &[
+        Flag::value("--delay-metric", DELAY_METRICS,
+            |a, v| choice(v, DelayMetricArg::parse, DELAY_METRICS).map(|m| a.delay_metric = m)),
+    ],
+    init: || Invocation::new(Command::Delay),
+    finish: deck_command,
+};
+
+#[rustfmt::skip]
+const REDUCE: Spec<Invocation> = Spec {
+    name: "reduce",
+    positionals: DECK,
+    flags: &[Flag::value("--tau", "T", |a, v| time(v).map(|t| a.reduce_tau = Some(t)))],
+    init: || Invocation::new(Command::Reduce),
+    finish: deck_command,
+};
+
+#[rustfmt::skip]
+const AUDIT: Spec<AuditArgs> = Spec {
+    name: "audit",
+    positionals: &[],
+    flags: &[
+        Flag::value("--cases", "N", |a, v| count(v, 1).map(|n| a.cases = n)),
+        Flag::value("--seed", "S", |a, v| seed(v).map(|s| a.seed = s)),
+        Flag::value("--jobs", JOBS, |a, v| jobs(v).map(|j| a.jobs = j)),
+        Flag::value("--json", "PATH", |a, v| text(v).map(|s| a.json = Some(s))),
+    ],
+    init: || AuditArgs { cases: 48, seed: 1, ..Default::default() },
+    finish: |a, _| Ok(ParseOutcome::Audit(a)),
+};
+
+// Rows shared by the `sweep`, `lambda` and `delay-table` tables.
+const CASES: Flag<SweepCmdArgs> =
+    Flag::value("--cases", "N", |a, v| count(v, 1).map(|n| a.cases = n));
+const SEED: Flag<SweepCmdArgs> = Flag::value("--seed", "S", |a, v| seed(v).map(|s| a.seed = s));
+const CORNERS: Flag<SweepCmdArgs> =
+    Flag::value("--corners", "F", |a, v| fraction(v).map(|f| a.corners = f));
+const SWEEP_JOBS: Flag<SweepCmdArgs> =
+    Flag::value("--jobs", JOBS, |a, v| jobs(v).map(|j| a.jobs = j));
+
+#[rustfmt::skip]
+const SWEEP: Spec<SweepCmdArgs> = Spec {
+    name: "sweep",
+    positionals: &[],
+    flags: &[
+        CASES,
+        SEED,
+        CORNERS,
+        Flag::value("--family", FAMILIES,
+            |a, v| choice(v, SweepFamily::parse, FAMILIES).map(|f| a.family = f)),
+        SWEEP_JOBS,
+    ],
+    init: || sweep_args(48),
+    finish: |a, _| Ok(ParseOutcome::Sweep(a)),
+};
+
+#[rustfmt::skip]
+const SERVE: Spec<ServeArgs> = Spec {
+    name: "serve",
+    positionals: &[],
+    flags: &[
+        Flag::switch("--stdio", |a| a.transport = Transport::Stdio),
+        Flag::value("--tcp", "ADDR", |a, v| text(v).map(|s| a.transport = Transport::Tcp(s))),
+        Flag::value("--unix", "PATH", |a, v| text(v).map(|s| a.transport = Transport::Unix(s))),
+        Flag::value("--jobs", JOBS, |a, v| jobs(v).map(|j| a.jobs = j)),
+        Flag::value("--queue-capacity", "N", |a, v| count(v, 1).map(|n| a.queue_capacity = n)),
+        Flag::value("--max-request-bytes", "N",
+            |a, v| count(v, 64).map(|n| a.max_request_bytes = n)),
+        Flag::value("--deadline-ms", "MS", |a, v| positive(v).map(|ms| a.deadline_ms = Some(ms))),
+        Flag::switch("--test-faults", |a| a.test_faults = true),
+        Flag::value("--events-out", "PATH", |a, v| text(v).map(|s| a.events_out = Some(s))),
+    ],
+    init: || ServeArgs { queue_capacity: 64, max_request_bytes: 4 << 20, ..Default::default() },
+    finish: |a, _| Ok(ParseOutcome::Serve(a)),
+};
+
+#[rustfmt::skip]
+const SCREEN: Spec<ScreenCmdArgs> = Spec {
+    name: "screen",
+    positionals: DECK,
+    flags: &[
+        Flag::value("--slew", "T", |a, v| time(v).map(|t| a.slew = t)),
+        Flag::value("--arrival", "T", |a, v| time(v).map(|t| a.arrival = t)),
+        Flag::value("--shape", SHAPES, |a, v| choice(v, Shape::parse, SHAPES).map(|s| a.shape = s)),
+        Flag::value("--threshold", "V", |a, v| positive(v).map(|t| a.threshold = t)),
+        Flag::value("--escalate-ratio", "R", |a, v| positive(v).map(|r| a.escalate_ratio = r)),
+        Flag::switch("--no-escalate", |a| a.no_escalate = true),
+        Flag::switch("--strict", |a| a.strict = true),
+        Flag::value("--jobs", JOBS, |a, v| jobs(v).map(|j| a.jobs = j)),
+        Flag::value("--json", "PATH", |a, v| text(v).map(|s| a.json = Some(s))),
+    ],
+    init: || ScreenCmdArgs {
+        slew: 100e-12, threshold: 0.1, escalate_ratio: 0.8, ..Default::default()
+    },
+    finish: |mut a, mut positionals| {
+        a.deck_path = positionals.pop().unwrap_or_default();
+        check_slew(a.slew, a.shape)?;
+        Ok(ParseOutcome::Screen(a))
+    },
+};
+
+#[rustfmt::skip]
+const TOP: Spec<TopArgs> = Spec {
+    name: "top",
+    positionals: &[],
+    flags: &[
+        Flag::value("--tcp", "ADDR", |a, v| text(v).map(|s| a.transport = Transport::Tcp(s))),
+        Flag::value("--unix", "PATH", |a, v| text(v).map(|s| a.transport = Transport::Unix(s))),
+        Flag::value("--interval", "MS", |a, v| count(v, 1).map(|ms| a.interval_ms = ms as u64)),
+        Flag::switch("--once", |a| a.once = true),
+    ],
+    // Stdio stands for "no address yet"; `top` cannot attach to it.
+    init: || TopArgs { interval_ms: 1000, ..Default::default() },
+    finish: |a, _| {
+        if a.transport == Transport::Stdio {
+            return Err("xtalk top needs a daemon address: --tcp ADDR or --unix PATH".into());
+        }
+        Ok(ParseOutcome::Top(a))
+    },
+};
+
+#[rustfmt::skip]
+const BENCH_DIFF: Spec<BenchDiffArgs> = Spec {
+    name: "bench-diff",
+    positionals: &["<old.json>", "<new.json>"],
+    flags: &[
+        Flag::value("--max-regress-pct", "P",
+            |a, v| non_negative(v).map(|p| a.max_regress_pct = p)),
+        Flag::value("--fields", "SUBSTR[,SUBSTR...]", |a, v| {
+            a.fields.extend(v.split(',').filter(|s| !s.is_empty()).map(str::to_string));
+            Ok(())
+        }),
+    ],
+    init: || BenchDiffArgs { max_regress_pct: 10.0, ..Default::default() },
+    finish: |mut a, mut positionals| {
+        a.new_path = positionals.pop().unwrap_or_default();
+        a.old_path = positionals.pop().unwrap_or_default();
+        Ok(ParseOutcome::BenchDiff(a))
+    },
+};
+
+#[rustfmt::skip]
+const OPTIMIZE: Spec<OptimizeArgs> = Spec {
+    name: "optimize",
+    positionals: &[],
+    flags: &[
+        Flag::value("--lanes", "N", |a, v| count(v, 2).map(|n| a.lanes = n)),
+        Flag::value("--iters", "N", |a, v| count(v, 1).map(|n| a.iters = n)),
+        Flag::value("--slew", "T", |a, v| time(v).map(|t| a.slew = t)),
+        Flag::value("--jobs", JOBS, |a, v| jobs(v).map(|j| a.jobs = j)),
+        Flag::value("--json", "PATH", |a, v| text(v).map(|s| a.json = Some(s))),
+    ],
+    init: || OptimizeArgs { lanes: 16, iters: 20, slew: 100e-12, ..Default::default() },
+    // The optimizer drives ramps, so its slew must be positive.
+    finish: |a, _| {
+        check_slew(a.slew, Shape::Ramp)?;
+        Ok(ParseOutcome::Optimize(a))
+    },
+};
+
+#[rustfmt::skip]
+const FIGURE5: Spec<usize> = Spec {
+    name: "figure5",
+    positionals: &[],
+    flags: &[Flag::value("--points", "N", |points, v| count(v, 2).map(|n| *points = n))],
+    init: || 10,
+    finish: |points, _| Ok(ParseOutcome::Figure5(points)),
+};
+
+const LAMBDA: Spec<SweepCmdArgs> = Spec {
+    name: "lambda",
+    positionals: &[],
+    flags: &[CASES, SEED, CORNERS, SWEEP_JOBS],
+    init: || sweep_args(EVAL_CASES),
+    finish: |mut a, _| {
+        a.cases = a.cases.min(EVAL_CASES);
+        Ok(ParseOutcome::Lambda(a))
+    },
+};
+
+const DELAY_TABLE: Spec<SweepCmdArgs> = Spec {
+    name: "delay-table",
+    positionals: &[],
+    flags: &[CASES, SEED, CORNERS],
+    init: || sweep_args(EVAL_CASES),
+    finish: |mut a, _| {
+        a.cases = a.cases.min(EVAL_CASES);
+        Ok(ParseOutcome::DelayTable(a))
+    },
+};
+
+#[rustfmt::skip]
+const PEXGEN: Spec<PexgenArgs> = Spec {
+    name: "pexgen",
+    positionals: &[],
+    flags: &[
+        Flag::value("--buses", "N", |a, v| count(v, 1).map(|n| a.spec.buses = n)),
+        Flag::value("--bits", "N", |a, v| count(v, 1).map(|n| a.spec.bits = n)),
+        Flag::value("--segments", "N", |a, v| count(v, 1).map(|n| a.spec.segments = n)),
+        Flag::value("--weak-every", "N", |a, v| count(v, 0).map(|n| a.spec.weak_every = n)),
+        Flag::switch("--fold", |a| a.spec.fold_cards = true),
+        Flag::switch("--benign", |a| a.spec.benign_directives = true),
+        Flag::value("--out", "PATH", |a, v| text(v).map(|s| a.out = Some(s))),
+    ],
+    init: || PexgenArgs { spec: PexDeckSpec::new(8, 16, 4), out: None },
+    finish: |mut a, _| {
+        a.spec.victim = (0, a.spec.bits / 2);
+        Ok(ParseOutcome::Pexgen(a))
+    },
+};
+
+/// Every command, in `--help` order.
+#[rustfmt::skip]
+const COMMANDS: &[&dyn Subcommand] = &[
+    &INFO, &NOISE, &DELAY, &REDUCE, &AUDIT, &SWEEP, &SERVE, &SCREEN, &TOP, &BENCH_DIFF, &OPTIMIZE,
+    &FIGURE5, &LAMBDA, &DELAY_TABLE, &PEXGEN,
+];
+
+/// Parses `argv` (program name excluded), returning the command outcome
+/// plus the global flags (which any command accepts anywhere on the
+/// line, before its name too).
+///
+/// # Errors
+///
+/// Returns a user-readable message for unknown commands/flags or
+/// malformed values.
+pub fn parse(argv: &[String]) -> Result<(ParseOutcome, ObsArgs), Box<dyn Error>> {
+    let mut obs = ObsArgs::default();
+    let mut argv = argv.iter();
+    let outcome = loop {
+        let Some(arg) = argv.next() else {
+            break ParseOutcome::Help(help());
+        };
+        if let Some(flag) = find(GLOBAL, arg) {
+            apply(flag, &mut obs, &mut argv)?;
+            continue;
+        }
+        if matches!(arg.as_str(), "--help" | "-h" | "help") {
+            break ParseOutcome::Help(help());
+        }
+        let command = COMMANDS
+            .iter()
+            .find(|command| command.name() == arg)
+            .ok_or_else(|| format!("unknown command {arg:?}; try --help"))?;
+        break command.read(&mut argv, &mut obs)?;
+    };
+    Ok((outcome, obs))
+}
+
+/// `xtalk --help`: the USAGE lines from the flag tables, then the prose.
+fn help() -> String {
+    let mut out =
+        String::from("xtalk — closed-form crosstalk noise and delay analysis\n\nUSAGE:\n");
+    for command in COMMANDS {
+        out.push_str(&command.usage());
+        out.push('\n');
+    }
+    out.push('\n');
+    out.push_str(HELP_PROSE);
+    out
+}
+
+const HELP_PROSE: &str = "\
 The deck must use the subset written by xtalk's SPICE exporter (element
 cards R/C/CC/CL/RDRV plus `*!` net-role directives). Times accept SPICE
 suffixes (100p, 0.1n); defaults: --slew 100p, --arrival 0, ramp inputs,
@@ -357,8 +984,22 @@ bytes for every --jobs value). Deep runs use --cases 500.
 `xtalk sweep` generates randomized coupled cases (--cases, default 48;
 --seed; --corners corner fraction, default 0.2; --family far|near|tree|all,
 default far), runs the fallback-chain degradation scan and the golden
-evaluation, and prints accuracy tables. It exits with code 2 when any
-case needed a fallback metric.
+evaluation, and prints accuracy tables: far, near and tree are the
+paper's Tables 1, 2 and 3 (--cases 1000 or more for stable extremes).
+Each table ends with metric II's Vp error range and whether it stays
+conservative (no error below -5%). It exits with code 2 when any case
+needed a fallback metric.
+
+`xtalk figure5` regenerates the paper's Figure 5, peak noise against
+coupling location (--points, default 10), as a table and an ASCII plot.
+`xtalk lambda` sweeps metric II's shape factor around the eq.-7 default
+over near-end cases, and `xtalk delay-table` scores the three delay
+metrics against co-switching simulation (both: --cases, default and cap
+300; --seed; --corners). `xtalk pexgen` writes a PEX-shaped bus-array
+deck to --out PATH or stdout: --buses x --bits lanes (default 8 x 16)
+of --segments segments (default 4), every --weak-every-th lane driven
+weak (default 16, 0 for none); --fold splits coupling cards with `+`
+continuation lines and --benign adds .GLOBAL/.TEMP/.SUBCKT front matter.
 
 `xtalk serve` runs a resident analysis daemon speaking newline-delimited
 JSON (one request object per line in, one reply per line out, replies in
@@ -428,7 +1069,7 @@ Exit codes (all commands):
     3  audit invariant violations found
     4  fatal server error (xtalk serve could not start its transport)
 
-Observability (accepted by every command):
+Global flags (accepted by every command):
     --metrics-out PATH  write the metrics snapshot as deterministic JSON
                         (byte-identical for every --jobs value)
     --trace-out PATH    write the span timeline as Chrome-trace JSON
@@ -452,503 +1093,6 @@ Observability (accepted by every command):
                         wall times, fast-tier hit/fallback counters,
                         adaptive step savings (not byte-stable)
 ";
-
-/// Parses `argv` (program name excluded), returning the command outcome
-/// plus the observability switches (which any command accepts anywhere
-/// on the line).
-///
-/// # Errors
-///
-/// Returns a user-readable message for unknown commands/flags or
-/// malformed values.
-pub fn parse(argv: &[String]) -> Result<(ParseOutcome, ObsArgs), Box<dyn Error>> {
-    let (rest, obs) = extract_obs(argv)?;
-    Ok((parse_command(&rest)?, obs))
-}
-
-/// Pre-pass: strips the observability flags out of `argv` so the
-/// per-command parsers never see them.
-fn extract_obs(argv: &[String]) -> Result<(Vec<String>, ObsArgs), Box<dyn Error>> {
-    let mut obs = ObsArgs::default();
-    let mut rest = Vec::with_capacity(argv.len());
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || -> Result<String, Box<dyn Error>> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{arg} needs a value").into())
-        };
-        match arg.as_str() {
-            "--metrics-out" => obs.metrics_out = Some(value()?),
-            "--trace-out" => obs.trace_out = Some(value()?),
-            "--stats" => obs.stats = true,
-            "--quiet" => obs.quiet = true,
-            "--solver" => {
-                let v = value()?;
-                obs.solver = Some(
-                    SolverKind::parse(&v)
-                        .ok_or_else(|| format!("unknown solver {v:?}; expected auto|dense|sparse"))?,
-                );
-            }
-            "--sim" => {
-                let v = value()?;
-                obs.sim = Some(
-                    SimMode::parse(&v)
-                        .ok_or_else(|| format!("unknown sim mode {v:?}; expected fixed|adaptive"))?,
-                );
-            }
-            "--fast-tier" => {
-                let v = value()?;
-                obs.fast_tier = Some(
-                    FastTier::parse(&v)
-                        .ok_or_else(|| format!("unknown fast tier {v:?}; expected off|on|auto"))?,
-                );
-            }
-            "--metrics-full-out" => obs.metrics_full_out = Some(value()?),
-            _ => rest.push(arg.clone()),
-        }
-    }
-    Ok((rest, obs))
-}
-
-fn parse_command(argv: &[String]) -> Result<ParseOutcome, Box<dyn Error>> {
-    let mut it = argv.iter().peekable();
-    let command = match it.next().map(String::as_str) {
-        None | Some("--help") | Some("-h") | Some("help") => {
-            return Ok(ParseOutcome::Help(HELP.to_string()))
-        }
-        Some("info") => Command::Info,
-        Some("noise") => Command::Noise,
-        Some("delay") => Command::Delay,
-        Some("reduce") => Command::Reduce,
-        Some("audit") => return parse_audit(it),
-        Some("sweep") => return parse_sweep(it),
-        Some("serve") => return parse_serve(it),
-        Some("screen") => return parse_screen(it),
-        Some("top") => return parse_top(it),
-        Some("bench-diff") => return parse_bench_diff(it),
-        Some("optimize") => return parse_optimize(it),
-        Some(other) => return Err(format!("unknown command {other:?}; try --help").into()),
-    };
-    let deck_path = it
-        .next()
-        .ok_or("missing deck path; try --help")?
-        .to_string();
-
-    let mut inv = Invocation {
-        command,
-        deck_path,
-        slew: 100e-12,
-        arrival: 0.0,
-        shape: Shape::default(),
-        metric: MetricArg::default(),
-        delay_metric: DelayMetricArg::default(),
-        golden: false,
-        threshold: None,
-        reduce_tau: None,
-        aggressor: None,
-        strict: false,
-        jobs: Jobs::Auto,
-    };
-
-    while let Some(flag) = it.next() {
-        let mut value = || -> Result<&String, Box<dyn Error>> {
-            it.next().ok_or_else(|| format!("{flag} needs a value").into())
-        };
-        match flag.as_str() {
-            "--slew" => {
-                inv.slew = parse_si_value(value()?)
-                    .ok_or_else(|| "bad --slew value".to_string())?;
-            }
-            "--arrival" => {
-                inv.arrival = parse_si_value(value()?)
-                    .ok_or_else(|| "bad --arrival value".to_string())?;
-            }
-            "--shape" => {
-                inv.shape = parse_shape(value()?)?;
-            }
-            "--metric" => {
-                inv.metric = match value()?.as_str() {
-                    "one" | "1" | "I" => MetricArg::One,
-                    "two" | "2" | "II" => MetricArg::Two,
-                    "closed" => MetricArg::Closed,
-                    other => return Err(format!("unknown metric {other:?}").into()),
-                };
-            }
-            "--delay-metric" => {
-                inv.delay_metric = match value()?.as_str() {
-                    "elmore" => DelayMetricArg::Elmore,
-                    "d2m" => DelayMetricArg::D2m,
-                    "two-pole" => DelayMetricArg::TwoPole,
-                    other => return Err(format!("unknown delay metric {other:?}").into()),
-                };
-            }
-            "--golden" => inv.golden = true,
-            "--strict" => inv.strict = true,
-            "--jobs" => inv.jobs = Jobs::parse(value()?)?,
-            "--aggressor" => inv.aggressor = Some(value()?.to_string()),
-            "--tau" => {
-                inv.reduce_tau = Some(
-                    parse_si_value(value()?).ok_or_else(|| "bad --tau value".to_string())?,
-                );
-            }
-            "--threshold" => {
-                inv.threshold = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| "bad --threshold value".to_string())?,
-                );
-            }
-            "--help" | "-h" => return Ok(ParseOutcome::Help(HELP.to_string())),
-            other => return Err(format!("unknown flag {other:?}; try --help").into()),
-        }
-    }
-    if !(inv.slew.is_finite() && inv.slew > 0.0) && inv.shape != Shape::Step {
-        return Err("--slew must be positive".into());
-    }
-    Ok(ParseOutcome::Run(inv))
-}
-
-fn parse_audit(
-    mut it: std::iter::Peekable<std::slice::Iter<'_, String>>,
-) -> Result<ParseOutcome, Box<dyn Error>> {
-    let mut audit = AuditArgs {
-        cases: 48,
-        seed: 1,
-        jobs: Jobs::Auto,
-        json: None,
-    };
-    while let Some(flag) = it.next() {
-        let mut value = || -> Result<&String, Box<dyn Error>> {
-            it.next().ok_or_else(|| format!("{flag} needs a value").into())
-        };
-        match flag.as_str() {
-            "--cases" => {
-                audit.cases = value()?
-                    .parse()
-                    .map_err(|_| "bad --cases value".to_string())?;
-                if audit.cases == 0 {
-                    return Err("--cases must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                audit.seed = value()?
-                    .parse()
-                    .map_err(|_| "bad --seed value".to_string())?;
-            }
-            "--jobs" => audit.jobs = Jobs::parse(value()?)?,
-            "--json" => audit.json = Some(value()?.to_string()),
-            "--help" | "-h" => return Ok(ParseOutcome::Help(HELP.to_string())),
-            other => return Err(format!("unknown flag {other:?}; try --help").into()),
-        }
-    }
-    Ok(ParseOutcome::Audit(audit))
-}
-
-fn parse_sweep(
-    mut it: std::iter::Peekable<std::slice::Iter<'_, String>>,
-) -> Result<ParseOutcome, Box<dyn Error>> {
-    let mut sweep = SweepCmdArgs {
-        cases: 48,
-        seed: 0x2002_da7e,
-        corners: 0.2,
-        jobs: Jobs::Auto,
-        family: SweepFamily::default(),
-    };
-    while let Some(flag) = it.next() {
-        let mut value = || -> Result<&String, Box<dyn Error>> {
-            it.next().ok_or_else(|| format!("{flag} needs a value").into())
-        };
-        match flag.as_str() {
-            "--cases" => {
-                sweep.cases = value()?
-                    .parse()
-                    .map_err(|_| "bad --cases value".to_string())?;
-                if sweep.cases == 0 {
-                    return Err("--cases must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                sweep.seed = value()?
-                    .parse()
-                    .map_err(|_| "bad --seed value".to_string())?;
-            }
-            "--corners" => {
-                sweep.corners = value()?
-                    .parse()
-                    .map_err(|_| "bad --corners value".to_string())?;
-                if !(0.0..=1.0).contains(&sweep.corners) {
-                    return Err("--corners must be a fraction in [0, 1]".into());
-                }
-            }
-            "--family" => {
-                sweep.family = match value()?.as_str() {
-                    "far" => SweepFamily::Far,
-                    "near" => SweepFamily::Near,
-                    "tree" => SweepFamily::Tree,
-                    "all" => SweepFamily::All,
-                    other => return Err(format!("unknown sweep family {other:?}").into()),
-                };
-            }
-            "--jobs" => sweep.jobs = Jobs::parse(value()?)?,
-            "--help" | "-h" => return Ok(ParseOutcome::Help(HELP.to_string())),
-            other => return Err(format!("unknown flag {other:?}; try --help").into()),
-        }
-    }
-    Ok(ParseOutcome::Sweep(sweep))
-}
-
-/// `--shape ramp|exp|step`.
-fn parse_shape(name: &str) -> Result<Shape, Box<dyn Error>> {
-    Shape::parse(name).ok_or_else(|| format!("unknown shape {name:?}").into())
-}
-
-fn parse_screen(
-    mut it: std::iter::Peekable<std::slice::Iter<'_, String>>,
-) -> Result<ParseOutcome, Box<dyn Error>> {
-    let mut screen = ScreenCmdArgs {
-        deck_path: it
-            .next()
-            .ok_or("missing deck path; try --help")?
-            .to_string(),
-        slew: 100e-12,
-        arrival: 0.0,
-        shape: Shape::default(),
-        threshold: 0.1,
-        escalate_ratio: 0.8,
-        no_escalate: false,
-        strict: false,
-        jobs: Jobs::Auto,
-        json: None,
-    };
-    while let Some(flag) = it.next() {
-        let mut value = || -> Result<&String, Box<dyn Error>> {
-            it.next().ok_or_else(|| format!("{flag} needs a value").into())
-        };
-        match flag.as_str() {
-            "--slew" => {
-                screen.slew = parse_si_value(value()?)
-                    .ok_or_else(|| "bad --slew value".to_string())?;
-            }
-            "--arrival" => {
-                screen.arrival = parse_si_value(value()?)
-                    .ok_or_else(|| "bad --arrival value".to_string())?;
-            }
-            "--shape" => {
-                screen.shape = parse_shape(value()?)?;
-            }
-            "--threshold" => {
-                screen.threshold = value()?
-                    .parse()
-                    .map_err(|_| "bad --threshold value".to_string())?;
-                if !(screen.threshold.is_finite() && screen.threshold > 0.0) {
-                    return Err("--threshold must be positive".into());
-                }
-            }
-            "--escalate-ratio" => {
-                screen.escalate_ratio = value()?
-                    .parse()
-                    .map_err(|_| "bad --escalate-ratio value".to_string())?;
-                if !(screen.escalate_ratio.is_finite() && screen.escalate_ratio > 0.0) {
-                    return Err("--escalate-ratio must be positive".into());
-                }
-            }
-            "--no-escalate" => screen.no_escalate = true,
-            "--strict" => screen.strict = true,
-            "--jobs" => screen.jobs = Jobs::parse(value()?)?,
-            "--json" => screen.json = Some(value()?.to_string()),
-            "--help" | "-h" => return Ok(ParseOutcome::Help(HELP.to_string())),
-            other => return Err(format!("unknown flag {other:?}; try --help").into()),
-        }
-    }
-    if !(screen.slew.is_finite() && screen.slew > 0.0) && screen.shape != Shape::Step {
-        return Err("--slew must be positive".into());
-    }
-    Ok(ParseOutcome::Screen(screen))
-}
-
-fn parse_serve(
-    mut it: std::iter::Peekable<std::slice::Iter<'_, String>>,
-) -> Result<ParseOutcome, Box<dyn Error>> {
-    let mut serve = ServeArgs {
-        transport: Transport::Stdio,
-        queue_capacity: 64,
-        max_request_bytes: 4 << 20,
-        deadline_ms: None,
-        test_faults: false,
-        jobs: Jobs::Auto,
-        events_out: None,
-    };
-    while let Some(flag) = it.next() {
-        let mut value = || -> Result<&String, Box<dyn Error>> {
-            it.next().ok_or_else(|| format!("{flag} needs a value").into())
-        };
-        match flag.as_str() {
-            "--stdio" => serve.transport = Transport::Stdio,
-            "--tcp" => serve.transport = Transport::Tcp(value()?.to_string()),
-            "--unix" => serve.transport = Transport::Unix(value()?.to_string()),
-            "--queue-capacity" => {
-                serve.queue_capacity = value()?
-                    .parse()
-                    .map_err(|_| "bad --queue-capacity value".to_string())?;
-                if serve.queue_capacity == 0 {
-                    return Err("--queue-capacity must be at least 1".into());
-                }
-            }
-            "--max-request-bytes" => {
-                serve.max_request_bytes = value()?
-                    .parse()
-                    .map_err(|_| "bad --max-request-bytes value".to_string())?;
-                if serve.max_request_bytes < 64 {
-                    return Err("--max-request-bytes must be at least 64".into());
-                }
-            }
-            "--deadline-ms" => {
-                let ms: f64 = value()?
-                    .parse()
-                    .map_err(|_| "bad --deadline-ms value".to_string())?;
-                if !(ms.is_finite() && ms > 0.0) {
-                    return Err("--deadline-ms must be positive".into());
-                }
-                serve.deadline_ms = Some(ms);
-            }
-            "--test-faults" => serve.test_faults = true,
-            "--jobs" => serve.jobs = Jobs::parse(value()?)?,
-            "--events-out" => serve.events_out = Some(value()?.to_string()),
-            "--help" | "-h" => return Ok(ParseOutcome::Help(HELP.to_string())),
-            other => return Err(format!("unknown flag {other:?}; try --help").into()),
-        }
-    }
-    Ok(ParseOutcome::Serve(serve))
-}
-
-fn parse_top(
-    mut it: std::iter::Peekable<std::slice::Iter<'_, String>>,
-) -> Result<ParseOutcome, Box<dyn Error>> {
-    let mut transport = None;
-    let mut top = TopArgs {
-        transport: Transport::Stdio, // replaced below; stdio is rejected
-        interval_ms: 1000,
-        once: false,
-    };
-    while let Some(flag) = it.next() {
-        let mut value = || -> Result<&String, Box<dyn Error>> {
-            it.next().ok_or_else(|| format!("{flag} needs a value").into())
-        };
-        match flag.as_str() {
-            "--tcp" => transport = Some(Transport::Tcp(value()?.to_string())),
-            "--unix" => transport = Some(Transport::Unix(value()?.to_string())),
-            "--interval" => {
-                top.interval_ms = value()?
-                    .parse()
-                    .map_err(|_| "bad --interval value".to_string())?;
-                if top.interval_ms == 0 {
-                    return Err("--interval must be at least 1 (ms)".into());
-                }
-            }
-            "--once" => top.once = true,
-            "--help" | "-h" => return Ok(ParseOutcome::Help(HELP.to_string())),
-            other => return Err(format!("unknown flag {other:?}; try --help").into()),
-        }
-    }
-    top.transport =
-        transport.ok_or("xtalk top needs a daemon address: --tcp ADDR or --unix PATH")?;
-    Ok(ParseOutcome::Top(top))
-}
-
-fn parse_bench_diff(
-    mut it: std::iter::Peekable<std::slice::Iter<'_, String>>,
-) -> Result<ParseOutcome, Box<dyn Error>> {
-    let mut paths = Vec::new();
-    let mut diff = BenchDiffArgs {
-        old_path: String::new(),
-        new_path: String::new(),
-        max_regress_pct: 10.0,
-        fields: Vec::new(),
-    };
-    while let Some(arg) = it.next() {
-        let mut value = || -> Result<&String, Box<dyn Error>> {
-            it.next().ok_or_else(|| format!("{arg} needs a value").into())
-        };
-        match arg.as_str() {
-            "--max-regress-pct" => {
-                diff.max_regress_pct = value()?
-                    .parse()
-                    .map_err(|_| "bad --max-regress-pct value".to_string())?;
-                if !(diff.max_regress_pct.is_finite() && diff.max_regress_pct >= 0.0) {
-                    return Err("--max-regress-pct must be a non-negative percent".into());
-                }
-            }
-            "--fields" => {
-                diff.fields.extend(
-                    value()?
-                        .split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string),
-                );
-            }
-            "--help" | "-h" => return Ok(ParseOutcome::Help(HELP.to_string())),
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag {flag:?}; try --help").into())
-            }
-            path => paths.push(path.to_string()),
-        }
-    }
-    if paths.len() != 2 {
-        return Err("bench-diff needs exactly two paths: <old.json> <new.json>".into());
-    }
-    diff.new_path = paths.pop().unwrap_or_default();
-    diff.old_path = paths.pop().unwrap_or_default();
-    Ok(ParseOutcome::BenchDiff(diff))
-}
-
-fn parse_optimize(
-    mut it: std::iter::Peekable<std::slice::Iter<'_, String>>,
-) -> Result<ParseOutcome, Box<dyn Error>> {
-    let mut opt = OptimizeArgs {
-        lanes: 16,
-        iters: 20,
-        slew: 100e-12,
-        jobs: Jobs::Auto,
-        json: None,
-    };
-    while let Some(flag) = it.next() {
-        let mut value = || -> Result<&String, Box<dyn Error>> {
-            it.next().ok_or_else(|| format!("{flag} needs a value").into())
-        };
-        match flag.as_str() {
-            "--lanes" => {
-                opt.lanes = value()?
-                    .parse()
-                    .map_err(|_| "bad --lanes value".to_string())?;
-                if opt.lanes < 2 {
-                    return Err("--lanes must be at least 2 (need a coupled pair)".into());
-                }
-            }
-            "--iters" => {
-                opt.iters = value()?
-                    .parse()
-                    .map_err(|_| "bad --iters value".to_string())?;
-                if opt.iters == 0 {
-                    return Err("--iters must be at least 1".into());
-                }
-            }
-            "--slew" => {
-                opt.slew = parse_si_value(value()?)
-                    .ok_or_else(|| "bad --slew value".to_string())?;
-                if !(opt.slew.is_finite() && opt.slew > 0.0) {
-                    return Err("--slew must be positive".into());
-                }
-            }
-            "--jobs" => opt.jobs = Jobs::parse(value()?)?,
-            "--json" => opt.json = Some(value()?.to_string()),
-            "--help" | "-h" => return Ok(ParseOutcome::Help(HELP.to_string())),
-            other => return Err(format!("unknown flag {other:?}; try --help").into()),
-        }
-    }
-    Ok(ParseOutcome::Optimize(opt))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1368,5 +1512,158 @@ mod tests {
         assert!(parse_outcome(&["noise"]).is_err());
         assert!(parse_outcome(&["noise", "d.sp", "--slew", "fast"]).is_err());
         assert!(parse_outcome(&["noise", "d.sp", "--wat"]).is_err());
+    }
+
+    fn parse_err(args: &[&str]) -> String {
+        match parse_outcome(args) {
+            Ok((outcome, _)) => panic!("{args:?} parsed as {outcome:?}"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn tau_and_threshold_are_validated() {
+        // `reduce_quick_nodes` asserts a finite, non-negative threshold.
+        for bad in ["-1", "1e400", "nan", "inf", "fast"] {
+            let err = parse_err(&["reduce", "d.sp", "--tau", bad]);
+            assert!(err.contains("--tau"), "{err}");
+        }
+        assert_eq!(
+            parse_ok(&["reduce", "d.sp", "--tau", "0"]).reduce_tau,
+            Some(0.0)
+        );
+        let tau = parse_ok(&["reduce", "d.sp", "--tau", "1p"])
+            .reduce_tau
+            .unwrap();
+        assert!((tau - 1e-12).abs() < 1e-24);
+        // A negative budget flags every aggressor, NaN and inf none.
+        for bad in ["-1", "0", "nan", "inf", "-inf"] {
+            let err = parse_err(&["noise", "d.sp", "--threshold", bad]);
+            assert!(err.contains("--threshold"), "{err}");
+        }
+        for bad in ["-1n", "nan", "1e400"] {
+            let err = parse_err(&["noise", "d.sp", "--arrival", bad]);
+            assert!(err.contains("--arrival"), "{err}");
+        }
+    }
+
+    #[test]
+    fn each_command_rejects_flags_it_never_reads() {
+        for (args, flag) in [
+            (&["delay", "d.sp", "--golden"][..], "--golden"),
+            (&["delay", "d.sp", "--jobs", "3"], "--jobs"),
+            (&["delay", "d.sp", "--strict"], "--strict"),
+            (&["delay", "d.sp", "--slew", "5n"], "--slew"),
+            (&["delay", "d.sp", "--metric", "elmore"], "--metric"),
+            (&["noise", "d.sp", "--tau", "1p"], "--tau"),
+            (
+                &["noise", "d.sp", "--delay-metric", "d2m"],
+                "--delay-metric",
+            ),
+            (&["info", "d.sp", "--strict"], "--strict"),
+            (&["reduce", "d.sp", "--shape", "exp"], "--shape"),
+            (&["audit", "--corners", "0.5"], "--corners"),
+            (&["delay-table", "--jobs", "2"], "--jobs"),
+            (&["figure5", "--cases", "4"], "--cases"),
+        ] {
+            let err = parse_err(args);
+            assert!(err.contains(&format!("unknown flag {flag:?}")), "{err}");
+        }
+        let inv = parse_ok(&["delay", "d.sp", "--delay-metric", "d2m"]);
+        assert_eq!(inv.delay_metric, DelayMetricArg::D2m);
+    }
+
+    #[test]
+    fn experiment_commands_parse_with_their_defaults_and_caps() {
+        let parsed = |args: &[&str]| parse_outcome(args).unwrap().0;
+        assert!(matches!(parsed(&["figure5"]), ParseOutcome::Figure5(10)));
+        assert!(matches!(
+            parsed(&["figure5", "--points", "2"]),
+            ParseOutcome::Figure5(2)
+        ));
+        for bad in ["0", "1", "x"] {
+            assert!(parse_err(&["figure5", "--points", bad]).contains("--points"));
+        }
+
+        let ParseOutcome::Lambda(lambda) = parsed(&["lambda"]) else {
+            panic!("lambda")
+        };
+        assert_eq!(lambda.cases, 300);
+        assert_eq!(lambda.seed, 0x2002_da7e);
+        assert!((lambda.corners - 0.2).abs() < 1e-12);
+        assert_eq!(lambda.jobs, Jobs::Auto);
+        let ParseOutcome::Lambda(lambda) = parsed(&["lambda", "--cases", "500", "--jobs", "2"])
+        else {
+            panic!("lambda")
+        };
+        assert_eq!(lambda.cases, 300, "capped");
+        assert_eq!(lambda.jobs, Jobs::Count(2));
+        let ParseOutcome::DelayTable(delay) = parsed(&["delay-table", "--cases", "24"]) else {
+            panic!("delay-table")
+        };
+        assert_eq!(delay.cases, 24);
+        for command in ["lambda", "delay-table", "sweep"] {
+            assert!(parse_err(&[command, "--cases", "0"]).contains("--cases"));
+            assert!(parse_err(&[command, "--corners", "7"]).contains("--corners"));
+        }
+
+        let ParseOutcome::Pexgen(pex) = parsed(&["pexgen"]) else {
+            panic!("pexgen")
+        };
+        assert_eq!(
+            (pex.spec.buses, pex.spec.bits, pex.spec.segments),
+            (8, 16, 4)
+        );
+        assert_eq!((pex.spec.weak_every, pex.spec.victim), (16, (0, 8)));
+        assert!(!pex.spec.fold_cards && !pex.spec.benign_directives && pex.out.is_none());
+        let ParseOutcome::Pexgen(pex) = parsed(&[
+            "pexgen",
+            "--buses",
+            "1",
+            "--bits",
+            "4",
+            "--segments",
+            "2",
+            "--weak-every",
+            "0",
+            "--fold",
+            "--benign",
+            "--out",
+            "d.sp",
+        ]) else {
+            panic!("pexgen")
+        };
+        assert_eq!(
+            (pex.spec.buses, pex.spec.bits, pex.spec.segments),
+            (1, 4, 2)
+        );
+        assert_eq!((pex.spec.weak_every, pex.spec.victim), (0, (0, 2)));
+        assert!(pex.spec.fold_cards && pex.spec.benign_directives);
+        assert_eq!(pex.out.as_deref(), Some("d.sp"));
+        for flag in ["--buses", "--bits", "--segments"] {
+            assert!(parse_err(&["pexgen", flag, "0"]).contains(flag));
+        }
+    }
+
+    #[test]
+    fn help_lists_every_command_and_global_flag() {
+        let help = help();
+        for command in COMMANDS {
+            assert!(
+                help.contains(&format!("    xtalk {} ", command.name())),
+                "{}",
+                command.name()
+            );
+        }
+        for flag in GLOBAL {
+            assert!(
+                help.contains(&format!("    {}", flag.name)),
+                "{}",
+                flag.name
+            );
+        }
+        let (_, obs) = parse_outcome(&["pexgen", "--quiet", "--metrics-out", "m.json"]).unwrap();
+        assert!(obs.quiet);
+        assert_eq!(obs.metrics_out.as_deref(), Some("m.json"));
     }
 }

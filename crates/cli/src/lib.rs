@@ -1,23 +1,13 @@
 //! Implementation of the `xtalk` command-line tool.
 //!
 //! The binary wraps the workspace's analysis stack for engineers holding a
-//! SPICE deck (in the subset `xtalk_circuit::spice` round-trips):
+//! SPICE deck (in the subset `xtalk_circuit::spice` round-trips), and
+//! regenerates the paper's evaluation (`sweep`, `figure5`, `lambda`,
+//! `delay-table`). `xtalk --help` lists every command with its flags;
+//! the lists are built from the flag tables the parser reads, so they
+//! cannot drift from what is accepted.
 //!
-//! ```text
-//! xtalk info  <deck.sp>                     # structure summary
-//! xtalk noise <deck.sp> [--slew 100p] [--shape ramp|exp|step]
-//!             [--metric one|two|closed] [--golden] [--threshold 0.1]
-//! xtalk delay <deck.sp> [--metric elmore|d2m|two-pole]
-//! xtalk reduce <deck.sp> [--tau T]        # reduced deck on stdout
-//! xtalk audit [--cases N] [--seed S] [--jobs N|auto] [--json PATH]
-//! xtalk sweep [--cases N] [--seed S] [--corners F] [--family FAM]
-//! xtalk serve [--tcp ADDR | --unix PATH] [--queue-capacity N]   # daemon
-//! xtalk screen <deck.sp> [--threshold 0.1] [--escalate-ratio 0.8]
-//!              [--no-escalate] [--strict] [--json PATH]   # full-chip screen
-//! xtalk optimize [--lanes N] [--iters N] [--json PATH]  # what-if demo loop
-//! ```
-//!
-//! Every command additionally accepts the observability switches
+//! Every command additionally accepts the global flags
 //! `--metrics-out PATH`, `--trace-out PATH`, `--stats` and `--quiet`
 //! (see [`xtalk_obs`]): metrics snapshots are deterministic JSON
 //! (byte-identical across `--jobs` values), traces are Chrome-trace JSON.
@@ -41,6 +31,7 @@
 #![warn(missing_docs)]
 
 mod args;
+mod eval_cmd;
 mod exit;
 mod optimize_cmd;
 mod report;
@@ -51,7 +42,8 @@ mod top_cmd;
 
 pub use args::{
     AuditArgs, BenchDiffArgs, Command, DelayMetricArg, MetricArg, ObsArgs, OptimizeArgs,
-    ParseOutcome, ScreenCmdArgs, ServeArgs, SweepCmdArgs, SweepFamily, TopArgs, Transport,
+    ParseOutcome, PexgenArgs, ScreenCmdArgs, ServeArgs, SweepCmdArgs, SweepFamily, TopArgs,
+    Transport,
 };
 pub use exit::{ExitCode, FatalServerError};
 pub use report::{delay_report, info_report, noise_report};
@@ -175,6 +167,10 @@ fn dispatch(outcome: ParseOutcome) -> Result<RunOutcome, Box<dyn Error>> {
             })
         }
         ParseOutcome::Sweep(sweep) => sweep::run_sweep(&sweep),
+        ParseOutcome::Figure5(points) => eval_cmd::run_figure5(points),
+        ParseOutcome::Lambda(args) => eval_cmd::run_lambda(&args),
+        ParseOutcome::DelayTable(args) => eval_cmd::run_delay_table(&args),
+        ParseOutcome::Pexgen(args) => eval_cmd::run_pexgen(&args),
         ParseOutcome::Audit(audit) => {
             let report = xtalk_audit::run_audit(&xtalk_audit::AuditConfig {
                 cases: audit.cases,

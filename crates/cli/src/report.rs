@@ -303,24 +303,6 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn invocation(command: Command) -> Invocation {
-        Invocation {
-            command,
-            deck_path: "unused".into(),
-            slew: 100e-12,
-            arrival: 0.0,
-            shape: Shape::Ramp,
-            metric: MetricArg::Two,
-            delay_metric: DelayMetricArg::TwoPole,
-            golden: false,
-            threshold: None,
-            reduce_tau: None,
-            aggressor: None,
-            strict: false,
-            jobs: xtalk_exec::Jobs::Auto,
-        }
-    }
-
     #[test]
     fn info_lists_nets_and_totals() {
         let report = info_report(&sample_network());
@@ -333,7 +315,7 @@ mod tests {
     #[test]
     fn noise_report_contains_estimates() {
         let net = sample_network();
-        let (report, degraded) = noise_report(&net, &invocation(Command::Noise)).unwrap();
+        let (report, degraded) = noise_report(&net, &Invocation::new(Command::Noise)).unwrap();
         assert!(report.contains("agg0"));
         assert!(report.contains("Vp"));
         assert!(!report.contains("VIOLATION"));
@@ -344,7 +326,7 @@ mod tests {
     #[test]
     fn threshold_flags_violations() {
         let net = sample_network();
-        let mut inv = invocation(Command::Noise);
+        let mut inv = Invocation::new(Command::Noise);
         inv.threshold = Some(1e-6); // everything violates
         let (report, _) = noise_report(&net, &inv).unwrap();
         assert!(report.contains("VIOLATION"));
@@ -356,7 +338,7 @@ mod tests {
     #[test]
     fn golden_flag_adds_simulated_row() {
         let net = sample_network();
-        let mut inv = invocation(Command::Noise);
+        let mut inv = Invocation::new(Command::Noise);
         inv.golden = true;
         let (report, _) = noise_report(&net, &inv).unwrap();
         assert!(report.contains("(simulated)"));
@@ -366,7 +348,7 @@ mod tests {
     #[test]
     fn closed_form_metric_works_through_cli_path() {
         let net = sample_network();
-        let mut inv = invocation(Command::Noise);
+        let mut inv = Invocation::new(Command::Noise);
         inv.metric = MetricArg::Closed;
         let (report, degraded) = noise_report(&net, &inv).unwrap();
         assert!(report.contains("agg0"));
@@ -376,7 +358,7 @@ mod tests {
     #[test]
     fn aggressor_filter_limits_the_report() {
         let net = sample_network();
-        let mut inv = invocation(Command::Noise);
+        let mut inv = Invocation::new(Command::Noise);
         inv.aggressor = Some("agg0".into());
         let (report, _) = noise_report(&net, &inv).unwrap();
         assert!(report.contains("agg0"));
@@ -391,7 +373,7 @@ mod tests {
         // chain falls back to the symmetric metric I rung and the run is
         // flagged degraded so the binary can exit with code 2.
         let net = sample_network();
-        let mut inv = invocation(Command::Noise);
+        let mut inv = Invocation::new(Command::Noise);
         inv.shape = Shape::Step;
         let (report, degraded) = noise_report(&net, &inv).unwrap();
         assert!(degraded, "fallback must flag the run degraded");
@@ -402,7 +384,7 @@ mod tests {
     #[test]
     fn strict_mode_refuses_to_degrade() {
         let net = sample_network();
-        let mut inv = invocation(Command::Noise);
+        let mut inv = Invocation::new(Command::Noise);
         inv.shape = Shape::Step;
         inv.strict = true;
         let err = noise_report(&net, &inv).unwrap_err().to_string();
@@ -430,7 +412,7 @@ mod tests {
         b.add_coupling_cap(a0, vp, 20e-15).unwrap();
         let net = b.build().unwrap();
 
-        let report = reduce_report(&net, &invocation(Command::Reduce)).unwrap();
+        let report = reduce_report(&net, &Invocation::new(Command::Reduce)).unwrap();
         assert!(report.contains("-> "));
         // The emitted deck parses back and is smaller.
         let deck: String = report
@@ -445,7 +427,7 @@ mod tests {
     #[test]
     fn delay_report_orders_window() {
         let net = sample_network();
-        let report = delay_report(&net, &invocation(Command::Delay)).unwrap();
+        let report = delay_report(&net, &Invocation::new(Command::Delay)).unwrap();
         assert!(report.contains("best case"));
         assert!(report.contains("worst case"));
         // Extract the three numbers and check ordering.

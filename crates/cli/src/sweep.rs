@@ -7,15 +7,17 @@
 //! population), and the golden-simulation accuracy evaluation
 //! ([`xtalk_eval`]) — which makes it the natural smoke workload for the
 //! observability layer: one invocation exercises every instrumented
-//! stage.
+//! stage. The far, near and tree families are the paper's Tables 1, 2
+//! and 3; each table ends with metric II's Vp error range and whether it
+//! stays conservative.
 
 use crate::args::{SweepCmdArgs, SweepFamily};
 use crate::RunOutcome;
 use std::error::Error;
 use std::fmt::Write as _;
 use xtalk_core::resilience::RobustAnalyzer;
-use xtalk_eval::{evaluate_run_jobs, render_table};
-use xtalk_tech::sweep::{tree_cases_jobs, two_pin_cases_jobs, SweepCase, SweepConfig, SweepRun};
+use xtalk_eval::{evaluate_run_jobs, render_table, Method, Param};
+use xtalk_tech::sweep::{tree_cases_jobs, two_pin_cases_jobs, SweepCase, SweepRun};
 use xtalk_tech::{CouplingDirection, Technology};
 
 /// Outcome of the serial degradation scan over one family's cases.
@@ -68,11 +70,7 @@ fn degradation_scan(cases: &[SweepCase]) -> ScanSummary {
 
 fn generate(family: SweepFamily, args: &SweepCmdArgs) -> SweepRun {
     let tech = Technology::p25();
-    let config = SweepConfig {
-        cases: args.cases,
-        seed: args.seed,
-        corner_fraction: args.corners,
-    };
+    let config = args.config();
     match family {
         SweepFamily::Far => {
             two_pin_cases_jobs(&tech, CouplingDirection::FarEnd, &config, args.jobs)
@@ -139,6 +137,15 @@ pub(crate) fn run_sweep(args: &SweepCmdArgs) -> Result<RunOutcome, Box<dyn Error
             scan.fallbacks,
             scan.errors
         );
+        if let Some(cell) = stats.cell(Method::NewTwo, Param::Vp) {
+            let _ = writeln!(
+                report,
+                "  new II Vp error range {:.1}% … {:.1}%  (conservative ≥ -5%: {})",
+                cell.max_neg(),
+                cell.max_pos(),
+                cell.conservative_above(-5.0)
+            );
+        }
     }
     Ok(RunOutcome {
         report,

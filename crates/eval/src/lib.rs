@@ -1,12 +1,12 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation section.
 //!
-//! | Paper artifact | Entry point | Binary |
-//! |----------------|-------------|--------|
-//! | Table 1 (two-pin, far-end) | [`run_two_pin_table`] | `table1` |
-//! | Table 2 (two-pin, near-end) | [`run_two_pin_table`] | `table2` |
-//! | Table 3 (trees, far-end) | [`run_tree_table`] | `table3` |
-//! | Figure 5 (coupling location) | [`run_figure5`] | `figure5` |
+//! | Paper artifact | Entry point | Command |
+//! |----------------|-------------|---------|
+//! | Table 1 (two-pin, far-end) | [`run_two_pin_table`] | `xtalk sweep --family far` |
+//! | Table 2 (two-pin, near-end) | [`run_two_pin_table`] | `xtalk sweep --family near` |
+//! | Table 3 (trees, far-end) | [`run_tree_table`] | `xtalk sweep --family tree` |
+//! | Figure 5 (coupling location) | [`run_figure5`] | `xtalk figure5` |
 //!
 //! Each table compares six analytical metrics against the golden transient
 //! simulation over a seeded random sweep, reporting max-positive,
@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 mod case_eval;
-pub mod cli;
 mod delay_eval;
 mod figure5;
 mod lambda;
