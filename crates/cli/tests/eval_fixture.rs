@@ -1,7 +1,8 @@
-//! Byte-for-byte fixture for the experiment commands `figure5`, `lambda`,
-//! `delay-table` and `pexgen`.
+//! Byte-for-byte fixture for the experiment commands `sweep`, `figure5`,
+//! `lambda`, `delay-table` and `pexgen`.
 //!
-//! Each runs through [`xtalk_cli::run`]: `figure5` at its default 10
+//! Each runs through [`xtalk_cli::run`]: `sweep --family all --cases 48
+//! --seed 3` (the paper's Tables 1–3), `figure5` at its default 10
 //! points, `lambda --cases 48`, `delay-table --cases 24`, and `pexgen
 //! --buses 1 --bits 16 --segments 2 --fold --benign --out PATH`. The
 //! reports, and the deck `pexgen` writes, must equal the files in
@@ -51,6 +52,11 @@ fn experiment_commands_match_the_fixtures_byte_for_byte() {
     assert!(pexgen.is_empty(), "pexgen writes its deck, not a report");
 
     let outputs = [
+        (
+            "sweep_all_48_seed3.txt",
+            run(&["sweep", "--family", "all", "--cases", "48", "--seed", "3"]),
+            include_str!("fixtures/sweep_all_48_seed3.txt"),
+        ),
         (
             "figure5.txt",
             run(&["figure5"]),
