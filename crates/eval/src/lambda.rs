@@ -5,7 +5,7 @@
 
 use crate::ErrorStats;
 use xtalk_core::{MetricTwo, NoiseAnalyzer};
-use xtalk_sim::{measure_noise, SimOptions, TransientSim};
+use xtalk_sim::{golden_noise_tiered, GoldenOpts, SimWorkspace};
 use xtalk_tech::sweep::SweepCase;
 
 /// `Vp` error statistics of metric II at one λ over a case set.
@@ -22,7 +22,9 @@ pub struct LambdaRow {
 
 /// Evaluates metric II at each λ over `cases`, returning one row per λ.
 ///
-/// Cases whose golden pulse cannot be measured are skipped uniformly.
+/// The golden peaks come from the tiered golden under the process-wide
+/// `--sim` / `--fast-tier` policy ([`GoldenOpts::from_globals`]). Cases
+/// whose golden pulse cannot be measured are skipped uniformly.
 pub fn lambda_sweep(cases: &[SweepCase], lambdas: &[f64]) -> Vec<LambdaRow> {
     // Pre-compute golden + moments once per case.
     struct Prepared {
@@ -30,6 +32,8 @@ pub fn lambda_sweep(cases: &[SweepCase], lambdas: &[f64]) -> Vec<LambdaRow> {
         tr: f64,
         golden_vp: f64,
     }
+    let gopts = GoldenOpts::from_globals();
+    let mut workspace = SimWorkspace::new();
     let mut prepared = Vec::new();
     for case in cases {
         let Ok(analyzer) = NoiseAnalyzer::new(&case.network) else {
@@ -38,17 +42,11 @@ pub fn lambda_sweep(cases: &[SweepCase], lambdas: &[f64]) -> Vec<LambdaRow> {
         let Ok(f) = analyzer.output_moments(case.aggressor, &case.input) else {
             continue;
         };
-        let Ok(sim) = TransientSim::new(&case.network) else {
-            continue;
-        };
-        let opts = SimOptions::auto(&case.network, &[(case.aggressor, case.input)]);
-        let Ok(run) = sim.run(&[(case.aggressor, case.input)], &opts) else {
-            continue;
-        };
-        let Ok(golden) = measure_noise(
-            run.probe(case.network.victim_output()).expect("probed"),
-            case.input.noise_polarity(),
-        ) else {
+        let stimuli = [(case.aggressor, case.input)];
+        let output = case.network.victim_output();
+        let Ok((golden, _)) =
+            golden_noise_tiered(&case.network, &stimuli, output, &mut workspace, &gopts)
+        else {
             continue;
         };
         if golden.vp < 5e-3 {
