@@ -1,10 +1,30 @@
 //! End-to-end CLI flow: generate a circuit, export its SPICE deck, and
 //! run every `xtalk` sub-command against the file.
 
+use std::path::{Path, PathBuf};
 use xtalk::tech::{CouplingDirection, Technology, TwoPinSpec};
 use xtalk_circuit::spice;
 
-fn write_sample_deck(dir: &std::path::Path) -> std::path::PathBuf {
+/// A temp directory of the test's own, named by process id and test, so
+/// concurrent runs never share files; removed when the guard drops, a
+/// failing test included.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("xtalk-cli-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn write_sample_deck(dir: &Path) -> PathBuf {
     let spec = TwoPinSpec {
         l1: 0.2e-3,
         l2: 0.6e-3,
@@ -33,9 +53,8 @@ fn run(args: &[&str]) -> Result<String, String> {
 
 #[test]
 fn info_noise_and_delay_subcommands_work() {
-    let dir = std::env::temp_dir().join("xtalk-cli-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let deck = write_sample_deck(&dir);
+    let dir = TempDir::new("subcommands");
+    let deck = write_sample_deck(&dir.0);
     let deck_str = deck.to_str().expect("utf-8 path");
 
     let info = run(&["info", deck_str]).expect("info runs");
@@ -60,7 +79,7 @@ fn info_noise_and_delay_subcommands_work() {
     let reduced_out = run(&["reduce", deck_str]).unwrap();
     assert!(reduced_out.contains("xtalk reduce:"));
     let reduced_deck: String = reduced_out.lines().skip(1).collect::<Vec<_>>().join("\n");
-    let reduced_path = dir.join("reduced.sp");
+    let reduced_path = dir.0.join("reduced.sp");
     std::fs::write(&reduced_path, &reduced_deck).expect("write reduced deck");
     let noise_after = run(&["noise", reduced_path.to_str().unwrap()]).unwrap();
     assert!(noise_after.contains("Vp"));
@@ -78,9 +97,8 @@ fn cli_reports_friendly_errors() {
 
 #[test]
 fn degraded_and_strict_modes_round_trip_through_the_cli() {
-    let dir = std::env::temp_dir().join("xtalk-cli-test3");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let deck = write_sample_deck(&dir);
+    let dir = TempDir::new("strict");
+    let deck = write_sample_deck(&dir.0);
     let deck_str = deck.to_str().expect("utf-8 path");
 
     // A healthy ramp-driven run is not degraded (exit code 0).
@@ -104,9 +122,8 @@ fn degraded_and_strict_modes_round_trip_through_the_cli() {
 
 #[test]
 fn golden_cross_check_agrees_with_estimate() {
-    let dir = std::env::temp_dir().join("xtalk-cli-test2");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let deck = write_sample_deck(&dir);
+    let dir = TempDir::new("golden");
+    let deck = write_sample_deck(&dir.0);
     let out = run(&["noise", deck.to_str().unwrap(), "--golden"]).unwrap();
     // The simulated row carries a percentage error; it should be a sane
     // double-digit number, not hundreds of percent.
