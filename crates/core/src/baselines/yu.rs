@@ -48,10 +48,10 @@ pub fn yu_one_pole(h: &[f64], input: &InputSignal) -> Result<BaselineEstimate, M
 
 /// Yu & Kuh's two-pole matching model (paper ref. \[17\]).
 ///
-/// The two-pole fit is evaluated in the time domain for the saturated ramp
-/// and its peak located numerically (the model itself is closed-form; the
-/// peak is not — one of the shortcomings motivating the paper). Reports
-/// `Vp` and `Tp`.
+/// The fit's saturated-ramp peak is the closed-form stationary point of
+/// [`TwoPoleFit::ramp_peak`], which still needs exponentials and a
+/// logarithm: the paper's objection to this model class (its new metrics
+/// use only `+ − × ÷ √`). Reports `Vp` and `Tp`.
 ///
 /// # Errors
 ///
