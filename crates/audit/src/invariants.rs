@@ -50,8 +50,8 @@ use xtalk_core::{
     RobustAnalyzer, LAMBDA,
 };
 use xtalk_sim::{
-    analytic_noise, golden_noise_tiered, golden_noise_with, FastTier, GoldenOpts,
-    NoiseWaveformParams, SimMode, SimWorkspace,
+    analytic_noise, golden_noise_tiered, FastTier, GoldenOpts, NoiseWaveformParams, SimMode,
+    SimWorkspace,
 };
 use xtalk_circuit::{signal::InputSignal, NetId, Network};
 use xtalk_tech::sweep::{single_case, CaseFamily};
@@ -168,8 +168,17 @@ fn check_case(
     let agg = case.aggressor;
     let input = &case.input;
 
-    let golden = golden_noise_with(net, &[(agg, *input)], net.victim_output(), workspace)
-        .map_err(|e| format!("golden simulation: {e}"))?;
+    // The reference is the fixed march with the fast tier off, whatever
+    // `--sim` / `--fast-tier` say: the adaptive and analytic families
+    // measure those tiers against it.
+    let (golden, _) = golden_noise_tiered(
+        net,
+        &[(agg, *input)],
+        net.victim_output(),
+        workspace,
+        &GoldenOpts::default(),
+    )
+    .map_err(|e| format!("golden simulation: {e}"))?;
     if golden.vp < NEGLIGIBLE_VP {
         return Err(format!("negligible pulse ({:.1e} Vdd)", golden.vp));
     }
@@ -523,7 +532,7 @@ fn compare_golden(
 
 /// Adaptive-vs-fixed agreement: re-measures the case with the
 /// adaptive-timestep march and compares against the reference golden
-/// (the fixed-step march under the default process-wide mode).
+/// (the fixed march with the fast tier off).
 #[allow(clippy::too_many_arguments)]
 fn check_adaptive_agreement(
     id: &CaseId<'_>,

@@ -145,9 +145,8 @@ pub fn evaluate_case(case: &SweepCase) -> Result<CaseOutcome, String> {
 /// [`evaluate_case`] reusing a caller-provided simulation workspace.
 ///
 /// Batch evaluation keeps one [`SimWorkspace`] per worker thread so
-/// consecutive cases recycle the solver buffers (and the horizon-retry
-/// loop within a case reuses its factorization). Results are
-/// bit-identical to [`evaluate_case`].
+/// consecutive cases and the horizon retries within a case recycle the
+/// solver buffers. Results are bit-identical to [`evaluate_case`].
 ///
 /// # Errors
 ///

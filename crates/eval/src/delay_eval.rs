@@ -7,7 +7,7 @@ use crate::ErrorStats;
 use std::fmt::Write as _;
 use xtalk_circuit::{signal::InputSignal, NetId, Network};
 use xtalk_delay::{DelayAnalyzer, DelayMetric, SwitchFactor};
-use xtalk_sim::{sim_mode, SimMode, SimOptions, SimWorkspace, TransientSim};
+use xtalk_sim::{sim_mode, SimOptions, SimWorkspace, TransientSim};
 use xtalk_tech::sweep::{two_pin_cases, SweepConfig};
 use xtalk_tech::{CouplingDirection, Technology};
 
@@ -35,11 +35,9 @@ fn simulated_delay(net: &Network, agg: NetId, scenario: &str) -> Option<f64> {
     }
     let sim = TransientSim::new(net).ok()?;
     let opts = SimOptions::auto(net, &stim);
-    let run = match sim_mode() {
-        SimMode::Fixed => sim.run_full(&stim, &opts),
-        SimMode::Adaptive => sim.run_adaptive_full_with(&stim, &opts, &mut SimWorkspace::new()),
-    }
-    .ok()?;
+    let run = sim
+        .run_full_with(&stim, &opts, sim_mode(), &mut SimWorkspace::new())
+        .ok()?;
     let w = run.probe(net.victim_output())?;
     let t50 = w.crossing_after(0.0, 0.5, true)?;
     Some(t50 - victim_in.crossing_time(0.5))

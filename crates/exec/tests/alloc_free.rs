@@ -6,15 +6,14 @@
 //! warms the paths up, then asserts the allocation count does not move
 //! across many iterations of metric I, metric II, and the bounds.
 //!
-//! A second window covers the simulator's solver hot path: rewriting a
-//! CSR matrix's values in place, re-running the sparse LDLᵀ numeric
-//! factorization on the cached symbolic structure, and solving into
-//! preallocated buffers — the exact per-`dt` sequence `SimWorkspace`
-//! executes across horizon retries. All of it must be allocation-free
-//! after warm-up for the refactor-reuse design to deliver. A third
-//! window covers the adaptive march's pair kernels: both stepping
-//! products in one pass over the shared pattern, and both solves in one
-//! sweep over the shared `L` structure.
+//! A second window covers the sparse solver kernels: rewriting a CSR
+//! matrix's values in place, re-running the LDLᵀ numeric factorization
+//! on the shared symbolic structure (`LdlFactors::refactor`), and
+//! solving into preallocated buffers — the solve is the per-step call of
+//! the simulator's time march. All of it must be allocation-free after
+//! warm-up. A third window covers the adaptive march's pair kernels:
+//! both stepping products in one pass over the shared pattern, and both
+//! solves in one sweep over the shared `L` structure.
 //!
 //! The windows also hammer disabled `xtalk_obs` probes (counter,
 //! histogram, span) directly: the observability layer instruments these
@@ -150,11 +149,10 @@ fn metric_formulas_do_not_allocate() {
         }
     });
 
-    // Solver hot path: in-place value rewrite → numeric refactor on the
-    // cached symbolic structure → solve into preallocated buffers. This
-    // is the per-`dt` sequence the simulator workspace runs on every
-    // horizon retry; all warm-up allocations happen here, before the
-    // measured windows.
+    // Solver kernels: in-place value rewrite → numeric refactor on the
+    // shared symbolic structure → solve into preallocated buffers (the
+    // march's per-step call); all warm-up allocations happen here,
+    // before the measured windows.
     const N: usize = 32;
     let mut a = spd_chain_with_coupling(N);
     let symbolic = xtalk_linalg::LdlSymbolic::analyze(&a).expect("pattern analyzes");

@@ -10,16 +10,14 @@ use xtalk_core::{MetricKind, OutputMoments};
 use xtalk_exec::{ExecError, Jobs};
 use xtalk_obs::json;
 
-/// Session parameters: the aggressor input shape and which metric ranks
-/// the nets.
+/// Session parameters: the aggressor input shape and the worker count.
+/// Every session ranks its nets by Metric II.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WhatIfConfig {
     /// Aggressor input transition time (s) — a rising ramp at `arrival`.
     pub slew: f64,
     /// Aggressor switching time (s).
     pub arrival: f64,
-    /// Metric evaluated per victim–aggressor pair.
-    pub kind: MetricKind,
     /// Worker count for the initial view construction (the per-delta
     /// path is serial — its work is a handful of views by design).
     pub jobs: Jobs,
@@ -30,7 +28,6 @@ impl Default for WhatIfConfig {
         WhatIfConfig {
             slew: 100e-12,
             arrival: 0.0,
-            kind: MetricKind::Two,
             jobs: Jobs::Count(1),
         }
     }
@@ -216,7 +213,6 @@ pub struct WhatIf {
     memo: StageMemo,
     undo: Vec<Delta>,
     input: InputSignal,
-    kind: MetricKind,
     stats: SessionStats,
 }
 
@@ -248,7 +244,6 @@ impl WhatIf {
             memo: StageMemo::new(),
             undo: Vec::new(),
             input: InputSignal::rising_ramp(config.arrival, config.slew),
-            kind: config.kind,
             stats: SessionStats::default(),
         })
     }
@@ -316,7 +311,7 @@ impl WhatIf {
         for (i, view) in self.views.iter_mut().enumerate() {
             self.stats.queries += 1;
             if self.dirty[i] || self.noise[i].is_none() {
-                self.noise[i] = Some(compute_view(view, &self.input, self.kind, &mut self.memo));
+                self.noise[i] = Some(compute_view(view, &self.input, &mut self.memo));
                 self.dirty[i] = false;
                 misses += 1;
             } else {
@@ -363,15 +358,10 @@ impl WhatIf {
 }
 
 /// Noise of one view's victim: per-aggressor transfer moments through the
-/// incremental engine, memoized metric + bounds, worst-case pinned
+/// incremental engine, memoized Metric II + bounds, worst-case pinned
 /// superposition. Pure function of the view state — recomputing a view
 /// with unchanged inputs reproduces identical bits.
-fn compute_view(
-    view: &mut View,
-    input: &InputSignal,
-    kind: MetricKind,
-    memo: &mut StageMemo,
-) -> NetNoise {
+fn compute_view(view: &mut View, input: &InputSignal, memo: &mut StageMemo) -> NetNoise {
     let index = view.target.index();
     let network = &view.network;
     let engine = &mut view.engine;
@@ -395,7 +385,7 @@ fn compute_view(
             // No coupling into the observation node: not a contributor.
             Err(_) => continue,
         };
-        let (estimate, _) = memo.estimate(&f, t_r, kind);
+        let (estimate, _) = memo.estimate(&f, t_r, MetricKind::Two);
         match estimate {
             Ok(e) => {
                 worst_single = worst_single.max(e.vp);

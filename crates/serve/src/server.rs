@@ -832,8 +832,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                 shared.panics.fetch_add(1, Ordering::SeqCst);
                 xtalk_obs::counter!("serve.panics_caught").add(1);
                 shared.events.emit("panicked", job.req, &job.id, "");
-                // The workspace may have been mid-factorization when the
-                // panic unwound through it; drop it rather than trust it.
+                // The workspace may have been mid-run when the panic
+                // unwound through it; drop it rather than trust it.
                 ws = SimWorkspace::new();
                 proto::error_reply(
                     &job.id,

@@ -202,32 +202,8 @@ pub fn golden_noise_tiered(
         detail: format!("probe node {node:?} is not part of the simulated network"),
     };
 
-    if gopts.mode == SimMode::Adaptive {
-        // Adaptive tail steps are cheap, so truncation retries just
-        // re-run with the grown horizon (and step, keeping the base-grid
-        // point count constant).
-        loop {
-            let res = sim.run_adaptive_with(stimuli, &opts, workspace)?;
-            let waveform = res.probe(node).ok_or_else(probe_err)?;
-            match measure_noise(waveform, polarity) {
-                Ok(params) => {
-                    record_steps(opts.t_stop);
-                    return Ok((params, GoldenTier::Transient));
-                }
-                Err(SimError::Truncated) if opts.t_stop < MAX_HORIZON => {
-                    xtalk_obs::counter!("sim.golden.horizon_retries").add(1);
-                    opts.t_stop *= HORIZON_GROWTH;
-                    opts.dt *= HORIZON_GROWTH;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    // Fixed-step march. The first segment integrates from DC; a
-    // truncated pulse is *resumed* from the segment's final state over a
-    // coarser extension instead of re-paying the covered horizon.
-    let res = sim.run_with(stimuli, &opts, workspace)?;
+    // First run: the auto horizon from DC.
+    let res = sim.run_with(stimuli, &opts, gopts.mode, workspace)?;
     let waveform = res.probe(node).ok_or_else(probe_err)?;
     match measure_noise(waveform, polarity) {
         Ok(params) => {
@@ -238,24 +214,29 @@ pub fn golden_noise_tiered(
         Err(e) => return Err(e),
     }
 
-    // Resume state: the stitched uniform waveform so far and the node
-    // voltages at its end.
+    // A truncated pulse grows the horizon 4× per retry. The adaptive
+    // march, whose settled tail costs only a handful of steps, re-runs
+    // from DC with the step grown alike (the base-grid point count stays
+    // constant). The fixed march resumes from its final state instead of
+    // re-paying the covered horizon, until the stitched waveform would
+    // outgrow `RESUME_SAMPLE_CAP`. `samples` is the uniform waveform so
+    // far and `state` the node voltages at its end.
     let mut samples: Vec<f64> = waveform.samples().to_vec();
     let mut cur_dt = opts.dt;
     let mut state: Vec<f64> = workspace.final_state().to_vec();
     let ratio = HORIZON_GROWTH as usize;
     loop {
         xtalk_obs::counter!("sim.golden.horizon_retries").add(1);
-        if samples.len().saturating_mul(ratio) > RESUME_SAMPLE_CAP {
-            // The stitched fine grid would outgrow the cap: fall back to
-            // the coarsen-and-rerun policy for this and later retries.
+        if gopts.mode == SimMode::Adaptive
+            || samples.len().saturating_mul(ratio) > RESUME_SAMPLE_CAP
+        {
             cur_dt *= HORIZON_GROWTH;
             opts.t_stop *= HORIZON_GROWTH;
             let full = SimOptions {
                 dt: cur_dt,
                 ..opts.clone()
             };
-            let res = sim.run_with(stimuli, &full, workspace)?;
+            let res = sim.run_with(stimuli, &full, gopts.mode, workspace)?;
             samples = res.probe(node).ok_or_else(probe_err)?.samples().to_vec();
         } else {
             xtalk_obs::counter!("sim.golden.retry_resumes").add(1);
@@ -269,7 +250,8 @@ pub fn golden_noise_tiered(
                 t_stop: opts.t_stop * HORIZON_GROWTH,
                 ..opts.clone()
             };
-            let res = sim.run_span_with(stimuli, &ext, workspace, Some((t_end, &state)))?;
+            let start = Some((t_end, state.as_slice()));
+            let res = sim.march(stimuli, &ext, SimMode::Fixed, workspace, start)?;
             let ext_wf = res.probe(node).ok_or_else(probe_err)?;
             for pair in ext_wf.samples().windows(2) {
                 let (v0, v1) = (pair[0], pair[1]);

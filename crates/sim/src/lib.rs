@@ -11,8 +11,10 @@
 //! ```
 //!
 //! that [`TransientSim`] integrates here with the trapezoidal rule
-//! (2nd-order accurate; backward Euler available for comparison), so the
-//! substitution preserves the behaviour being validated. Accuracy is
+//! (2nd-order accurate), so the substitution preserves the behaviour
+//! being validated. One time-marching loop serves both stepping modes:
+//! [`SimMode::Fixed`] holds it at the base step, [`SimMode::Adaptive`]
+//! grows the step on a backward-Euler error estimate. Accuracy is
 //! controlled by the time step; the test suite verifies the expected
 //! convergence order against analytic solutions.
 //!
@@ -62,8 +64,7 @@ mod waveform;
 pub use analytic::{analytic_noise, FastTierFallback};
 pub use engine::{
     fast_tier, set_fast_tier_override, set_sim_mode_override, set_solver_override, sim_mode,
-    solver_kind, FastTier, IntegrationMethod, SimMode, SimOptions, SimResult, SimWorkspace,
-    TransientSim,
+    solver_kind, FastTier, SimMode, SimOptions, SimResult, SimWorkspace, TransientSim,
 };
 pub use error::SimError;
 pub use golden::{golden_noise, golden_noise_tiered, golden_noise_with, GoldenOpts, GoldenTier};

@@ -9,7 +9,7 @@
 
 use xtalk_circuit::{signal::InputSignal, NetId, NetRole, Network, NetworkBuilder};
 use xtalk_moments::{MomentEngine, TwoPoleFit};
-use xtalk_sim::{IntegrationMethod, SimOptions, TransientSim};
+use xtalk_sim::{SimOptions, TransientSim};
 
 fn coupled_pair(rd: f64, cg: f64, cc: f64) -> (Network, NetId) {
     let mut b = NetworkBuilder::new();
@@ -33,7 +33,6 @@ fn max_error(net: &Network, agg: NetId, fit: &TwoPoleFit, dt: f64, tr: f64) -> f
     let opts = SimOptions {
         dt,
         t_stop: 40.0 * tr,
-        method: IntegrationMethod::Trapezoidal,
         probes: vec![],
     };
     let stim = [(agg, InputSignal::rising_ramp(0.0, tr))];
@@ -84,39 +83,6 @@ fn trapezoidal_converges_at_second_order() {
         (3.0..6.0).contains(&r23),
         "e2/e3 = {r23} (e2={e2}, e3={e3})"
     );
-}
-
-#[test]
-fn backward_euler_converges_at_first_order() {
-    let (net, agg) = coupled_pair(300.0, 20e-15, 15e-15);
-    let engine = MomentEngine::new(&net).unwrap();
-    let h = engine.transfer_taylor(agg, net.victim_output(), 4).unwrap();
-    let fit = TwoPoleFit::from_taylor(&h).unwrap();
-    let tr = 80e-12;
-    let sim = TransientSim::new(&net).unwrap();
-    let stim = [(agg, InputSignal::rising_ramp(0.0, tr))];
-    let mut errs = Vec::new();
-    for &div in &[50.0, 100.0, 200.0] {
-        let opts = SimOptions {
-            dt: tr / div,
-            t_stop: 40.0 * tr,
-            method: IntegrationMethod::BackwardEuler,
-            probes: vec![],
-        };
-        let res = sim.run(&stim, &opts).unwrap();
-        let w = res.probe(net.victim_output()).unwrap();
-        let mut err = 0.0_f64;
-        for (k, &v) in w.samples().iter().enumerate() {
-            let t = k as f64 * w.dt();
-            err = err.max((v - fit.ramp_response(t, tr)).abs());
-        }
-        errs.push(err);
-    }
-    let r12 = errs[0] / errs[1];
-    let r23 = errs[1] / errs[2];
-    // 1st order: halving dt should cut the error ~2x (allow 1.5x..3x).
-    assert!((1.5..3.0).contains(&r12), "ratio {r12}");
-    assert!((1.5..3.0).contains(&r23), "ratio {r23}");
 }
 
 #[test]
