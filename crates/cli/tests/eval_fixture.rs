@@ -1,12 +1,15 @@
 //! Byte-for-byte fixture for the experiment commands `sweep`, `figure5`,
-//! `lambda`, `delay-table` and `pexgen`.
+//! `lambda`, `delay-table`, `pexgen` and `optimize`.
 //!
 //! Each runs through [`xtalk_cli::run`]: `sweep --family all --cases 48
 //! --seed 3` (the paper's Tables 1–3), `figure5` at its default 10
-//! points, `lambda --cases 48`, `delay-table --cases 24`, and `pexgen
-//! --buses 1 --bits 16 --segments 2 --fold --benign --out PATH`. The
-//! reports, and the deck `pexgen` writes, must equal the files in
-//! `fixtures/` byte for byte.
+//! points, `lambda --cases 48`, `delay-table --cases 24`, `pexgen
+//! --buses 1 --bits 16 --segments 2 --fold --benign --out PATH`, and
+//! `optimize --json PATH` at its defaults (16 lanes, 20 iterations). The
+//! reports, the deck `pexgen` writes and the final what-if report
+//! `optimize` writes must equal the files in `fixtures/` byte for byte.
+//! The optimizer's last two lines pin the what-if session's query,
+//! hit and invalidation counts and the metric memo's hits and misses.
 //!
 //! The golden tier is pinned to fixed stepping with the analytic tier
 //! off, so `XTALK_SIM` and `XTALK_FAST_TIER` in the environment cannot
@@ -50,6 +53,8 @@ fn experiment_commands_match_the_fixtures_byte_for_byte() {
         &deck_path,
     ]);
     assert!(pexgen.is_empty(), "pexgen writes its deck, not a report");
+    let optimize_json = dir.join("optimize_default.json");
+    let optimize = run(&["optimize", "--json", &optimize_json.to_string_lossy()]);
 
     let outputs = [
         (
@@ -76,6 +81,16 @@ fn experiment_commands_match_the_fixtures_byte_for_byte() {
             "pexgen_1x16x2.sp",
             fs::read_to_string(&deck).expect("pexgen wrote its deck"),
             include_str!("fixtures/pexgen_1x16x2.sp"),
+        ),
+        (
+            "optimize_default.txt",
+            optimize,
+            include_str!("fixtures/optimize_default.txt"),
+        ),
+        (
+            "optimize_default.json",
+            fs::read_to_string(&optimize_json).expect("optimize wrote its report"),
+            include_str!("fixtures/optimize_default.json"),
         ),
     ];
     let mut mismatched = Vec::new();
