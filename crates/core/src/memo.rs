@@ -30,7 +30,7 @@
 use crate::{
     MetricError, MetricKind, MetricOne, NoiseAnalyzer, NoiseBounds, NoiseEstimate, OutputMoments,
 };
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Hashable bit-pattern key for one estimate query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,14 +112,17 @@ impl StageMemo {
             t_r: t_r.to_bits(),
             kind: kind_tag(kind),
         };
-        if let Some(cached) = self.estimates.get(&key) {
-            self.stats.hits += 1;
-            return (cached.clone(), true);
+        match self.estimates.entry(key) {
+            Entry::Occupied(cached) => {
+                self.stats.hits += 1;
+                (cached.get().clone(), true)
+            }
+            Entry::Vacant(slot) => {
+                self.stats.misses += 1;
+                let value = NoiseAnalyzer::estimate_for(f, t_r, kind);
+                (slot.insert(value).clone(), false)
+            }
         }
-        self.stats.misses += 1;
-        let value = NoiseAnalyzer::estimate_for(f, t_r, kind);
-        self.estimates.insert(key, value.clone());
-        (value, false)
     }
 
     /// Memoized [`MetricOne::bounds`]. Returns the bounds and whether they
@@ -130,14 +133,16 @@ impl StageMemo {
             f2: f.f2().to_bits(),
             f3: f.f3().to_bits(),
         };
-        if let Some(cached) = self.bounds.get(&key) {
-            self.stats.hits += 1;
-            return (cached.clone(), true);
+        match self.bounds.entry(key) {
+            Entry::Occupied(cached) => {
+                self.stats.hits += 1;
+                (cached.get().clone(), true)
+            }
+            Entry::Vacant(slot) => {
+                self.stats.misses += 1;
+                (slot.insert(MetricOne::bounds(f)).clone(), false)
+            }
         }
-        self.stats.misses += 1;
-        let value = MetricOne::bounds(f);
-        self.bounds.insert(key, value.clone());
-        (value, false)
     }
 
     /// Monotonic hit/miss totals (survive [`StageMemo::clear`]).
