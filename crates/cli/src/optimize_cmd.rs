@@ -113,7 +113,7 @@ fn optimize(args: &OptimizeArgs) -> Result<(String, NoiseReport), Box<dyn Error>
         spec.segments(),
         args.iters
     );
-    let initial_net = report.worst().map_or("-", |w| w.net.as_str()).to_string();
+    let initial_net = report.worst().map_or("-", |w| &*w.net).to_string();
     let _ = writeln!(
         out,
         "  initial worst noise {initial_vp:.6} V (net {initial_net})"
@@ -159,7 +159,7 @@ fn optimize(args: &OptimizeArgs) -> Result<(String, NoiseReport), Box<dyn Error>
     }
 
     let final_vp = worst_vp(&report);
-    let final_net = report.worst().map_or("-", |w| w.net.as_str()).to_string();
+    let final_net = report.worst().map_or("-", |w| &*w.net).to_string();
     let improved = if initial_vp > 0.0 {
         (initial_vp - final_vp) / initial_vp * 100.0
     } else {

@@ -8,13 +8,21 @@
 //!
 //! * **Views** — each net is analyzed as the victim of a truncated view
 //!   holding only its 1-hop coupled neighbours, so an edit's blast
-//!   radius is a neighbourhood, not the cluster.
+//!   radius is a neighbourhood, not the cluster. A flat routing table
+//!   built with the views sends each edit straight to the views holding
+//!   its element; the others are never visited.
 //! * **Moments** — each view runs an
-//!   [`xtalk_moments::IncrTreeEngine`], which repairs only the dirty
-//!   per-net moment blocks after a value edit.
+//!   [`xtalk_moments::IncrTreeEngine`], which takes the routed edit
+//!   into the one value slot it names and repairs only the dirty
+//!   per-net moment blocks.
 //! * **Metrics** — Metric I/II estimates and bounds are memoized behind
 //!   bit-pattern keys ([`xtalk_core::memo::StageMemo`]); unchanged
 //!   victim–aggressor pairs replay stored results verbatim.
+//! * **Ranking** — the report order is kept between reports; only the
+//!   recomputed nets are re-inserted, and rows share their view's name.
+//!
+//! So an edit costs work in proportion to the views it touches, not to
+//! the cluster.
 //!
 //! The contract throughout is **bit-identity**: an incremental report
 //! equals a from-scratch rebuild of the same edited network byte for
@@ -22,8 +30,9 @@
 //! bits); approximation is not.
 //!
 //! Entry point: [`WhatIf`] — `apply(Delta) → NoiseReport`, `revert()`,
-//! with `incr.query.{hit,miss,invalidated}` Perf counters wired through
-//! `xtalk-obs`.
+//! with `incr.query.{hit,miss,invalidated}` Perf counters and the
+//! `incr.delta` (routing) and `incr.report` (recompute and rank) spans
+//! wired through `xtalk-obs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
