@@ -66,11 +66,11 @@ fn bench_solver_scaling(c: &mut Criterion) {
 
         group.bench_function(format!("sparse_ldl/factor_plus_{SOLVES}_solves/n{n}"), |bch| {
             let symbolic = LdlSymbolic::analyze(&a).expect("pattern analyzes");
-            let mut factors = symbolic.factor(&a).expect("matrix factors");
             let mut x = vec![0.0; n];
             let mut scratch = vec![0.0; n];
             bch.iter(|| {
-                factors.refactor(black_box(&a)).expect("refactor succeeds");
+                // A level build factors against the cached analysis.
+                let factors = symbolic.factor(black_box(&a)).expect("matrix factors");
                 for _ in 0..SOLVES {
                     factors
                         .solve_into(black_box(&b), &mut x, &mut scratch)
@@ -81,21 +81,11 @@ fn bench_solver_scaling(c: &mut Criterion) {
         });
 
         // Adaptive-timestep dimension: a dt change rescales the stepping
-        // matrix but keeps its pattern, so the adaptive march only
-        // refactors numerically against the cached symbolic analysis.
+        // matrix but keeps its pattern, so a level build only factors
+        // numerically against the cached symbolic analysis (as above).
         // The full-reanalysis variant is what each dt change would cost
         // without the cache (ordering + elimination tree + counts again).
         let a_halved = stepping_matrix_scaled(n, 2.0);
-        group.bench_function(format!("sparse_ldl/dt_change/refactor_only/n{n}"), |bch| {
-            let symbolic = LdlSymbolic::analyze(&a).expect("pattern analyzes");
-            let mut factors = symbolic.factor(&a).expect("matrix factors");
-            bch.iter(|| {
-                factors
-                    .refactor(black_box(&a_halved))
-                    .expect("refactor succeeds");
-                black_box(&factors);
-            })
-        });
         group.bench_function(format!("sparse_ldl/dt_change/full_reanalysis/n{n}"), |bch| {
             bch.iter(|| {
                 let symbolic = LdlSymbolic::analyze(black_box(&a_halved)).expect("pattern analyzes");

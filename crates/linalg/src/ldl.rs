@@ -19,10 +19,7 @@
 //!    on the pattern.
 //! 2. [`LdlSymbolic::factor`] / [`LdlSymbolic::factor_values`] — numeric
 //!    factorization allocating the `L`/`D` values once.
-//! 3. [`LdlFactors::refactor`] — numeric-only refactorization **in
-//!    place** for new matrix values on the same pattern (a changed `dt`,
-//!    a horizon retry). Allocation-free.
-//! 4. [`LdlFactors::solve_into`] — forward/diagonal/backward
+//! 3. [`LdlFactors::solve_into`] — forward/diagonal/backward
 //!    substitution into caller buffers; two factors of one analysis
 //!    solve in one sweep through
 //!    [`Solver::solve_pair_into`](crate::Solver::solve_pair_into).
@@ -363,8 +360,7 @@ impl LdlSymbolic {
 
     /// Numerically factors `a`, which must be symmetric and store exactly
     /// the analyzed pattern (explicit zeros included). Allocates the
-    /// `L`/`D` storage; reuse it across value changes with
-    /// [`LdlFactors::refactor`].
+    /// `L`/`D` storage.
     ///
     /// # Errors
     ///
@@ -419,12 +415,11 @@ impl LdlSymbolic {
     }
 }
 
-/// Numeric LDLᵀ factors `P·A·Pᵀ = L·D·Lᵀ` plus the scratch needed to
-/// refactor and solve without allocating.
+/// Numeric LDLᵀ factors `P·A·Pᵀ = L·D·Lᵀ`.
 ///
-/// Obtained from [`LdlSymbolic::factor`]; [`LdlFactors::refactor`]
-/// rewrites the numeric content in place for new values on the same
-/// pattern, and [`LdlFactors::solve_into`] solves into caller buffers.
+/// Obtained from [`LdlSymbolic::factor`] or
+/// [`LdlSymbolic::factor_values`]; [`LdlFactors::solve_into`] solves
+/// into caller buffers without allocating.
 /// The structure of `L` belongs to the shared [`LdlSymbolic`]; a factor
 /// holds only values.
 #[derive(Debug, Clone)]
@@ -452,23 +447,10 @@ impl LdlFactors {
         self.sym.fill_nnz()
     }
 
-    /// Re-runs the numeric factorization for new values of `a` on the
-    /// analyzed pattern, reusing every buffer — the per-`dt` cost in the
-    /// simulator's stepping-matrix cache. Allocation-free.
-    ///
-    /// On error the factors are left invalid and must be refactored
-    /// before the next solve.
-    ///
-    /// # Errors
-    ///
-    /// As [`LdlSymbolic::factor`].
-    pub fn refactor(&mut self, a: &Csr) -> Result<(), LinalgError> {
-        self.sym.check_pattern(a)?;
-        self.refactor_values(a.values())
-    }
-
-    /// [`LdlFactors::refactor`] for the matrix with the analyzed pattern
-    /// and `values` (see [`LdlSymbolic::factor_values`]).
+    /// Runs the numeric factorization into this factor's buffers for the
+    /// matrix with the analyzed pattern and `values` (see
+    /// [`LdlSymbolic::factor_values`]). On error the factors are left
+    /// invalid.
     fn refactor_values(&mut self, values: &[f64]) -> Result<(), LinalgError> {
         let s = &*self.sym.structure;
         let n = s.n;
@@ -901,30 +883,6 @@ mod tests {
         }
 
         #[test]
-        fn ldl_refactor_equals_fresh_factor(
-            (a, b) in rc_tree_system(16),
-            scale in 0.25..4.0f64,
-        ) {
-            // Refactoring in place for scaled values (the dt-change case) must
-            // agree with a from-scratch factorization of the scaled matrix.
-            let sym = LdlSymbolic::analyze(&a).unwrap();
-            let mut f = sym.factor(&a).unwrap();
-            let mut t = Triplets::new(16, 16);
-            for r in 0..16 {
-                for (c, v) in a.row(r) {
-                    t.push(r, c, v * scale);
-                }
-            }
-            let a2 = t.to_csr();
-            f.refactor(&a2).unwrap();
-            let fresh = sym.factor(&a2).unwrap();
-            let x_re = f.solve(&b).unwrap();
-            let x_fresh = fresh.solve(&b).unwrap();
-            // Identical code path over identical structure: bitwise equal.
-            prop_assert_eq!(x_re, x_fresh);
-        }
-
-        #[test]
         fn ldl_and_lu_both_reject_floating_nodes(
             (a, _) in rc_tree_system(12),
             dead in 0usize..12,
@@ -1032,28 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn refactor_reuses_structure_for_new_values() {
-        let a = chain(12);
-        let sym = LdlSymbolic::analyze(&a).unwrap();
-        let mut f = sym.factor(&a).unwrap();
-        // Same pattern, scaled values (a different dt, in simulator terms).
-        let mut t = Triplets::new(12, 12);
-        for r in 0..12 {
-            for (c, v) in a.row(r) {
-                t.push(r, c, v * 3.5);
-            }
-        }
-        let a2 = t.to_csr();
-        f.refactor(&a2).unwrap();
-        let b = vec![1.0; 12];
-        let x = f.solve(&b).unwrap();
-        let x_lu = a2.to_dense().lu().unwrap().solve(&b).unwrap();
-        for (s, d) in x.iter().zip(&x_lu) {
-            assert!((s - d).abs() < 1e-12 * (1.0 + d.abs()));
-        }
-    }
-
-    #[test]
     fn singular_matrix_is_rejected() {
         // Zero row/column (a floating node with no element at all).
         let mut t = Triplets::new(3, 3);
@@ -1102,11 +1038,7 @@ mod tests {
             sym.factor(&diagonal),
             Err(LinalgError::ShapeMismatch { .. })
         ));
-        let mut f = sym.factor(&a).unwrap();
-        assert!(matches!(
-            f.refactor(&diagonal),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
+        let f = sym.factor(&a).unwrap();
         assert!(matches!(
             sym.factor_values(&[1.0; 3]),
             Err(LinalgError::ShapeMismatch { .. })
