@@ -38,14 +38,10 @@
 //! deck and skips the JSON export.
 
 use std::time::Instant;
+use xtalk_bench::span_sum_ns;
 use xtalk_eval::screen::{screen_deck, ScreenConfig, ScreenReport};
 use xtalk_exec::Jobs;
 use xtalk_tech::{PexDeckSpec, Technology};
-
-/// Summed nanoseconds under the named span histogram so far.
-fn span_sum_ns(name: &str) -> u64 {
-    xtalk_obs::snapshot().histogram(name).map_or(0, |h| h.sum)
-}
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`; 0 where that interface does not exist).

@@ -54,6 +54,7 @@
 //! CI smoke passes `--sim adaptive` explicitly).
 
 use std::time::Instant;
+use xtalk_bench::span_sum_ns;
 use xtalk_audit::{run_audit, AuditConfig};
 use xtalk_eval::{render_table, run_two_pin_table_jobs, TableStats};
 use xtalk_exec::Jobs;
@@ -72,13 +73,6 @@ struct LegTiming {
     fast_hits: u64,
     fast_fallback: u64,
     steps_saved: u64,
-}
-
-/// Summed nanoseconds under the named span histogram so far.
-fn span_sum_ns(name: &str) -> u64 {
-    xtalk_obs::snapshot()
-        .histogram(name)
-        .map_or(0, |h| h.sum)
 }
 
 /// Current value of a (possibly performance-class) counter.

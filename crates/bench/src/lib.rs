@@ -10,6 +10,12 @@ use xtalk_tech::{CouplingDirection, Technology, TwoPinSpec};
 
 pub mod diff;
 
+/// Summed nanoseconds under the named span histogram so far (zero
+/// until metrics are on and the span has closed once).
+pub fn span_sum_ns(name: &str) -> u64 {
+    xtalk_obs::snapshot().histogram(name).map_or(0, |h| h.sum)
+}
+
 /// A mid-range two-pin coupling circuit used by the throughput benches.
 pub fn reference_two_pin() -> (Network, NetId, InputSignal) {
     let tech = Technology::p25();
