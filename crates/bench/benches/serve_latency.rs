@@ -12,7 +12,7 @@
 //! Results go to `BENCH_serve.json` at the repo root:
 //!
 //! ```json
-//! {"requests":500,"jobs":4,
+//! {"requests":500,"jobs":4,"host_parallelism":4,
 //!  "closed_loop":{"mean_us":210.0,"p50_us":190.0,"p99_us":540.0},
 //!  "pipelined":{"total_s":0.05,"req_per_s":10000.0}}
 //! ```
@@ -158,7 +158,8 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(if test_mode { 16 } else { 500 });
-    let jobs = thread::available_parallelism().map_or(2, |n| n.get().max(2));
+    let host = thread::available_parallelism().map_or(1, |n| n.get());
+    let jobs = host.max(2);
 
     eprintln!("serve_latency: {requests} requests against a {jobs}-worker daemon");
     let lines = request_lines(requests);
@@ -193,7 +194,7 @@ fn main() {
         return;
     }
     let json_out = format!(
-        "{{\"requests\":{requests},\"jobs\":{jobs},\
+        "{{\"requests\":{requests},\"jobs\":{jobs},\"host_parallelism\":{host},\
          \"closed_loop\":{{\"mean_us\":{mean_us:.1},\"p50_us\":{p50_us:.1},\"p99_us\":{p99_us:.1}}},\
          \"pipelined\":{{\"total_s\":{total_s:.6},\"req_per_s\":{req_per_s:.1}}}}}\n"
     );

@@ -5,9 +5,8 @@
 //! plus its capacitively coupled aggressors. [`CouplingClusters`]
 //! partitions the deck's nets into *coupling islands* — the connected
 //! components of the graph whose edges are coupling capacitors — with a
-//! union-find sweep over the element table of a
-//! [`DeckIndex`](crate::spice::stream::DeckIndex). Nets in different
-//! islands interact through no element, so each island can be
+//! union-find sweep over the element table of a [`DeckIndex`]. Nets in
+//! different islands interact through no element, so each island can be
 //! materialized and analyzed independently (and in parallel) with
 //! results bit-identical to a whole-deck analysis.
 //!

@@ -342,7 +342,7 @@ pub(crate) fn tokenize(raw: &str, out: &mut Vec<Span>) {
 /// # Errors
 ///
 /// Returns [`SpiceParseError`] on malformed cards, unparseable numbers, or
-/// when the described structure fails [`NetworkBuilder::build`] validation.
+/// when the described structure fails [`crate::NetworkBuilder::build`] validation.
 pub fn parse_deck(deck: &str) -> Result<Network, SpiceParseError> {
     parse_deck_with_limits(deck, &DeckLimits::default())
 }

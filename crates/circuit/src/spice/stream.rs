@@ -254,9 +254,9 @@ impl<R: BufRead> DeckStream<R> {
         self.stats
     }
 
-    /// The first few skipped directives, as `(line, card name)` pairs —
-    /// at most [`MAX_SKIP_SAMPLES`]; `stats().skipped_directives` holds
-    /// the exact total.
+    /// The first few skipped directives (a bounded sample), as `(line,
+    /// card name)` pairs; `stats().skipped_directives` holds the exact
+    /// total.
     pub fn skipped_samples(&self) -> &[(usize, String)] {
         &self.skipped_samples
     }

@@ -9,7 +9,6 @@ use std::slice::Iter;
 use xtalk_circuit::signal::Shape;
 use xtalk_circuit::spice::parse_si_value;
 use xtalk_exec::Jobs;
-use xtalk_linalg::SolverKind;
 use xtalk_sim::{FastTier, SimMode};
 use xtalk_tech::sweep::SweepConfig;
 use xtalk_tech::PexDeckSpec;
@@ -28,7 +27,7 @@ pub enum Command {
 }
 
 /// Parsed `xtalk audit` invocation — deck-free, so it is parsed apart
-/// from [`Invocation`].
+/// from the deck commands' `Invocation`.
 #[derive(Debug, Clone, Default)]
 pub struct AuditArgs {
     /// Number of randomized cases.
@@ -157,23 +156,14 @@ pub struct ObsArgs {
     /// Silence warnings and progress chatter (they are still counted in
     /// `warnings.total`).
     pub quiet: bool,
-    /// Simulator solver backend override (`--solver auto|dense|sparse`).
-    /// `None` leaves the `XTALK_SOLVER` environment variable (then the
-    /// automatic per-matrix heuristic) in charge. Results are identical
-    /// either way up to factorization rounding; the flag exists for
-    /// performance comparisons and the dense/sparse equivalence gate in
-    /// CI.
-    pub solver: Option<SolverKind>,
-    /// Golden stepping-mode override (`--sim fixed|adaptive`). `None`
-    /// leaves the `XTALK_SIM` environment variable (then fixed-step) in
-    /// charge. The closed-form metric outputs are identical either way;
+    /// Golden stepping mode (`--sim fixed|adaptive`); `None` steps
+    /// fixed. The closed-form metric outputs are identical either way;
     /// the flag trades golden-simulation wall time against the adaptive
     /// march's LTE-bounded waveform differences.
     pub sim: Option<SimMode>,
-    /// Analytic fast-tier override (`--fast-tier off|on|auto`). `None`
-    /// leaves the `XTALK_FAST_TIER` environment variable (then off) in
-    /// charge. `auto` uses closed-form pole superposition instead of a
-    /// transient sim wherever the conditioning gate admits it.
+    /// Analytic fast-tier policy (`--fast-tier off|on|auto`); `None`
+    /// leaves it off. `auto` uses closed-form pole superposition instead
+    /// of a transient sim wherever the conditioning gate admits it.
     pub fast_tier: Option<FastTier>,
     /// Write the full metrics snapshot — deterministic metrics *plus*
     /// performance-class counters/timings (fast-tier hit and fallback
@@ -506,7 +496,6 @@ const SHAPES: &str = "ramp|exp|step";
 const METRICS: &str = "one|two|closed";
 const DELAY_METRICS: &str = "elmore|d2m|two-pole";
 const FAMILIES: &str = "far|near|tree|all";
-const SOLVERS: &str = "auto|dense|sparse";
 const SIM_MODES: &str = "fixed|adaptive";
 const FAST_TIERS: &str = "off|on|auto";
 /// Default and cap of `--cases` for `lambda` and `delay-table`.
@@ -519,8 +508,6 @@ const GLOBAL: &[Flag<ObsArgs>] = &[
     Flag::value("--trace-out", "PATH", |o, v| text(v).map(|s| o.trace_out = Some(s))),
     Flag::switch("--stats", |o| o.stats = true),
     Flag::switch("--quiet", |o| o.quiet = true),
-    Flag::value("--solver", SOLVERS,
-        |o, v| choice(v, SolverKind::parse, SOLVERS).map(|k| o.solver = Some(k))),
     Flag::value("--sim", SIM_MODES,
         |o, v| choice(v, SimMode::parse, SIM_MODES).map(|m| o.sim = Some(m))),
     Flag::value("--fast-tier", FAST_TIERS,
@@ -1078,17 +1065,13 @@ Global flags (accepted by every command):
     --stats             print a metrics and timings table to stderr
     --quiet             silence warnings and progress (still counted in
                         the warnings.total metric)
-    --solver KIND       simulator factorization backend: auto (default;
-                        per-matrix heuristic), dense (LU), sparse (LDL^T
-                        tree solver); overrides the XTALK_SOLVER env var
     --sim MODE          golden transient stepping: fixed (default) or
                         adaptive (trap-vs-BE error-controlled steps, same
-                        base grid; several times faster on long tails);
-                        overrides the XTALK_SIM env var
+                        base grid; several times faster on long tails)
     --fast-tier MODE    analytic golden fast tier: off (default), auto
                         (closed-form pole superposition when its
                         conditioning gate admits the case), on (skip the
-                        gate margins); overrides XTALK_FAST_TIER
+                        gate margins)
     --metrics-full-out PATH
                         like --metrics-out plus performance-class data:
                         wall times, fast-tier hit/fallback counters,
@@ -1249,18 +1232,15 @@ mod tests {
     }
 
     #[test]
-    fn solver_flag_parses_and_validates() {
-        let (_, obs) = parse_outcome(&["sweep", "--cases", "4", "--solver", "sparse"]).unwrap();
-        assert_eq!(obs.solver, Some(SolverKind::Sparse));
-        let (_, obs) = parse_outcome(&["--solver", "DENSE", "noise", "d.sp"]).unwrap();
-        assert_eq!(obs.solver, Some(SolverKind::Dense));
-        let (_, obs) = parse_outcome(&["audit", "--solver", "auto"]).unwrap();
-        assert_eq!(obs.solver, Some(SolverKind::Auto));
-        let (_, obs) = parse_outcome(&["audit"]).unwrap();
-        assert_eq!(obs.solver, None);
-
-        assert!(parse_outcome(&["sweep", "--solver"]).is_err());
-        assert!(parse_outcome(&["sweep", "--solver", "cholesky"]).is_err());
+    fn solver_flag_is_unknown() {
+        let err = parse_err(&["sweep", "--cases", "4", "--solver", "sparse"]);
+        assert!(
+            err.contains("unknown flag \"--solver\" for xtalk sweep"),
+            "{err}"
+        );
+        let err = parse_err(&["--solver", "dense", "sweep", "--cases", "4"]);
+        assert!(err.contains("unknown command \"--solver\""), "{err}");
+        assert!(!help().contains("--solver"));
     }
 
     #[test]

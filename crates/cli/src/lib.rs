@@ -11,17 +11,12 @@
 //! `--metrics-out PATH`, `--trace-out PATH`, `--stats` and `--quiet`
 //! (see [`xtalk_obs`]): metrics snapshots are deterministic JSON
 //! (byte-identical across `--jobs` values), traces are Chrome-trace JSON.
-//! A `--solver auto|dense|sparse` switch forces the simulator's
-//! factorization backend (normally chosen per matrix); results agree to
-//! factorization rounding (~1e-13 relative) and the deterministic
-//! metrics snapshot is byte-identical, so it exists for performance
-//! work and the dense/sparse equivalence gate in CI. The golden-tier
-//! fast paths are switched the same way: `--sim fixed|adaptive` selects
-//! the transient stepping strategy, `--fast-tier off|on|auto` gates the
-//! analytic pole-superposition tier, and `--metrics-full-out PATH`
-//! additionally dumps the performance-class counters (fast-tier
-//! hit/fallback rates, adaptive step savings) that the deterministic
-//! snapshot excludes.
+//! Two more global flags switch the golden-tier fast paths: `--sim
+//! fixed|adaptive` selects the transient stepping strategy and
+//! `--fast-tier off|on|auto` gates the analytic pole-superposition tier.
+//! `--metrics-full-out PATH` additionally dumps the performance-class
+//! counters (fast-tier hit/fallback rates, adaptive step savings) that
+//! the deterministic snapshot excludes.
 //!
 //! All analysis goes through the same public APIs a library user would
 //! call; the CLI only parses arguments and formats reports. The library
@@ -98,9 +93,6 @@ pub fn run(argv: &[String]) -> Result<RunOutcome, Box<dyn Error>> {
 /// Switches the observability sinks on before any analysis runs.
 fn apply_obs(obs: &ObsArgs) {
     xtalk_obs::set_quiet(obs.quiet);
-    if let Some(kind) = obs.solver {
-        xtalk_sim::set_solver_override(kind);
-    }
     if let Some(mode) = obs.sim {
         xtalk_sim::set_sim_mode_override(mode);
     }

@@ -12,9 +12,10 @@
 //! hit and invalidation counts and the metric memo's hits and misses.
 //!
 //! The golden tier is pinned to fixed stepping with the analytic tier
-//! off, so `XTALK_SIM` and `XTALK_FAST_TIER` in the environment cannot
-//! move the simulated columns. On a mismatch the actual output is
-//! written to the test's temp directory for inspection.
+//! off, the defaults, so the simulated columns are those of a plain
+//! `xtalk` run (`--sim fixed --fast-tier off` from the shell). On a
+//! mismatch the actual output is written to the test's temp directory
+//! for inspection.
 //!
 //! This file holds exactly one `#[test]`: the golden-tier overrides are
 //! process-global.

@@ -10,9 +10,9 @@
 //! text must equal `fixtures/noise_reports.txt` byte for byte.
 //!
 //! The golden tier is pinned to fixed stepping with the analytic tier
-//! off, so `XTALK_SIM` and `XTALK_FAST_TIER` in the environment cannot
-//! move the simulated rows. On a mismatch the full output is written to
-//! the test's temp directory for inspection.
+//! off, the defaults, so the simulated rows are those of a plain `xtalk
+//! noise` run. On a mismatch the full output is written to the test's
+//! temp directory for inspection.
 //!
 //! This file holds exactly one `#[test]`: the golden-tier overrides are
 //! process-global.

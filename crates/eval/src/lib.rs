@@ -111,12 +111,6 @@ pub fn evaluate_run_jobs(run: &SweepRun, progress: bool, jobs: Jobs) -> TableSta
     stats
 }
 
-/// Evaluates a pre-generated case list. Equivalent to
-/// [`evaluate_cases_jobs`] with [`Jobs::Auto`].
-pub fn evaluate_cases(cases: &[SweepCase], progress: bool) -> TableStats {
-    evaluate_cases_jobs(cases, progress, Jobs::Auto)
-}
-
 /// Evaluates a pre-generated case list on up to `jobs` workers.
 ///
 /// Each worker reuses one [`SimWorkspace`] across its cases and runs the

@@ -10,7 +10,7 @@
 //!    — bounded memory, `+` continuation support, optional lenient
 //!    skipping of benign directives.
 //! 2. **Partition** nets into coupling islands with
-//!    [`CouplingClusters`](xtalk_circuit::cluster::CouplingClusters).
+//!    [`CouplingClusters`].
 //! 3. **Screen** islands, not nets: each island is materialized once,
 //!    validated structurally once and its `O(n)` tree moment engine
 //!    built once ([`SharedMoments`]); then every member takes a turn as
@@ -25,9 +25,8 @@
 //!
 //! Work is parallel over islands via [`xtalk_exec`], and the report —
 //! including its JSON rendering — is byte-identical at any `--jobs`
-//! value. A whole-deck [`Network`](xtalk_circuit::Network) is never
-//! built: peak memory follows the element table and the largest island,
-//! not the chip.
+//! value. A whole-deck [`Network`] is never built: peak memory follows
+//! the element table and the largest island, not the chip.
 //!
 //! # Examples
 //!

@@ -171,8 +171,8 @@ pub struct SessionStats {
 
 /// Incremental what-if session over a coupled cluster.
 ///
-/// Holds the base [`Network`] plus one truncated [view](crate::view) per
-/// net (the net re-roled as victim with its 1-hop coupled neighbours).
+/// Holds the base [`Network`] plus one truncated view per net (the net
+/// re-roled as victim with its 1-hop coupled neighbours).
 /// [`WhatIf::apply`] pushes a value-only [`Delta`] through the base and,
 /// along a routing table built with the views, into exactly the views it
 /// touches — dependency-tracked invalidation — and [`WhatIf::report`]

@@ -46,4 +46,4 @@ pub use dense::Matrix;
 pub use error::LinalgError;
 pub use ldl::{LdlFactors, LdlSymbolic};
 pub use lu::LuFactors;
-pub use solver::{prefer_sparse, sparse_eligible, Solver, SolverKind};
+pub use solver::{prefer_sparse, Solver};

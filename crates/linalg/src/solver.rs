@@ -30,40 +30,11 @@ pub const SPARSE_MIN_DIM: usize = 12;
 /// indirection.
 pub const SPARSE_MAX_DENSITY: f64 = 0.25;
 
-/// Requested solver backend; `Auto` applies [`prefer_sparse`].
-///
-/// Parsed from the `XTALK_SOLVER` environment variable and the CLI
-/// `--solver` flag by the simulator crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// Pick per matrix via [`prefer_sparse`].
-    #[default]
-    Auto,
-    /// Always dense LU.
-    Dense,
-    /// Sparse LDLᵀ whenever structurally possible ([`sparse_eligible`]);
-    /// structurally unsuitable matrices still fall back to dense.
-    Sparse,
-}
-
-impl SolverKind {
-    /// Parses `"auto"`, `"dense"`, or `"sparse"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<SolverKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(SolverKind::Auto),
-            "dense" => Some(SolverKind::Dense),
-            "sparse" | "ldl" => Some(SolverKind::Sparse),
-            _ => None,
-        }
-    }
-}
-
 /// `true` when LDLᵀ can factor this matrix at all: square, exactly
 /// symmetric, and every diagonal entry present and positive (the
 /// SPD-like shape stamped MNA matrices have). Size and density are a
-/// *preference* ([`prefer_sparse`]); this is the hard floor even under a
-/// forced-sparse override.
-pub fn sparse_eligible(a: &Csr) -> bool {
+/// *preference* ([`prefer_sparse`]) on top of this hard floor.
+fn sparse_eligible(a: &Csr) -> bool {
     let n = a.rows();
     if n != a.cols() {
         return false;
@@ -71,9 +42,8 @@ pub fn sparse_eligible(a: &Csr) -> bool {
     (0..n).all(|i| a.get(i, i) > 0.0) && a.is_symmetric()
 }
 
-/// Selection heuristic for [`SolverKind::Auto`]: sparse when eligible,
-/// big enough, and sparse enough (see the module docs for the
-/// reasoning).
+/// The backend selection heuristic: sparse when eligible, big enough,
+/// and sparse enough (see the module docs for the reasoning).
 pub fn prefer_sparse(a: &Csr) -> bool {
     let n = a.rows();
     if n < SPARSE_MIN_DIM {
@@ -230,15 +200,5 @@ mod tests {
         for (d, s) in xd.iter().zip(&xs) {
             assert!((d - s).abs() < 1e-12 * (1.0 + d.abs()));
         }
-    }
-
-    #[test]
-    fn solver_kind_parsing() {
-        assert_eq!(SolverKind::parse("auto"), Some(SolverKind::Auto));
-        assert_eq!(SolverKind::parse(" Dense "), Some(SolverKind::Dense));
-        assert_eq!(SolverKind::parse("SPARSE"), Some(SolverKind::Sparse));
-        assert_eq!(SolverKind::parse("ldl"), Some(SolverKind::Sparse));
-        assert_eq!(SolverKind::parse("cholesky"), None);
-        assert_eq!(SolverKind::default(), SolverKind::Auto);
     }
 }

@@ -280,7 +280,7 @@ impl Server {
 
     /// Accept loop over a TCP listener until shutdown. Each connection
     /// runs on its own thread; the listener polls so SIGTERM is honored
-    /// within ~[`READ_POLL`].
+    /// within one read-poll interval.
     ///
     /// # Errors
     ///

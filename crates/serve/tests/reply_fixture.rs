@@ -81,8 +81,8 @@ fn strip_elapsed(reply: &str) -> String {
 
 #[test]
 fn analyze_replies_match_the_fixture_byte_for_byte() {
-    // Pin the golden tier the way the benchmark does, so `XTALK_SIM` and
-    // `XTALK_FAST_TIER` in the environment cannot move the golden rows.
+    // Pin the golden tier the way the benchmark does: adaptive stepping
+    // with the analytic tier on auto.
     set_sim_mode_override(SimMode::Adaptive);
     set_fast_tier_override(FastTier::Auto);
     let mut ws = SimWorkspace::new();

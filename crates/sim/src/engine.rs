@@ -2,50 +2,10 @@
 use crate::{SimError, Waveform};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 use xtalk_circuit::{signal::InputSignal, NetId, NetRole, Network, NodeId};
 use xtalk_linalg::sparse::{Csr, Triplets};
-use xtalk_linalg::{LdlSymbolic, LinalgError, Matrix, Solver, SolverKind};
+use xtalk_linalg::{LdlSymbolic, LinalgError, Matrix, Solver};
 use xtalk_moments::tree;
-
-/// Process-wide solver-backend override, set by the CLI `--solver` flag
-/// (0 = unset, 1..=3 = [`SolverKind`] variants). Takes precedence over
-/// the `XTALK_SOLVER` environment variable.
-static SOLVER_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Cached parse of `XTALK_SOLVER` (read once; env lookups are not free
-/// and the choice must be stable within a process).
-static ENV_SOLVER: OnceLock<SolverKind> = OnceLock::new();
-
-/// Forces the solver backend for every simulator constructed after the
-/// call — the hook behind `xtalk --solver` and the dense/sparse
-/// equivalence gates in CI. Prefer per-instance control via
-/// [`TransientSim::new_with_solver`] in tests.
-pub fn set_solver_override(kind: SolverKind) {
-    let code = match kind {
-        SolverKind::Auto => 1,
-        SolverKind::Dense => 2,
-        SolverKind::Sparse => 3,
-    };
-    SOLVER_OVERRIDE.store(code, Ordering::Relaxed);
-}
-
-/// Resolves the effective backend request: explicit override, then the
-/// `XTALK_SOLVER` environment variable (`auto`/`dense`/`sparse`), then
-/// [`SolverKind::Auto`].
-pub fn solver_kind() -> SolverKind {
-    match SOLVER_OVERRIDE.load(Ordering::Relaxed) {
-        1 => SolverKind::Auto,
-        2 => SolverKind::Dense,
-        3 => SolverKind::Sparse,
-        _ => *ENV_SOLVER.get_or_init(|| {
-            std::env::var("XTALK_SOLVER")
-                .ok()
-                .and_then(|s| SolverKind::parse(&s))
-                .unwrap_or_default()
-        }),
-    }
-}
 
 /// Time-marching strategy of the golden simulator. Both modes run the
 /// same trapezoidal march on the base grid `SimOptions::dt`: fixed holds
@@ -64,7 +24,7 @@ pub enum SimMode {
 }
 
 impl SimMode {
-    /// Parses the `--sim` flag / `XTALK_SIM` spelling (`fixed`/`adaptive`).
+    /// Parses the `--sim` flag's spelling (`fixed`/`adaptive`).
     pub fn parse(s: &str) -> Option<SimMode> {
         match s.to_ascii_lowercase().as_str() {
             "fixed" => Some(SimMode::Fixed),
@@ -101,8 +61,7 @@ pub enum FastTier {
 }
 
 impl FastTier {
-    /// Parses the `--fast-tier` flag / `XTALK_FAST_TIER` spelling
-    /// (`off`/`on`/`auto`).
+    /// Parses the `--fast-tier` flag's spelling (`off`/`on`/`auto`).
     pub fn parse(s: &str) -> Option<FastTier> {
         match s.to_ascii_lowercase().as_str() {
             "off" => Some(FastTier::Off),
@@ -122,68 +81,41 @@ impl FastTier {
     }
 }
 
-/// Process-wide stepping-mode override (`--sim`); 0 = unset.
-static SIM_MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Cached parse of `XTALK_SIM` (read once, stable within a process).
-static ENV_SIM_MODE: OnceLock<SimMode> = OnceLock::new();
+/// Process-wide golden stepping mode (`--sim`), as `SimMode as u8`.
+static SIM_MODE: AtomicU8 = AtomicU8::new(SimMode::Fixed as u8);
 
 /// Forces the golden stepping mode for the process — the hook behind
 /// `xtalk --sim` and the fixed-vs-adaptive equivalence gates in CI.
 pub fn set_sim_mode_override(mode: SimMode) {
-    let code = match mode {
-        SimMode::Fixed => 1,
-        SimMode::Adaptive => 2,
-    };
-    SIM_MODE_OVERRIDE.store(code, Ordering::Relaxed);
+    SIM_MODE.store(mode as u8, Ordering::Relaxed);
 }
 
-/// Resolves the effective stepping mode: explicit override, then the
-/// `XTALK_SIM` environment variable, then [`SimMode::Fixed`].
+/// The effective stepping mode: the override, else [`SimMode::Fixed`].
 pub fn sim_mode() -> SimMode {
-    match SIM_MODE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => SimMode::Fixed,
-        2 => SimMode::Adaptive,
-        _ => *ENV_SIM_MODE.get_or_init(|| {
-            std::env::var("XTALK_SIM")
-                .ok()
-                .and_then(|s| SimMode::parse(&s))
-                .unwrap_or_default()
-        }),
-    }
+    let code = SIM_MODE.load(Ordering::Relaxed);
+    [SimMode::Fixed, SimMode::Adaptive]
+        .into_iter()
+        .find(|&m| m as u8 == code)
+        .unwrap_or_default()
 }
 
-/// Process-wide fast-tier override (`--fast-tier`); 0 = unset.
-static FAST_TIER_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Cached parse of `XTALK_FAST_TIER`.
-static ENV_FAST_TIER: OnceLock<FastTier> = OnceLock::new();
+/// Process-wide analytic fast-tier policy (`--fast-tier`), as
+/// `FastTier as u8`.
+static FAST_TIER: AtomicU8 = AtomicU8::new(FastTier::Off as u8);
 
 /// Forces the analytic fast-tier policy for the process — the hook
 /// behind `xtalk --fast-tier`.
 pub fn set_fast_tier_override(tier: FastTier) {
-    let code = match tier {
-        FastTier::Off => 1,
-        FastTier::On => 2,
-        FastTier::Auto => 3,
-    };
-    FAST_TIER_OVERRIDE.store(code, Ordering::Relaxed);
+    FAST_TIER.store(tier as u8, Ordering::Relaxed);
 }
 
-/// Resolves the effective fast-tier policy: explicit override, then the
-/// `XTALK_FAST_TIER` environment variable, then [`FastTier::Off`].
+/// The effective fast-tier policy: the override, else [`FastTier::Off`].
 pub fn fast_tier() -> FastTier {
-    match FAST_TIER_OVERRIDE.load(Ordering::Relaxed) {
-        1 => FastTier::Off,
-        2 => FastTier::On,
-        3 => FastTier::Auto,
-        _ => *ENV_FAST_TIER.get_or_init(|| {
-            std::env::var("XTALK_FAST_TIER")
-                .ok()
-                .and_then(|s| FastTier::parse(&s))
-                .unwrap_or_default()
-        }),
-    }
+    let code = FAST_TIER.load(Ordering::Relaxed);
+    [FastTier::Off, FastTier::On, FastTier::Auto]
+        .into_iter()
+        .find(|&t| t as u8 == code)
+        .unwrap_or_default()
 }
 
 /// Options controlling a transient run.
@@ -398,9 +330,7 @@ enum Backend {
 /// with a fill-reducing ordering (the default for the tree-like MNA
 /// systems of RC interconnect, where factorization is O(nnz)) and dense
 /// LU with partial pivoting (small or structurally unsuitable systems).
-/// Selection is automatic per matrix; `XTALK_SOLVER`/[`set_solver_override`]
-/// force a backend, and [`TransientSim::new_with_solver`] picks one per
-/// instance.
+/// The stamped matrices choose between them (see [`TransientSim::new`]).
 #[derive(Debug)]
 pub struct TransientSim<'a> {
     network: &'a Network,
@@ -411,20 +341,25 @@ pub struct TransientSim<'a> {
 }
 
 impl<'a> TransientSim<'a> {
-    /// Stamps the MNA matrices for `network`, selecting the solver
-    /// backend per [`solver_kind`].
+    /// Stamps the MNA matrices for `network` and factors `G` on the
+    /// backend they call for: sparse LDLᵀ when
+    /// [`prefer_sparse`](xtalk_linalg::prefer_sparse) accepts `G` and `C`
+    /// is symmetric, dense LU otherwise, or when the sparse factorization
+    /// of `G` fails.
     ///
     /// # Errors
     ///
     /// [`SimError::Numerical`] when `G` cannot be factored (conditioning
     /// pathology; structurally impossible for a validated network).
     pub fn new(network: &'a Network) -> Result<Self, SimError> {
-        Self::new_with_solver(network, solver_kind())
+        let (g, c) = Self::stamp_sparse(network);
+        let sparse = xtalk_linalg::prefer_sparse(&g) && c.is_symmetric();
+        Self::on_backend(network, g, c, sparse)
     }
 
-    /// Stamps the sparse `G`/`C` triplets (same element order as the
+    /// Stamps the sparse `G`/`C` matrices (same element order as the
     /// dense stamping, so merged entries accumulate identically).
-    fn stamp_sparse(network: &Network) -> (Triplets, Triplets) {
+    fn stamp_sparse(network: &Network) -> (Csr, Csr) {
         let n = network.node_count();
         let mut g = Triplets::new(n, n);
         let mut c = Triplets::new(n, n);
@@ -452,33 +387,18 @@ impl<'a> TransientSim<'a> {
             c.push(a, b, -cc.farads);
             c.push(b, a, -cc.farads);
         }
-        (g, c)
+        (g.to_csr(), c.to_csr())
     }
 
-    /// Like [`TransientSim::new`] with an explicit backend request.
-    /// `Auto` applies the size/density heuristic; `Sparse` uses LDLᵀ
-    /// whenever the stamped system is structurally eligible (symmetric,
-    /// positive `G` diagonal), falling back to dense otherwise — so a
-    /// forced-sparse process never loses robustness on degenerate
-    /// inputs.
-    ///
-    /// # Errors
-    ///
-    /// As [`TransientSim::new`].
-    pub fn new_with_solver(network: &'a Network, kind: SolverKind) -> Result<Self, SimError> {
-        let (g_t, c_t) = Self::stamp_sparse(network);
-        let g_csr = g_t.to_csr();
-        let c_csr = c_t.to_csr();
-        let want_sparse = match kind {
-            SolverKind::Dense => false,
-            SolverKind::Sparse => {
-                xtalk_linalg::sparse_eligible(&g_csr) && c_csr.is_symmetric()
-            }
-            SolverKind::Auto => {
-                xtalk_linalg::prefer_sparse(&g_csr) && c_csr.is_symmetric()
-            }
-        };
-        if want_sparse {
+    /// Factors `G` on the sparse backend when `sparse` is set and its
+    /// numeric factorization succeeds, on the dense backend otherwise.
+    fn on_backend(
+        network: &'a Network,
+        g_csr: Csr,
+        c_csr: Csr,
+        sparse: bool,
+    ) -> Result<Self, SimError> {
+        if sparse {
             let (pattern, g_pos, c_pos) =
                 Csr::union_pattern(&g_csr, &c_csr).expect("same shape");
             let mut g_vals = vec![0.0; pattern.nnz()];
@@ -990,6 +910,15 @@ mod tests {
     use super::*;
     use xtalk_circuit::NetworkBuilder;
 
+    impl<'a> TransientSim<'a> {
+        /// [`TransientSim::new`] on a forced backend, for the tests that
+        /// hold the two against each other.
+        fn new_forced(network: &'a Network, sparse: bool) -> Result<Self, SimError> {
+            let (g, c) = Self::stamp_sparse(network);
+            Self::on_backend(network, g, c, sparse)
+        }
+    }
+
     /// Lumped RC victim driven by one coupled aggressor node.
     fn coupled_pair(rd: f64, cg: f64, cc: f64) -> (Network, NetId) {
         let mut b = NetworkBuilder::new();
@@ -1164,45 +1093,63 @@ mod tests {
     #[test]
     fn auto_selects_sparse_for_ladders_and_dense_for_lumped() {
         let (ladder, _) = coupled_ladder(12);
-        let sim = TransientSim::new_with_solver(&ladder, SolverKind::Auto).unwrap();
+        let sim = TransientSim::new(&ladder).unwrap();
         assert!(sim.uses_sparse_solver());
         let (lumped, _) = coupled_pair(100.0, 10e-15, 5e-15);
-        let sim = TransientSim::new_with_solver(&lumped, SolverKind::Auto).unwrap();
+        let sim = TransientSim::new(&lumped).unwrap();
         assert!(!sim.uses_sparse_solver());
-        // A forced-sparse request still engages on the tiny system …
-        let sim = TransientSim::new_with_solver(&lumped, SolverKind::Sparse).unwrap();
+        // A forced-sparse simulator still engages on the tiny system …
+        let sim = TransientSim::new_forced(&lumped, true).unwrap();
         assert!(sim.uses_sparse_solver());
-        // … and a forced-dense request overrides the ladder heuristic.
-        let sim = TransientSim::new_with_solver(&ladder, SolverKind::Dense).unwrap();
+        // … and a forced-dense one overrides the ladder heuristic.
+        let sim = TransientSim::new_forced(&ladder, false).unwrap();
         assert!(!sim.uses_sparse_solver());
     }
 
     #[test]
     fn sparse_and_dense_backends_agree() {
-        let (net, agg) = coupled_ladder(16);
-        let stim = [(agg, InputSignal::rising_ramp(5e-11, 1.2e-10))];
-        let opts = SimOptions::auto(&net, &stim);
-        let dense = TransientSim::new_with_solver(&net, SolverKind::Dense).unwrap();
-        let sparse = TransientSim::new_with_solver(&net, SolverKind::Sparse).unwrap();
-        assert!(sparse.uses_sparse_solver());
-        for mode in [SimMode::Fixed, SimMode::Adaptive] {
-            let rd = dense
-                .run_with(&stim, &opts, mode, &mut SimWorkspace::new())
-                .unwrap();
-            let rs = sparse
-                .run_with(&stim, &opts, mode, &mut SimWorkspace::new())
-                .unwrap();
-            let out = net.victim_output();
-            let (wd, ws) = (rd.probe(out).unwrap(), rs.probe(out).unwrap());
-            assert_eq!(wd.samples().len(), ws.samples().len());
-            // Peak noise is well above 1e-3; per-sample agreement to
-            // 1e-10 makes the backends interchangeable for every metric
-            // the sweep derives from the waveform.
-            for (d, s) in wd.samples().iter().zip(ws.samples()) {
-                assert!(
-                    (d - s).abs() < 1e-10,
-                    "dense {d} vs sparse {s} diverged"
-                );
+        for segs in [12, 16, 32] {
+            let (net, agg) = coupled_ladder(segs);
+            let stim = [(agg, InputSignal::rising_ramp(5e-11, 1.2e-10))];
+            let opts = SimOptions::auto(&net, &stim);
+            let dense = TransientSim::new_forced(&net, false).unwrap();
+            let sparse = TransientSim::new_forced(&net, true).unwrap();
+            assert!(sparse.uses_sparse_solver() && !dense.uses_sparse_solver());
+            for mode in [SimMode::Fixed, SimMode::Adaptive] {
+                let rd = dense
+                    .run_with(&stim, &opts, mode, &mut SimWorkspace::new())
+                    .unwrap();
+                let rs = sparse
+                    .run_with(&stim, &opts, mode, &mut SimWorkspace::new())
+                    .unwrap();
+                let out = net.victim_output();
+                let (wd, ws) = (rd.probe(out).unwrap(), rs.probe(out).unwrap());
+                assert_eq!(wd.samples().len(), ws.samples().len());
+                // Peak noise is well above 1e-3; per-sample agreement to
+                // 1e-10 makes the backends interchangeable for every metric
+                // the sweep derives from the waveform.
+                for (d, s) in wd.samples().iter().zip(ws.samples()) {
+                    assert!(
+                        (d - s).abs() < 1e-10,
+                        "{segs} segments, {mode:?}: dense {d} vs sparse {s} diverged"
+                    );
+                }
+                let pd = crate::measure_noise(wd, 1.0).unwrap();
+                let ps = crate::measure_noise(ws, 1.0).unwrap();
+                for (name, d, s) in [
+                    ("vp", pd.vp, ps.vp),
+                    ("tp", pd.tp, ps.tp),
+                    ("t0", pd.t0, ps.t0),
+                    ("t1", pd.t1, ps.t1),
+                    ("t2", pd.t2, ps.t2),
+                    ("wn", pd.wn, ps.wn),
+                    ("area", pd.area, ps.area),
+                ] {
+                    assert!(
+                        (d - s).abs() <= 1e-9 * d.abs(),
+                        "{segs} segments, {mode:?}: {name} dense {d} vs sparse {s}"
+                    );
+                }
             }
         }
     }
@@ -1214,8 +1161,8 @@ mod tests {
         // backends and simulators.
         let (net, agg) = coupled_ladder(14);
         let (lumped, agg_l) = coupled_pair(100.0, 10e-15, 5e-15);
-        let sparse = TransientSim::new_with_solver(&net, SolverKind::Sparse).unwrap();
-        let dense = TransientSim::new_with_solver(&lumped, SolverKind::Dense).unwrap();
+        let sparse = TransientSim::new_forced(&net, true).unwrap();
+        let dense = TransientSim::new_forced(&lumped, false).unwrap();
         let stim = [(agg, InputSignal::rising_ramp(0.0, 1e-10))];
         let stim_l = [(agg_l, InputSignal::rising_ramp(0.0, 1e-10))];
         let opts = SimOptions {

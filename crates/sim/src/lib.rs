@@ -63,8 +63,8 @@ mod waveform;
 
 pub use analytic::{analytic_noise, FastTierFallback};
 pub use engine::{
-    fast_tier, set_fast_tier_override, set_sim_mode_override, set_solver_override, sim_mode,
-    solver_kind, FastTier, SimMode, SimOptions, SimResult, SimWorkspace, TransientSim,
+    fast_tier, set_fast_tier_override, set_sim_mode_override, sim_mode, FastTier, SimMode,
+    SimOptions, SimResult, SimWorkspace, TransientSim,
 };
 pub use error::SimError;
 pub use golden::{golden_noise, golden_noise_tiered, golden_noise_with, GoldenOpts, GoldenTier};

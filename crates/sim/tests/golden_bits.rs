@@ -22,10 +22,9 @@ use xtalk_circuit::cluster::CouplingClusters;
 use xtalk_circuit::signal::InputSignal;
 use xtalk_circuit::spice::stream::{DeckIndex, StreamOptions};
 use xtalk_circuit::{NetId, NetRole, Network, NetworkBuilder};
-use xtalk_linalg::SolverKind;
 use xtalk_sim::{
-    analytic_noise, golden_noise_tiered, measure_noise, set_solver_override, FastTier, GoldenOpts,
-    NoiseWaveformParams, SimError, SimMode, SimOptions, SimWorkspace, TransientSim,
+    analytic_noise, golden_noise_tiered, measure_noise, FastTier, GoldenOpts, NoiseWaveformParams,
+    SimError, SimMode, SimOptions, SimWorkspace, TransientSim,
 };
 use xtalk_tech::sweep::{single_case, CaseFamily};
 use xtalk_tech::{PexDeckSpec, Technology};
@@ -210,8 +209,6 @@ fn case_lines(case: &Case, ws: &mut SimWorkspace) -> Vec<String> {
 
 #[test]
 fn golden_and_analytic_bits_match_the_fixture() {
-    // Pin the backend heuristic so `XTALK_SOLVER` cannot move the bits.
-    set_solver_override(SolverKind::Auto);
     let cases = all_cases();
 
     // The case mix reaches both backends and a horizon retry.
