@@ -3,10 +3,12 @@
 //! The what-if engine ([`xtalk_incr::WhatIf`]) promises **bit-identity**:
 //! after any sequence of single-element deltas and reverts, its report
 //! equals the one a fresh session built from scratch on the edited
-//! network would produce, byte for byte. The promise rests on careful
-//! floating-point reasoning (repaired moment blocks re-run the exact
-//! same kernels on the exact same inputs), which is exactly the kind of
-//! claim an audit should re-verify numerically on every run.
+//! network would produce, byte for byte. The promise rests on
+//! floating-point reasoning (a recomputed view re-runs the exact same
+//! kernels on the exact same values, and a clean view's cached results
+//! were computed from values no delta has since touched), which is
+//! exactly the kind of claim an audit should re-verify numerically on
+//! every run.
 //!
 //! For a family of deterministic Figure-4 clusters, this module walks a
 //! seeded delta/revert script and, after every step, compares the

@@ -7,7 +7,7 @@
 //! eighth step). Each delta is answered twice:
 //!
 //! * **incremental** — `session.apply(&delta)`: the memoized session
-//!   repairs only the invalidated one-hop views and replays the rest;
+//!   recomputes only the invalidated one-hop views and replays the rest;
 //! * **full** — a fresh `WhatIf` built from the edited network, which
 //!   recomputes every view from scratch (exactly what a caller without
 //!   the incremental layer would pay per edit).

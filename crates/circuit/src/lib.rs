@@ -67,7 +67,6 @@ mod delta;
 mod elements;
 mod error;
 mod ids;
-pub mod intern;
 mod network;
 pub mod reduce;
 pub mod signal;

@@ -228,12 +228,6 @@ pub fn reduce_quick_nodes(
     b.build()
 }
 
-/// `true` when the victim net has any aggressor coupling (used by callers
-/// deciding whether reduction thresholds must respect coupling locations).
-pub fn has_coupling(network: &Network) -> bool {
-    !network.coupling_caps().is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -971,16 +971,6 @@ impl DeckIndex {
         &self.nets[i].name
     }
 
-    /// Declared role of net `i` (advisory for screening, which treats
-    /// every net as a victim in turn).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= net_count()`.
-    pub fn net_role(&self, i: usize) -> NetRole {
-        self.nets[i].role
-    }
-
     /// Stream counters for the whole deck.
     pub fn stats(&self) -> DeckStats {
         self.stats
@@ -998,12 +988,6 @@ impl DeckIndex {
     /// their elements.
     pub fn unassigned_nodes(&self) -> usize {
         self.node_net.iter().filter(|n| n.is_none()).count()
-    }
-
-    /// The net owning the `*! output` node, when present and resolved.
-    pub fn output_net(&self) -> Option<usize> {
-        let out = self.output.as_ref()?;
-        self.node_net[out.node as usize].map(|n| n as usize)
     }
 
     /// Materializes the whole deck as one validated [`Network`] with the

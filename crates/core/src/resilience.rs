@@ -197,52 +197,35 @@ impl fmt::Display for RungFailure {
 }
 
 /// How the chain degrades. The default policy walks all four rungs and
-/// clamps out-of-range peaks; [`FallbackPolicy::strict`] refuses any
-/// degradation.
-#[derive(Debug, Clone, PartialEq)]
+/// clamps an out-of-range peak and an early arrival;
+/// [`FallbackPolicy::strict`] refuses any degradation and clamps
+/// nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FallbackPolicy {
     /// Fail on the first rung failure instead of descending the chain.
     /// Also rejects networks whose validation report carries *warnings*
     /// (errors always reject).
+    ///
+    /// Off, the chain also accepts an otherwise-sane estimate whose peak
+    /// exceeds the supply by clamping `vp` into `[0, 1]` (strict, that
+    /// estimate fails [`SanityError::PeakOutOfRange`]), and it clamps a
+    /// noise arrival `t0` that precedes both the input arrival and
+    /// `t = 0` up to that floor, re-deriving `t1`/`t2` so the identities
+    /// `tp = t0 + t1` and `wn = t1 + t2` (and the physical `tp`, `wn`
+    /// themselves) are preserved. Both clamps are recorded in the
+    /// provenance ([`Provenance::clamped`],
+    /// [`Provenance::timing_clamps`]). A slightly early `t0` is a
+    /// template artifact the paper accepts — clamping keeps downstream
+    /// consumers (timing windows, report tables) free of negative times
+    /// without changing the peak or width.
     pub strict: bool,
-    /// Accept an otherwise-sane estimate whose peak exceeds the supply by
-    /// clamping `vp` into `[0, 1]` (recorded in the provenance). When
-    /// `false`, such estimates fail [`SanityError::PeakOutOfRange`].
-    pub clamp_vp: bool,
-    /// Clamp a noise arrival `t0` that precedes both the input arrival
-    /// and `t = 0` up to that floor, re-deriving `t1`/`t2` so the
-    /// identities `tp = t0 + t1` and `wn = t1 + t2` (and the physical
-    /// `tp`, `wn` themselves) are preserved. Every clamp is recorded in
-    /// [`Provenance::timing_clamps`]. A slightly early `t0` is a template
-    /// artifact the paper accepts — clamping keeps downstream consumers
-    /// (timing windows, report tables) free of negative times without
-    /// changing the peak or width.
-    pub clamp_timing: bool,
-    /// The lowest-fidelity rung the chain may descend to.
-    pub floor: Rung,
-}
-
-impl Default for FallbackPolicy {
-    fn default() -> Self {
-        FallbackPolicy {
-            strict: false,
-            clamp_vp: true,
-            clamp_timing: true,
-            floor: Rung::LumpedPi,
-        }
-    }
 }
 
 impl FallbackPolicy {
     /// Full-fidelity-or-error: the first failure (including a validation
     /// warning or a would-be clamp) is returned as a structured error.
     pub fn strict() -> Self {
-        FallbackPolicy {
-            strict: true,
-            clamp_vp: false,
-            clamp_timing: false,
-            floor: Rung::MetricTwo,
-        }
+        FallbackPolicy { strict: true }
     }
 
     /// The policy a front end's strict flag selects:
@@ -284,7 +267,7 @@ impl Provenance {
     }
 
     /// Names of the timing quantities adjusted by the post-hoc timing
-    /// clamp (see [`FallbackPolicy::clamp_timing`]), in the order they
+    /// clamp (see [`FallbackPolicy::strict`]), in the order they
     /// were applied; empty when nothing was clamped. Like validation
     /// warnings, timing clamps alone do not count as degradation — a
     /// slightly early template `t0` is routine.
@@ -339,7 +322,7 @@ pub struct RobustEstimate {
 }
 
 /// Structured failure of the degraded-mode pipeline: either the inputs
-/// were rejected up front, or every permitted rung failed.
+/// were rejected up front, or every rung failed.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum RobustError {
@@ -350,7 +333,7 @@ pub enum RobustError {
     Engine(MetricError),
     /// Strict policy: the first rung failed and degradation is forbidden.
     StrictDegradation(RungFailure),
-    /// Every rung down to the policy floor failed.
+    /// Every rung of the chain failed.
     Exhausted(Vec<RungFailure>),
 }
 
@@ -506,7 +489,7 @@ impl<'a, M: MomentSource> RobustAnalyzer<'a, M> {
     ///
     /// # Errors
     ///
-    /// [`RobustError::Exhausted`] when every permitted rung fails,
+    /// [`RobustError::Exhausted`] when every rung fails,
     /// [`RobustError::StrictDegradation`] under a strict policy.
     pub fn analyze(
         &self,
@@ -544,9 +527,6 @@ impl<'a, M: MomentSource> RobustAnalyzer<'a, M> {
     ) -> Result<RobustEstimate, RobustError> {
         let mut failures = Vec::new();
         for rung in Rung::CHAIN {
-            if rung > self.policy.floor {
-                break;
-            }
             let attempt = self.try_rung(rung, &moments, aggressor, input);
             match attempt {
                 Ok(mut estimate) => match sanity_check(&estimate, input) {
@@ -555,9 +535,7 @@ impl<'a, M: MomentSource> RobustAnalyzer<'a, M> {
                     }
                     // The range check runs last, so an out-of-range peak
                     // means everything else about the estimate is sane.
-                    Err(SanityError::PeakOutOfRange { .. })
-                        if self.policy.clamp_vp && !self.policy.strict =>
-                    {
+                    Err(SanityError::PeakOutOfRange { .. }) if !self.policy.strict => {
                         estimate.vp = estimate.vp.clamp(0.0, 1.0);
                         return Ok(self.accept(estimate, rung, failures, true, input));
                     }
@@ -589,10 +567,10 @@ impl<'a, M: MomentSource> RobustAnalyzer<'a, M> {
         clamped: bool,
         input: &InputSignal,
     ) -> RobustEstimate {
-        let timing_clamps = if self.policy.clamp_timing {
-            clamp_timing(&mut estimate, input.arrival().min(0.0))
-        } else {
+        let timing_clamps = if self.policy.strict {
             Vec::new()
+        } else {
+            clamp_timing(&mut estimate, input.arrival().min(0.0))
         };
         // Which rung answered, and what was adjusted on the way out — the
         // degradation-rate telemetry the CI health gate watches
@@ -904,6 +882,21 @@ mod tests {
         assert!(r.provenance.clamped());
         assert!(r.provenance.degraded());
         assert_eq!(r.provenance.rung(), Rung::MetricTwo);
+
+        // A strict policy clamps nothing: the oversized peak is the
+        // first rung's failure.
+        let analyzer = RobustAnalyzer::with_policy(&net, FallbackPolicy::strict()).unwrap();
+        let moments = OutputMoments::from_raw(f1, -f1 * c, f3, 1.0);
+        match analyzer.chain(moments, agg, &input).unwrap_err() {
+            RobustError::StrictDegradation(failure) => {
+                assert_eq!(failure.rung, Rung::MetricTwo);
+                assert!(matches!(
+                    failure.error,
+                    RungError::Sanity(SanityError::PeakOutOfRange { .. })
+                ));
+            }
+            other => panic!("expected StrictDegradation, got {other:?}"),
+        }
     }
 
     #[test]
@@ -933,16 +926,13 @@ mod tests {
         assert!(!r.provenance.degraded());
         assert!(r.provenance.to_string().contains("timing clamped: t0"));
 
-        // The same moments with clamping disabled keep the raw template.
-        let policy = FallbackPolicy {
-            clamp_timing: false,
-            ..FallbackPolicy::default()
-        };
-        let analyzer = RobustAnalyzer::with_policy(&net, policy).unwrap();
+        // A strict policy keeps the raw template: no timing clamps.
+        let analyzer = RobustAnalyzer::with_policy(&net, FallbackPolicy::strict()).unwrap();
         let moments = OutputMoments::from_raw(f1, -f1 * c, f3, 1.0);
         let raw = analyzer.chain(moments, agg, &input).unwrap();
         assert!(raw.estimate.t0 < 0.0);
         assert!(raw.provenance.timing_clamps().is_empty());
+        assert_eq!(raw.provenance.rung(), Rung::MetricTwo);
     }
 
     #[test]
@@ -994,26 +984,6 @@ mod tests {
                 assert_eq!(failure.rung, Rung::MetricTwo);
             }
             other => panic!("expected StrictDegradation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn policy_floor_limits_the_descent() {
-        let (net, agg) = coupled_network();
-        let policy = FallbackPolicy {
-            floor: Rung::MetricOneSymmetric,
-            ..FallbackPolicy::default()
-        };
-        let analyzer = RobustAnalyzer::with_policy(&net, policy).unwrap();
-        // Non-physical moments would need the lumped rung; the floor
-        // stops the chain after rung 2.
-        let moments = OutputMoments::from_raw(1e-11, -1e-21, 1e-33, 1.0);
-        let err = analyzer
-            .chain(moments, agg, &InputSignal::rising_ramp(0.0, 1e-10))
-            .unwrap_err();
-        match err {
-            RobustError::Exhausted(failures) => assert_eq!(failures.len(), 2),
-            other => panic!("expected Exhausted, got {other:?}"),
         }
     }
 

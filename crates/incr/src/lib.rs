@@ -13,8 +13,9 @@
 //!   its element; the others are never visited.
 //! * **Moments** — each view runs an
 //!   [`xtalk_moments::IncrTreeEngine`], which takes the routed edit
-//!   into the one value slot it names and repairs only the dirty
-//!   per-net moment blocks.
+//!   into the one value slot it names. Moments are not memoized: a
+//!   touched view re-runs the tree recursion per aggressor into one
+//!   reused buffer, the float operations of a from-scratch build.
 //! * **Metrics** — Metric I/II estimates and bounds are memoized behind
 //!   bit-pattern keys ([`xtalk_core::memo::StageMemo`]); unchanged
 //!   victim–aggressor pairs replay stored results verbatim.

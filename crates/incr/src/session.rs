@@ -176,9 +176,9 @@ pub struct SessionStats {
 /// [`WhatIf::apply`] pushes a value-only [`Delta`] through the base and,
 /// along a routing table built with the views, into exactly the views it
 /// touches — dependency-tracked invalidation — and [`WhatIf::report`]
-/// recomputes only the dirty views, each via an incrementally-repaired
-/// moment engine and a bit-pattern-keyed metric memo, then re-ranks only
-/// the recomputed nets. Reports are **bit-identical** to a from-scratch
+/// recomputes only the dirty views, each by re-running its moment
+/// engine and looking its metrics up in a bit-pattern-keyed memo, then
+/// re-ranks only the recomputed nets. Reports are **bit-identical** to a from-scratch
 /// session on the same edited network (the `incremental` audit family
 /// enforces this).
 ///

@@ -27,7 +27,7 @@ use xtalk_moments::IncrTreeEngine;
 pub(crate) const MOMENT_ORDER: usize = 4;
 
 /// One net's truncated analysis view: the re-roled victim, its 1-hop
-/// aggressors and an incremental moment engine over the view network.
+/// aggressors and a moment engine over the view network.
 #[derive(Debug)]
 pub(crate) struct View {
     /// The base net this view analyzes as victim.
@@ -36,7 +36,8 @@ pub(crate) struct View {
     pub name: Arc<str>,
     /// The truncated network (victim + direct neighbours).
     pub network: Network,
-    /// Incrementally-repairable moment engine over `network`.
+    /// Moment engine over `network`, kept at its values by the routed
+    /// deltas and re-run whenever the view is recomputed.
     pub engine: IncrTreeEngine,
 }
 

@@ -101,11 +101,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns the row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Adds `value` to the entry at `(row, col)` — the natural operation
     /// when stamping circuit elements into an MNA system.
     ///

@@ -19,27 +19,10 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `y += scale * x`, in place (the BLAS `axpy` operation).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(scale: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += scale * xi;
-    }
-}
-
 /// Maximum absolute entry; `0.0` for an empty slice. NaN entries are
 /// ignored (they compare as not-greater).
 pub fn max_abs(v: &[f64]) -> f64 {
     v.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
-}
-
-/// Euclidean norm.
-pub fn norm2(v: &[f64]) -> f64 {
-    dot(v, v).sqrt()
 }
 
 /// Index and value of the maximum entry; `None` for an empty slice or when
@@ -65,17 +48,6 @@ pub fn argmax(v: &[f64]) -> Option<(usize, f64)> {
     best
 }
 
-/// Linear interpolation: value of the segment `(x0,y0)-(x1,y1)` at `x`.
-///
-/// Falls back to `y0` when the segment is degenerate (`x1 == x0`).
-pub fn lerp(x0: f64, y0: f64, x1: f64, y1: f64, x: f64) -> f64 {
-    if x1 == x0 {
-        y0
-    } else {
-        y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,21 +64,9 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
-    }
-
-    #[test]
     fn max_abs_handles_negatives_and_empty() {
         assert_eq!(max_abs(&[-3.0, 2.0]), 3.0);
         assert_eq!(max_abs(&[]), 0.0);
-    }
-
-    #[test]
-    fn norm2_of_unit_axes() {
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
     }
 
     #[test]
@@ -121,11 +81,5 @@ mod tests {
     fn argmax_returns_first_of_ties() {
         let (i, _) = argmax(&[2.0, 2.0]).unwrap();
         assert_eq!(i, 0);
-    }
-
-    #[test]
-    fn lerp_interpolates_and_handles_degenerate() {
-        assert_eq!(lerp(0.0, 0.0, 2.0, 4.0, 1.0), 2.0);
-        assert_eq!(lerp(1.0, 7.0, 1.0, 9.0, 1.0), 7.0);
     }
 }

@@ -1,70 +1,31 @@
-//! Incrementally-repairable tree moment engine.
+//! What-if moment engine: a tree engine whose values follow value edits.
 //!
-//! [`TreeMomentEngine`] recomputes every moment
-//! vector from scratch on each call — `O(order · (n + k))` over the whole
-//! network. Inside a what-if loop (move one wire, resize one driver) that
-//! is pure waste: the conductance matrix is block-diagonal per net, so a
-//! value change on net *B* can only perturb
+//! A what-if loop (move one wire, resize one driver) edits one element
+//! value and re-queries the few views the edit reaches.
+//! [`IncrTreeEngine`] owns a [`TreeMomentEngine`] and on
+//! [`IncrTreeEngine::update`] writes one [`xtalk_circuit::Delta`]'s value
+//! into the one slot it names (topology is frozen — the delta contract):
+//! the net's driver ohms, the parent resistance of the resistor's child
+//! node, or the capacitor's stamps in the `C` triplets (one for a ground
+//! or sink cap, four for a coupling cap). Slot maps built with the engine
+//! find each slot without a search, so an update costs the same on any
+//! network; the build checks once that the tree engine's triplets are
+//! laid out as the maps assume.
 //!
-//! * the `G`-solve of *B*'s own block (driver or wire resistance), and
-//! * the `−C·m_{k−1}` right-hand sides whose *rows* live on *B* (its own
-//!   capacitors), which in turn feed nets coupled to *B* at the next
-//!   moment order.
-//!
-//! [`IncrTreeEngine`] owns a tree engine, caches the full moment
-//! vectors per driven (source) net, and on [`IncrTreeEngine::update`]
-//! writes one [`xtalk_circuit::Delta`]'s value into the one slot it
-//! names (topology is frozen — the delta contract): the net's driver
-//! ohms, the parent resistance of the resistor's child node, or the
-//! capacitor's stamps in the `C` triplets (one for a ground or sink cap,
-//! four for a coupling cap) and their row-grouped copies. Slot maps
-//! built with the engine find each slot without a search, so an update
-//! costs the same on any network; the build checks once that the tree
-//! engine's triplets are laid out as the maps assume. A subsequent
-//! query repairs only the dirty blocks per moment order using the
-//! propagation
-//!
-//! ```text
-//! dirty₀ = {src} if the source driver changed, else ∅
-//! dirtyₖ = dirtyₖ₋₁ ∪ N(dirtyₖ₋₁) ∪ gdirty ∪ cdirty      (k ≥ 1)
-//! ```
-//!
-//! where `N(·)` is coupling adjacency, `gdirty` marks nets whose
-//! conductances changed and `cdirty` nets whose capacitor rows changed.
-//! A value written with the bits already stored marks nothing. Clean
-//! blocks are reused verbatim.
-//!
-//! **Bit-identity.** Fresh caches and per-block repairs both run the
-//! kernel of the owned [`TreeMomentEngine`]:
-//! a fresh cache is its whole recursion, and a repair re-solves single
-//! net blocks with the same per-net solve. That solve never
-//! crosses nets (parent links stay within a net), and the repair's rhs
-//! accumulation preserves the per-row relative order of `C` entries. So
-//! a repaired cache is bit-identical to a from-scratch recompute — the
-//! property the `incremental` audit family enforces end to end. The
-//! dirty sets are conservative supersets; recomputing a block whose
-//! inputs did not change reproduces the identical bits.
+//! **Bit-identity.** Every query re-runs the tree engine's moment
+//! recursion from the source, refilling one scratch buffer the engine
+//! keeps between queries. A slot write stores exactly the value a
+//! rebuild would read from the edited network, so a query runs the float
+//! operations of a from-scratch [`TreeMomentEngine`] on that network and
+//! returns its bits — the property the `incremental` audit family
+//! enforces end to end.
 
 use crate::{MomentError, TreeMomentEngine};
 use xtalk_circuit::{Delta, NetId, Network, NodeId};
 
-/// Moment-block repair statistics for one engine (monotonic totals).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IncrStats {
-    /// Per-net moment blocks recomputed (full builds and repairs).
-    pub blocks_recomputed: u64,
-    /// Per-net moment blocks reused verbatim from cache during repair.
-    pub blocks_reused: u64,
-    /// `update` calls that changed at least one stored value.
-    pub updates_dirty: u64,
-    /// `update` calls that wrote the bits already stored.
-    pub updates_clean: u64,
-}
-
-/// Cache-carrying wrapper of a [`crate::TreeMomentEngine`] that
-/// repairs its moment vectors after value-only network edits instead of
-/// recomputing them (see the [module docs](self) for the invalidation
-/// rule and the bit-identity argument).
+/// A [`crate::TreeMomentEngine`] that takes value-only network edits in
+/// place and recomputes moments per query into a reused buffer (see the
+/// [module docs](self) for the slot maps and the bit-identity argument).
 ///
 /// # Examples
 ///
@@ -93,7 +54,7 @@ pub struct IncrStats {
 /// incr.update(&delta);
 /// let after = incr.transfer_taylor(a, network.victim_output())?;
 ///
-/// // Repaired answer is bit-identical to a from-scratch recompute.
+/// // The edited engine answers bit for bit as a fresh build does.
 /// let full = TreeMomentEngine::new(&network)
 ///     .transfer_taylor(a, network.victim_output(), 4)?;
 /// assert!(after.iter().zip(&full).all(|(x, y)| x.to_bits() == y.to_bits()));
@@ -103,37 +64,22 @@ pub struct IncrStats {
 /// ```
 #[derive(Debug)]
 pub struct IncrTreeEngine {
-    /// The tree engine whose kernel computes fresh caches and repairs;
-    /// `update` keeps its values current.
+    /// The tree engine whose recursion answers every query; `update`
+    /// keeps its values current.
     tree: TreeMomentEngine,
-    moment_order: usize,
-    /// Per node: owning-net index.
-    node_net: Vec<usize>,
-    /// The tree engine's capacitance triplets grouped by *row* net,
-    /// relative order preserved.
-    net_c_entries: Vec<Vec<(usize, usize, f64)>>,
-    /// Per `C` triplet: its position in its row net's `net_c_entries`.
-    c_pos: Vec<usize>,
     /// Per resistor: the node whose parent edge it is.
     res_child: Vec<usize>,
     /// Per node: the `C` triplet of its first sink, if it has one.
     sink_slot: Vec<Option<usize>>,
     /// The first of the four `C` triplets of coupling cap 0.
     coupling_slot: usize,
-    /// Coupling adjacency over nets (sorted, deduplicated).
-    net_neighbors: Vec<Vec<usize>>,
-    /// Cached moment vectors per driven (source) net.
-    cache: Vec<Option<Vec<Vec<f64>>>>,
-    /// Nets whose conductances (driver or wire R) changed since repair.
-    gdirty: Vec<bool>,
-    cdirty: Vec<bool>,
-    any_dirty: bool,
-    stats: IncrStats,
+    /// `m_0 … m_{order−1}` of the last query, refilled by every query.
+    moments: Vec<Vec<f64>>,
 }
 
 impl IncrTreeEngine {
-    /// Builds the traversal structures and slot maps; no moments are
-    /// computed until the first query (demand-driven).
+    /// Builds the tree engine and the slot maps; no moments are computed
+    /// until the first query.
     ///
     /// # Panics
     ///
@@ -145,20 +91,6 @@ impl IncrTreeEngine {
         assert!(moment_order > 0, "taylor order must be at least 1");
         let _span = xtalk_obs::span!("moments.incr_build");
         let tree = TreeMomentEngine::new(network);
-        let num_nets = tree.net_count();
-        let mut node_net = vec![0usize; tree.node_count()];
-        for (net, &(start, end)) in tree.net_ranges.iter().enumerate() {
-            for &node in &tree.order[start..end] {
-                node_net[node] = net;
-            }
-        }
-        let mut net_c_entries = vec![Vec::new(); num_nets];
-        let mut c_pos = Vec::with_capacity(tree.c_entries.len());
-        for &(i, j, c) in &tree.c_entries {
-            let row = &mut net_c_entries[node_net[i]];
-            c_pos.push(row.len());
-            row.push((i, j, c));
-        }
 
         // A resistor is the parent edge of whichever endpoint hangs
         // below the other.
@@ -208,102 +140,49 @@ impl IncrTreeEngine {
         }
         assert_eq!(slot, c.len(), "capacitor table changed layout");
 
-        let mut net_neighbors = vec![Vec::new(); num_nets];
-        for cc in network.coupling_caps() {
-            let (na, nb) = (node_net[cc.a.index()], node_net[cc.b.index()]);
-            if na != nb {
-                net_neighbors[na].push(nb);
-                net_neighbors[nb].push(na);
-            }
-        }
-        for nb in &mut net_neighbors {
-            nb.sort_unstable();
-            nb.dedup();
-        }
-
+        let moments = vec![vec![0.0; tree.node_count()]; moment_order];
         IncrTreeEngine {
             tree,
-            moment_order,
-            node_net,
-            net_c_entries,
-            c_pos,
             res_child,
             sink_slot,
             coupling_slot,
-            net_neighbors,
-            cache: vec![None; num_nets],
-            gdirty: vec![false; num_nets],
-            cdirty: vec![false; num_nets],
-            any_dirty: false,
-            stats: IncrStats::default(),
+            moments,
         }
     }
 
-    /// Writes `delta`'s value into the slot it names and marks the
-    /// touched nets dirty; cached moments are repaired lazily on the
-    /// next query. `delta` must already have been accepted by the
-    /// engine's network ([`Network::apply_delta`]), so the engine and
-    /// the network keep equal values. Returns `true` when a stored
-    /// value changed (its bits differ from the new value's).
+    /// Writes `delta`'s value into the slot it names. `delta` must
+    /// already have been accepted by the engine's network
+    /// ([`Network::apply_delta`]), so the engine and the network keep
+    /// equal values.
     ///
     /// # Panics
     ///
     /// Panics if the delta names an element the network does not have
     /// (for a sink, a node without one).
-    pub fn update(&mut self, delta: &Delta) -> bool {
-        let changed = match *delta {
-            Delta::ResizeDriver { net, ohms } => {
-                let k = net.index();
-                let changed = replace(&mut self.tree.driver_ohms[k], ohms);
-                self.gdirty[k] |= changed;
-                changed
-            }
-            Delta::SetResistor { index, ohms } => {
-                let node = self.res_child[index];
-                let changed = replace(&mut self.tree.parent_res[node], ohms);
-                self.gdirty[self.node_net[node]] |= changed;
-                changed
-            }
-            Delta::SetGroundCap { index, farads } => self.set_c(index, farads),
+    pub fn update(&mut self, delta: &Delta) {
+        let tree = &mut self.tree;
+        match *delta {
+            Delta::ResizeDriver { net, ohms } => tree.driver_ohms[net.index()] = ohms,
+            Delta::SetResistor { index, ohms } => tree.parent_res[self.res_child[index]] = ohms,
+            Delta::SetGroundCap { index, farads } => tree.c_entries[index].2 = farads,
             Delta::SetSinkCap { node, farads } => {
                 let slot = self.sink_slot[node.index()].expect("the delta names a sink node");
-                self.set_c(slot, farads)
+                tree.c_entries[slot].2 = farads;
             }
             Delta::SetCouplingCap { index, farads } => {
                 // The four stamps `(a,a) (b,b) (a,b) (b,a)` of one cap.
                 let slot = self.coupling_slot + 4 * index;
-                let mut changed = self.set_c(slot, farads);
-                changed |= self.set_c(slot + 1, farads);
-                changed |= self.set_c(slot + 2, -farads);
-                changed |= self.set_c(slot + 3, -farads);
-                changed
+                let stamps = [farads, farads, -farads, -farads];
+                for (entry, value) in tree.c_entries[slot..slot + 4].iter_mut().zip(stamps) {
+                    entry.2 = value;
+                }
             }
-        };
-        if changed {
-            self.any_dirty = true;
-            self.stats.updates_dirty += 1;
-        } else {
-            self.stats.updates_clean += 1;
         }
-        changed
-    }
-
-    /// Writes `value` into `C` triplet `slot` and its row-grouped copy;
-    /// marks the row's net dirty when the bits change.
-    fn set_c(&mut self, slot: usize, value: f64) -> bool {
-        let (row, _, stored) = &mut self.tree.c_entries[slot];
-        if !replace(stored, value) {
-            return false;
-        }
-        let net = self.node_net[*row];
-        self.net_c_entries[net][self.c_pos[slot]].2 = value;
-        self.cdirty[net] = true;
-        true
     }
 
     /// Taylor coefficients `h_0 … h_{order−1}` of the transfer function
-    /// from the source of `net` to `output`, served from the
-    /// per-source-net cache (repaired first when dirty).
+    /// from the source of `net` to `output`, at the order fixed in
+    /// [`IncrTreeEngine::new`].
     ///
     /// # Errors
     ///
@@ -313,114 +192,11 @@ impl IncrTreeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `output` is out of bounds.
+    /// Panics if `net` or `output` is out of bounds.
     pub fn transfer_taylor(&mut self, net: NetId, output: NodeId) -> Result<Vec<f64>, MomentError> {
-        let vectors = self.moment_vectors(net)?;
-        Ok(vectors.iter().map(|m| m[output.index()]).collect())
+        self.tree.recursion(net.index(), &mut self.moments);
+        Ok(self.moments.iter().map(|m| m[output.index()]).collect())
     }
-
-    /// The cached moment vectors for driven net `net`, computing or
-    /// repairing as needed. Same contract as
-    /// [`crate::TreeMomentEngine::moment_vectors`] at the order fixed in
-    /// [`IncrTreeEngine::new`].
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible for validated networks (see
-    /// [`IncrTreeEngine::transfer_taylor`]).
-    pub fn moment_vectors(&mut self, net: NetId) -> Result<&[Vec<f64>], MomentError> {
-        if self.any_dirty {
-            self.repair_all();
-        }
-        let src = net.index();
-        let (tree, order, stats) = (&self.tree, self.moment_order, &mut self.stats);
-        let vectors = self.cache[src].get_or_insert_with(|| {
-            stats.blocks_recomputed += (order * tree.net_count()) as u64;
-            tree.recursion(src, order)
-        });
-        Ok(vectors.as_slice())
-    }
-
-    /// Monotonic repair statistics.
-    #[must_use]
-    pub fn stats(&self) -> IncrStats {
-        self.stats
-    }
-
-    /// Repairs every cached source net against the accumulated dirty
-    /// flags, then clears them.
-    fn repair_all(&mut self) {
-        let _span = xtalk_obs::span!("moments.incr_repair");
-        let num_nets = self.tree.net_count();
-        let mut recomputed = 0u64;
-        let mut reused = 0u64;
-        let mut dirty_prev = vec![false; num_nets];
-        let mut dirty = vec![false; num_nets];
-        for (src, cached) in self.cache.iter_mut().enumerate() {
-            let Some(vectors) = cached else { continue };
-            // m0 depends only on the source net's driver (R·(1/R) is not
-            // always exactly 1.0), so its sole non-zero block is dirty
-            // iff that net's conductances changed.
-            dirty_prev.fill(false);
-            if self.gdirty[src] {
-                self.tree.solve_source(src, &mut vectors[0]);
-                dirty_prev[src] = true;
-                recomputed += 1;
-                reused += (num_nets - 1) as u64;
-            } else {
-                reused += num_nets as u64;
-            }
-            for k in 1..self.moment_order {
-                dirty.copy_from_slice(&self.gdirty);
-                for b in 0..num_nets {
-                    if self.cdirty[b] || dirty_prev[b] {
-                        dirty[b] = true;
-                    }
-                    if dirty_prev[b] {
-                        for &nb in &self.net_neighbors[b] {
-                            dirty[nb] = true;
-                        }
-                    }
-                }
-                let (prev, rest) = vectors.split_at_mut(k);
-                let prev = &prev[k - 1];
-                let cur = &mut rest[0];
-                #[allow(clippy::needless_range_loop)]
-                for b in 0..num_nets {
-                    if !dirty[b] {
-                        reused += 1;
-                        continue;
-                    }
-                    recomputed += 1;
-                    // The block's rhs −C·m_{k−1} is accumulated in place
-                    // and then solved.
-                    let (s, e) = self.tree.net_ranges[b];
-                    for &node in &self.tree.order[s..e] {
-                        cur[node] = 0.0;
-                    }
-                    for &(i, j, c) in &self.net_c_entries[b] {
-                        cur[i] -= c * prev[j];
-                    }
-                    self.tree.solve_net(b, cur);
-                }
-                std::mem::swap(&mut dirty_prev, &mut dirty);
-            }
-        }
-        self.stats.blocks_recomputed += recomputed;
-        self.stats.blocks_reused += reused;
-        xtalk_obs::counter!(perf: "incr.moments.blocks.recomputed").add(recomputed);
-        xtalk_obs::counter!(perf: "incr.moments.blocks.reused").add(reused);
-        self.gdirty.fill(false);
-        self.cdirty.fill(false);
-        self.any_dirty = false;
-    }
-}
-
-/// Stores `value` in `slot`; `true` when the stored bits changed.
-fn replace(slot: &mut f64, value: f64) -> bool {
-    let changed = slot.to_bits() != value.to_bits();
-    *slot = value;
-    changed
 }
 
 #[cfg(test)]
@@ -470,7 +246,7 @@ mod tests {
     /// The engine's value tables equal those of an engine built fresh on
     /// `net`: what the update must keep true after every delta.
     fn assert_tables_match(incr: &IncrTreeEngine, net: &Network) {
-        let fresh = IncrTreeEngine::new(net, incr.moment_order);
+        let fresh = IncrTreeEngine::new(net, incr.moments.len());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&incr.tree.driver_ohms), bits(&fresh.tree.driver_ohms));
         assert_eq!(bits(&incr.tree.parent_res), bits(&fresh.tree.parent_res));
@@ -483,9 +259,6 @@ mod tests {
             triplets(&incr.tree.c_entries),
             triplets(&fresh.tree.c_entries)
         );
-        for (a, b) in incr.net_c_entries.iter().zip(&fresh.net_c_entries) {
-            assert_eq!(triplets(a), triplets(b));
-        }
     }
 
     fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
@@ -516,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_after_each_delta_kind_is_bit_identical_to_full() {
+    fn update_of_each_delta_kind_is_bit_identical_to_full() {
         let mut net = chain_cluster(4, 4);
         let victim = net.victim();
         let sink_node = net.net(victim).sinks()[0].node;
@@ -534,7 +307,7 @@ mod tests {
         ];
         for d in deltas {
             net.apply_delta(&d).unwrap();
-            assert!(incr.update(&d), "{d} should dirty the engine");
+            incr.update(&d);
             assert_tables_match(&incr, &net);
             let reference = TreeMomentEngine::new(&net);
             for &s in &sources {
@@ -590,83 +363,22 @@ mod tests {
             };
             incr.update(&d);
             assert_tables_match(&incr, &net);
+            // A freshly drawn query order per step, so one source's
+            // moments left in the shared scratch buffer cannot pass for
+            // another's.
+            let mut order = sources.clone();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.random_range(0..=i));
+            }
             let reference = TreeMomentEngine::new(&net);
-            for &s in &sources {
+            for &s in &order {
                 let hr = reference
                     .transfer_taylor(s, net.victim_output(), 4)
                     .unwrap();
                 let hi = incr.transfer_taylor(s, net.victim_output()).unwrap();
-                assert_bits_eq(&hr, &hi, &format!("step {step}"));
+                assert_bits_eq(&hr, &hi, &format!("step {step}, source {s}"));
             }
         }
-    }
-
-    #[test]
-    fn distant_edit_reuses_most_blocks() {
-        // 8-lane chain: an edit on lane 7's driver cannot reach lane 0's
-        // block before moment order runs out, so most blocks are reused.
-        let mut net = chain_cluster(8, 3);
-        let far = net.nets().last().unwrap().0;
-        let mut incr = IncrTreeEngine::new(&net, 4);
-        let victim = net.victim();
-        incr.transfer_taylor(victim, net.victim_output()).unwrap();
-        let before = incr.stats();
-        let d = Delta::ResizeDriver {
-            net: far,
-            ohms: 500.0,
-        };
-        net.apply_delta(&d).unwrap();
-        incr.update(&d);
-        incr.transfer_taylor(victim, net.victim_output()).unwrap();
-        let after = incr.stats();
-        let recomputed = after.blocks_recomputed - before.blocks_recomputed;
-        let reused = after.blocks_reused - before.blocks_reused;
-        assert!(reused > recomputed, "reused {reused} vs recomputed {recomputed}");
-        // Lane 7 dirty at k=1 spreads one lane per order: blocks 7,{6,7},{5..7}
-        // plus m0's reuse of all 8 — well under half recomputed.
-        assert!(recomputed <= 7, "recomputed {recomputed}");
-    }
-
-    #[test]
-    fn clean_update_touches_nothing() {
-        let net = chain_cluster(3, 3);
-        let mut incr = IncrTreeEngine::new(&net, 4);
-        incr.transfer_taylor(net.victim(), net.victim_output())
-            .unwrap();
-        let before = incr.stats();
-        // Every kind, each writing the value already stored.
-        let victim = net.net(net.victim());
-        let deltas = [
-            Delta::ResizeDriver {
-                net: net.victim(),
-                ohms: victim.driver().ohms,
-            },
-            Delta::SetSinkCap {
-                node: victim.sinks()[0].node,
-                farads: victim.sinks()[0].farads,
-            },
-            Delta::SetResistor {
-                index: 1,
-                ohms: net.resistors()[1].ohms,
-            },
-            Delta::SetGroundCap {
-                index: 2,
-                farads: net.ground_caps()[2].farads,
-            },
-            Delta::SetCouplingCap {
-                index: 0,
-                farads: net.coupling_caps()[0].farads,
-            },
-        ];
-        for d in deltas {
-            assert!(!incr.update(&d), "{d} rewrites a stored value");
-        }
-        incr.transfer_taylor(net.victim(), net.victim_output())
-            .unwrap();
-        let after = incr.stats();
-        assert_eq!(before.blocks_recomputed, after.blocks_recomputed);
-        assert_eq!(after.updates_clean, before.updates_clean + 5);
-        assert_eq!(after.updates_dirty, before.updates_dirty);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! * **exact transfer-function Taylor coefficients** `h_k` from any
 //!   aggressor source to any victim node via the moment recursion
 //!   `G·m_k = −C·m_{k−1}`, solved in `O(n)` per order by two tree passes
-//!   per net ([`TreeMomentEngine`]; [`IncrTreeEngine`] repairs its
-//!   results after value edits). The dense MNA engine ([`MomentEngine`])
-//!   is kept only as the test oracle;
+//!   per net ([`TreeMomentEngine`]; [`IncrTreeEngine`] takes value edits
+//!   in place and re-runs the same recursion per query). The dense MNA
+//!   engine ([`MomentEngine`]) is kept only as the test oracle;
 //! * **closed-form tree formulas** for the dominant coefficients — the
 //!   numerator coefficient `a1` (paper ref. \[13\]) and the denominator
 //!   coefficient `b1` as the sum of open-circuit time constants (paper
@@ -67,6 +67,6 @@ mod tree_engine;
 
 pub use engine::MomentEngine;
 pub use error::MomentError;
-pub use incr::{IncrStats, IncrTreeEngine};
+pub use incr::IncrTreeEngine;
 pub use pade::{PoleKind, TwoPoleFit};
 pub use tree_engine::TreeMomentEngine;

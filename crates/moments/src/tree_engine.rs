@@ -56,9 +56,9 @@ pub struct TreeMomentEngine {
     /// Per node: resistance to its tree parent (unused for roots).
     pub(crate) parent_res: Vec<f64>,
     /// Every node, each net contiguous and root (driver node) first.
-    pub(crate) order: Vec<usize>,
+    order: Vec<usize>,
     /// Per net: its `[start, end)` slice of `order`.
-    pub(crate) net_ranges: Vec<(usize, usize)>,
+    net_ranges: Vec<(usize, usize)>,
     /// Per net: driver resistance.
     pub(crate) driver_ohms: Vec<f64>,
     /// Capacitance matrix as (row, col, value) triplets: ground caps,
@@ -123,16 +123,11 @@ impl TreeMomentEngine {
         self.order.len()
     }
 
-    /// Number of nets in the underlying network.
-    pub(crate) fn net_count(&self) -> usize {
-        self.net_ranges.len()
-    }
-
     /// Solves net `net`'s block of `G·x = b` in place: on entry `x` holds
     /// `b` on that net's nodes, on exit their voltages. Other nets'
     /// entries are untouched, so solving every block in turn solves the
-    /// whole system with the same operations in the same order.
-    pub(crate) fn solve_net(&self, net: usize, x: &mut [f64]) {
+    /// whole system.
+    fn solve_net(&self, net: usize, x: &mut [f64]) {
         let (start, end) = self.net_ranges[net];
         let (&root, rest) = self.order[start..end]
             .split_first()
@@ -148,40 +143,32 @@ impl TreeMomentEngine {
         }
     }
 
-    /// Writes the unit-input right-hand side of `net`'s source into that
-    /// net's block of `x` (one driver conductance at its root, zero
-    /// elsewhere) and solves the block: `m0` restricted to `net`.
-    pub(crate) fn solve_source(&self, net: usize, x: &mut [f64]) {
-        let (start, end) = self.net_ranges[net];
-        for &node in &self.order[start..end] {
-            x[node] = 0.0;
-        }
-        x[self.order[start]] = 1.0 / self.driver_ohms[net];
-        self.solve_net(net, x);
-    }
-
     /// The moment recursion for a unit input at the source of net
-    /// `source`: `m0 … m_{order−1}`, with no argument or finiteness
-    /// checks. [`crate::IncrTreeEngine`] builds its fresh caches with it.
-    pub(crate) fn recursion(&self, source: usize, order: usize) -> Vec<Vec<f64>> {
-        let n = self.node_count();
-        let mut out = Vec::with_capacity(order);
-        // Only the source net's block of m0 is non-zero.
-        let mut m0 = vec![0.0; n];
-        self.solve_source(source, &mut m0);
-        out.push(m0);
-        for _ in 1..order {
-            let prev = out.last().expect("at least m0");
-            let mut next = vec![0.0; n];
+    /// `source`: overwrites `out[k]` with `m_k` for every
+    /// `k < out.len()`, with no argument or finiteness checks. Each
+    /// vector holds one entry per node. The one kernel behind
+    /// [`TreeMomentEngine::moment_vectors`] and
+    /// [`crate::IncrTreeEngine`]'s queries.
+    pub(crate) fn recursion(&self, source: usize, out: &mut [Vec<f64>]) {
+        let Some((m0, _)) = out.split_first_mut() else {
+            return;
+        };
+        // Only the source net's block of m0 is non-zero: one driver
+        // conductance at its root, then that block's solve.
+        m0.fill(0.0);
+        m0[self.order[self.net_ranges[source].0]] = 1.0 / self.driver_ohms[source];
+        self.solve_net(source, m0);
+        for k in 1..out.len() {
+            let (done, rest) = out.split_at_mut(k);
+            let (prev, next) = (&done[k - 1], &mut rest[0]);
+            next.fill(0.0);
             for &(i, j, c) in &self.c_entries {
                 next[i] -= c * prev[j];
             }
-            for net in 0..self.net_count() {
-                self.solve_net(net, &mut next);
+            for net in 0..self.net_ranges.len() {
+                self.solve_net(net, next);
             }
-            out.push(next);
         }
-        out
     }
 
     /// Taylor-coefficient vectors `m_0 … m_{order−1}` of all node voltages
@@ -202,7 +189,8 @@ impl TreeMomentEngine {
             return Err(MomentError::ZeroOrder);
         }
         xtalk_obs::counter!("moments.tree.moment_vectors").add(1);
-        let out = self.recursion(net.index(), order);
+        let mut out = vec![vec![0.0; self.node_count()]; order];
+        self.recursion(net.index(), &mut out);
         if out.iter().flatten().any(|x| !x.is_finite()) {
             return Err(MomentError::Numerical(LinalgError::NonFinite {
                 context: format!("the moment vectors of net {net}"),

@@ -31,10 +31,7 @@
 //! with one relaxed atomic load; disabled, that is the entire cost — no
 //! clock reads, no registration, no allocation (the `alloc_free` test in
 //! `xtalk-exec` pins this down). Enabled, counters are one relaxed
-//! `fetch_add`, histograms three, spans two `Instant` reads. Compiling
-//! the crate with `--no-default-features` (no `probe` feature) turns
-//! `metrics_enabled()` into a constant `false` and every probe compiles
-//! out entirely.
+//! `fetch_add`, histograms three, spans two `Instant` reads.
 //!
 //! # Determinism
 //!
@@ -56,10 +53,8 @@
 //!     xtalk_obs::histogram!("demo.sizes").record(1024);
 //! }
 //! let snap = xtalk_obs::snapshot();
-//! if xtalk_obs::metrics_enabled() { // false when built without `probe`
-//!     assert_eq!(snap.counter("demo.events"), Some(3));
-//!     assert!(snap.to_json().contains("\"demo.events\": 3"));
-//! }
+//! assert_eq!(snap.counter("demo.events"), Some(3));
+//! assert!(snap.to_json().contains("\"demo.events\": 3"));
 //! # xtalk_obs::reset();
 //! ```
 
@@ -103,16 +98,14 @@ static TRACING: AtomicBool = AtomicBool::new(false);
 static QUIET: AtomicBool = AtomicBool::new(false);
 
 /// `true` when metric recording is on. This is the single branch every
-/// probe takes first; with the `probe` feature off it is a constant
-/// `false` and probes compile out.
+/// probe takes first.
 #[inline(always)]
 #[must_use]
 pub fn metrics_enabled() -> bool {
-    cfg!(feature = "probe") && METRICS.load(Ordering::Relaxed)
+    METRICS.load(Ordering::Relaxed)
 }
 
-/// Turns metric recording on (process-wide, sticky). A no-op without the
-/// `probe` feature.
+/// Turns metric recording on (process-wide, sticky).
 pub fn enable_metrics() {
     METRICS.store(true, Ordering::SeqCst);
 }
@@ -121,12 +114,11 @@ pub fn enable_metrics() {
 #[inline(always)]
 #[must_use]
 pub fn tracing_enabled() -> bool {
-    cfg!(feature = "probe") && TRACING.load(Ordering::Relaxed)
+    TRACING.load(Ordering::Relaxed)
 }
 
 /// Turns span tracing on (process-wide) and pins the trace epoch, so
-/// event timestamps are relative to this call. A no-op without the
-/// `probe` feature.
+/// event timestamps are relative to this call.
 pub fn enable_tracing() {
     span::init_epoch();
     TRACING.store(true, Ordering::SeqCst);

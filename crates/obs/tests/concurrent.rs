@@ -16,8 +16,6 @@
 //!
 //! [`Class::Det`]: xtalk_obs::Class::Det
 
-#![cfg(feature = "probe")]
-
 use proptest::prelude::*;
 use std::thread;
 

@@ -4,11 +4,6 @@
 //! this file holds exactly one `#[test]` running its scenarios in
 //! sequence — sibling tests in the same binary would race on the shared
 //! state (same discipline as `xtalk-exec`'s `alloc_free.rs`).
-//!
-//! Without the `probe` feature every probe compiles out, so there is
-//! nothing to observe — the whole test is gated on it.
-
-#![cfg(feature = "probe")]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
