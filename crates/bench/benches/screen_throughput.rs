@@ -8,9 +8,9 @@
 //! ```json
 //! {"nets":2048,"elements":26624,"clusters":128,"host_parallelism":8,
 //!  "serial":{"jobs":1,"total_s":3.1,"nets_per_s":660.6,
-//!            "parse_s":0.05,"analyze_s":3.0},
+//!            "parse_s":0.05,"analyze_s":3.0,"escalate_s":2.4},
 //!  "parallel":{"jobs":8,"total_s":0.5,"nets_per_s":4096.0,
-//!              "parse_s":0.05,"analyze_s":0.45},
+//!              "parse_s":0.05,"analyze_s":0.45,"escalate_s":2.5},
 //!  "screened":1920,"escalated":128,"escalated_fraction":0.0625,
 //!  "speedup":6.2,"peak_rss_bytes":123456789}
 //! ```
@@ -31,6 +31,9 @@
 //! Stage figures come from the span histograms: `parse_s` sums
 //! `screen.parse`, `analyze_s` sums `screen.analyze`; the analyze span
 //! wraps the parallel region once, so no per-thread division is needed.
+//! `escalate_s` sums `screen.escalate`, the golden batches inside the
+//! analyze stage: wall time in the serial leg, worker-seconds summed
+//! over the workers in the parallel one.
 //! Each leg runs twice interleaved and the minimum total is kept.
 //!
 //! The deck size is overridable with `XTALK_BENCH_SCREEN_NETS`
@@ -69,11 +72,13 @@ struct LegTiming {
     total_s: f64,
     parse_s: f64,
     analyze_s: f64,
+    escalate_s: f64,
 }
 
 fn timed_leg(deck: &str, config: &ScreenConfig, jobs: usize) -> (ScreenReport, LegTiming) {
     let parse0 = span_sum_ns("span.screen.parse.ns");
     let analyze0 = span_sum_ns("span.screen.analyze.ns");
+    let escalate0 = span_sum_ns("span.screen.escalate.ns");
     let start = Instant::now();
     let report = screen_deck(
         deck.as_bytes(),
@@ -88,6 +93,7 @@ fn timed_leg(deck: &str, config: &ScreenConfig, jobs: usize) -> (ScreenReport, L
         total_s,
         parse_s: (span_sum_ns("span.screen.parse.ns") - parse0) as f64 * 1e-9,
         analyze_s: (span_sum_ns("span.screen.analyze.ns") - analyze0) as f64 * 1e-9,
+        escalate_s: (span_sum_ns("span.screen.escalate.ns") - escalate0) as f64 * 1e-9,
     };
     (report, timing)
 }
@@ -95,21 +101,23 @@ fn timed_leg(deck: &str, config: &ScreenConfig, jobs: usize) -> (ScreenReport, L
 fn leg_json(t: &LegTiming, jobs: usize, nets: usize) -> String {
     format!(
         "{{\"jobs\":{jobs},\"total_s\":{:.6},\"nets_per_s\":{:.1},\
-         \"parse_s\":{:.6},\"analyze_s\":{:.6}}}",
+         \"parse_s\":{:.6},\"analyze_s\":{:.6},\"escalate_s\":{:.6}}}",
         t.total_s,
         nets as f64 / t.total_s,
         t.parse_s,
-        t.analyze_s
+        t.analyze_s,
+        t.escalate_s
     )
 }
 
 fn print_leg(label: &str, t: &LegTiming, nets: usize, workers: &str) {
     println!(
-        "screen_throughput/{label:<10} {:>10.3} s  {:>9.1} nets/s  ({workers}: parse {:.3} + analyze {:.3})",
+        "screen_throughput/{label:<10} {:>10.3} s  {:>9.1} nets/s  ({workers}: parse {:.3} + analyze {:.3}, of which escalate {:.3})",
         t.total_s,
         nets as f64 / t.total_s,
         t.parse_s,
-        t.analyze_s
+        t.analyze_s,
+        t.escalate_s
     );
 }
 

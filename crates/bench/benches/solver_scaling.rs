@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use xtalk_linalg::sparse::{Csr, Triplets};
-use xtalk_linalg::LdlSymbolic;
+use xtalk_linalg::{LdlSymbolic, LuFactors};
 
 /// Sizes swept; dense factorization dominates the large end.
 const SIZES: [usize; 4] = [32, 128, 512, 2048];
@@ -94,17 +94,21 @@ fn bench_solver_scaling(c: &mut Criterion) {
             })
         });
 
-        group.bench_function(format!("dense_lu/factor_plus_{SOLVES}_solves/n{n}"), |bch| {
-            let dense = a.to_dense();
-            let mut x = vec![0.0; n];
-            bch.iter(|| {
-                let lu = dense.lu().expect("matrix factors");
-                for _ in 0..SOLVES {
-                    lu.solve_into(black_box(&b), &mut x).expect("solve succeeds");
-                }
-                black_box(x[n / 2])
-            })
-        });
+        group.bench_function(
+            format!("dense_lu/factor_plus_{SOLVES}_solves/n{n}"),
+            |bch| {
+                let dense = a.to_dense();
+                let mut x = vec![0.0; n];
+                bch.iter(|| {
+                    let lu = dense.lu().expect("matrix factors");
+                    for _ in 0..SOLVES {
+                        LuFactors::solve_into([&lu], black_box(&b), &mut x)
+                            .expect("solve succeeds");
+                    }
+                    black_box(x[n / 2])
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -20,13 +20,20 @@
 //!    superposition. Outputs are bit-identical to analyzing each net
 //!    with a fresh engine. Nets are ranked by `peak noise / threshold`.
 //! 4. **Escalate** only nets whose ratio reaches
-//!    [`ScreenConfig::escalate_ratio`] to the tiered golden simulator
-//!    ([`golden_noise_tiered`]) for a reference peak.
+//!    [`ScreenConfig::escalate_ratio`] to the tiered golden simulator for
+//!    a reference peak. A worker takes [`LANES`] islands at a time and
+//!    escalates their flagged nets in island order, [`LANES`] at a time,
+//!    through [`golden_noise_batch`]: runs whose stamped patterns agree
+//!    share one symbolic analysis and march as the lanes of one batch,
+//!    each bit-identical to its own
+//!    [`golden_noise_tiered`](xtalk_sim::golden_noise_tiered) call.
 //!
-//! Work is parallel over islands via [`xtalk_exec`], and the report —
-//! including its JSON rendering — is byte-identical at any `--jobs`
-//! value. A whole-deck [`Network`] is never built: peak memory follows
-//! the element table and the largest island, not the chip.
+//! Work is parallel over groups of islands via [`xtalk_exec`], and the
+//! report — including its JSON rendering — is byte-identical at any
+//! `--jobs` value. A whole-deck [`Network`] is never built: peak memory
+//! follows the element table and a few islands per worker (one
+//! materialized at a time, plus a copy of each queued flagged net's
+//! designated island, at most [`LANES`]), not the chip.
 //!
 //! # Examples
 //!
@@ -53,9 +60,12 @@ use xtalk_circuit::spice::{DeckLimits, SpiceParseError};
 use xtalk_circuit::{NetId, Network, ValidationReport};
 use xtalk_core::victim::coupled_nets;
 use xtalk_core::{FallbackPolicy, RobustAnalyzer, SharedMoments};
-use xtalk_exec::{par_map_indexed_with, Jobs};
+use xtalk_exec::{par_map_groups_with, Jobs};
 use xtalk_obs::json;
-use xtalk_sim::{golden_noise_tiered, GoldenOpts, SimWorkspace};
+use xtalk_sim::{
+    golden_noise_batch, GoldenOpts, GoldenRun, GoldenTier, NoiseWaveformParams, SimError,
+    SimWorkspace, LANES,
+};
 
 /// Screening parameters. [`Default`] gives a 100 ps ramp, a noise
 /// threshold of 0.1 × Vdd, escalation at 80% of threshold, automatic
@@ -281,11 +291,12 @@ pub fn screen_deck<R: BufRead>(
     let islands: Vec<usize> = (0..clusters.len()).collect();
     let outcomes = {
         let _span = xtalk_obs::span!("screen.analyze");
-        par_map_indexed_with(
+        par_map_groups_with(
             &islands,
+            LANES,
             config.jobs,
             SimWorkspace::new,
-            |ws, _, &cluster| screen_island(&index, &clusters, config, ws, cluster),
+            |ws, _, group| screen_islands(&index, &clusters, config, ws, group),
         )
         .map_err(|e| ScreenError::Worker(e.to_string()))?
     };
@@ -350,20 +361,108 @@ pub fn screen_deck<R: BufRead>(
     Ok(report)
 }
 
-/// Screens every member of island `cluster` as its victim in turn.
+/// A flagged net waiting for its golden batch: a copy of its designated
+/// island, its stimuli, and where its result goes.
+struct Escalation {
+    /// Position of its island in the group, and of the net among the
+    /// island's members.
+    at: (usize, usize),
+    network: Network,
+    stimuli: Vec<(NetId, InputSignal)>,
+}
+
+/// A golden result and where it goes.
+type Golden = (
+    (usize, usize),
+    Result<(NoiseWaveformParams, GoldenTier), SimError>,
+);
+
+/// Screens a group of islands, escalating their flagged nets in island
+/// order through [`golden_noise_batch`], [`LANES`] at a time. Returns
+/// each island's screens, in group order.
+fn screen_islands(
+    index: &DeckIndex,
+    clusters: &CouplingClusters,
+    config: &ScreenConfig,
+    ws: &mut SimWorkspace,
+    group: &[usize],
+) -> Vec<Vec<NetScreen>> {
+    let mut queue = Vec::with_capacity(LANES);
+    let mut goldens = Vec::new();
+    let mut screens: Vec<Vec<NetScreen>> = Vec::with_capacity(group.len());
+    for (slot, &cluster) in group.iter().enumerate() {
+        let island = screen_island(
+            index,
+            clusters,
+            config,
+            (cluster, slot),
+            ws,
+            &mut queue,
+            &mut goldens,
+        );
+        screens.push(island);
+    }
+    escalate(&mut queue, &mut goldens, ws);
+    for ((island, member), golden) in goldens {
+        let screen = &mut screens[island][member];
+        match golden {
+            Ok((params, tier)) => {
+                screen.golden_vp = Some(params.vp);
+                screen.golden_tier = Some(tier.as_str());
+            }
+            Err(err) => {
+                // The closed-form screen already flagged the net; a
+                // golden failure degrades the report but keeps the flag.
+                screen.degraded = true;
+                screen.golden_tier = Some("failed");
+                xtalk_obs::warn!(
+                    "screen: golden escalation failed on net {}: {err}",
+                    screen.index
+                );
+            }
+        }
+    }
+    screens
+}
+
+/// Runs the queued escalations as one golden batch, which marches runs
+/// of one stamped pattern together, and empties the queue.
+fn escalate(queue: &mut Vec<Escalation>, goldens: &mut Vec<Golden>, ws: &mut SimWorkspace) {
+    if queue.is_empty() {
+        return;
+    }
+    let _span = xtalk_obs::span!("screen.escalate");
+    let runs: Vec<GoldenRun<'_>> = queue
+        .iter()
+        .map(|e| GoldenRun {
+            network: &e.network,
+            stimuli: &e.stimuli,
+            node: e.network.victim_output(),
+        })
+        .collect();
+    let results = golden_noise_batch(&runs, ws, &GoldenOpts::from_globals());
+    goldens.extend(queue.iter().map(|e| e.at).zip(results));
+    queue.clear();
+}
+
+/// Screens every member of island `cluster` as its victim in turn (the
+/// island sits at `slot` of its group), queueing the nets to escalate and
+/// escalating whenever [`LANES`] are queued.
 ///
 /// One materialization, one structural validation and one tree moment
 /// engine serve the whole island, and each source net's moment
 /// vectors are solved once ([`SharedMoments`]). Per victim remain only
 /// the designation, its victim findings, the rung chain per directly
-/// coupled aggressor, superposition and escalation. Never panics on
-/// analysis failures — they land in `NetScreen::error`.
+/// coupled aggressor and superposition. Never panics on analysis
+/// failures — they land in `NetScreen::error`.
 fn screen_island(
     index: &DeckIndex,
     clusters: &CouplingClusters,
     config: &ScreenConfig,
+    (cluster, slot): (usize, usize),
     ws: &mut SimWorkspace,
-    cluster: usize,
+    queue: &mut Vec<Escalation>,
+    goldens: &mut Vec<Golden>,
 ) -> Vec<NetScreen> {
     let members = clusters.members(cluster);
     // The results outlive the island's working data: allocate them first.
@@ -399,10 +498,21 @@ fn screen_island(
     let structure = island.network().validate_structure();
     let coupled = coupled_nets(island.network());
     let moments = SharedMoments::new(island.network());
-    for screen in &mut screens {
+    for (member, screen) in screens.iter_mut().enumerate() {
         match island.designate(screen.index) {
             Ok(network) => {
-                screen_victim(network, &structure, &moments, &coupled, config, ws, screen);
+                if let Some(stimuli) =
+                    screen_victim(network, &structure, &moments, &coupled, config, screen)
+                {
+                    queue.push(Escalation {
+                        at: (slot, member),
+                        network: network.clone(),
+                        stimuli,
+                    });
+                    if queue.len() == LANES {
+                        escalate(queue, goldens, ws);
+                    }
+                }
             }
             Err(e) => screen.error = Some(e.to_string()),
         }
@@ -411,23 +521,23 @@ fn screen_island(
 }
 
 /// Screens the designated victim of `network` into `screen`: the shared
-/// victim pipeline over the directly coupled aggressors, then escalation.
+/// victim pipeline over the directly coupled aggressors. Returns the
+/// golden stimuli when the net is to be escalated.
 fn screen_victim(
     network: &Network,
     structure: &ValidationReport,
     moments: &SharedMoments,
     coupled: &[Vec<NetId>],
     config: &ScreenConfig,
-    ws: &mut SimWorkspace,
     screen: &mut NetScreen,
-) {
+) -> Option<Vec<(NetId, InputSignal)>> {
     let policy = FallbackPolicy::for_strict(config.strict);
     let validation = network.validate_victim(structure);
     let robust = match RobustAnalyzer::with_source(network, policy, validation, || Ok(moments)) {
         Ok(r) => r,
         Err(e) => {
             screen.error = Some(e.to_string());
-            return;
+            return None;
         }
     };
 
@@ -438,14 +548,12 @@ fn screen_victim(
     screen.degraded = victim.degraded();
     if let Some(failure) = victim.first_failure() {
         screen.error = Some(failure.to_string());
-        return;
+        return None;
     }
     if let Some(rung) = victim.worst_rung() {
         screen.rung = rung.name();
     }
-    let Some(combined) = victim.combined() else {
-        return;
-    };
+    let combined = victim.combined()?;
     screen.vp = combined.vp;
     screen.at = combined.at;
     screen.ratio = if config.threshold > 0.0 {
@@ -454,32 +562,8 @@ fn screen_victim(
         f64::INFINITY
     };
     screen.escalated = screen.ratio >= config.escalate_ratio;
-    if screen.escalated && config.escalate {
-        let _span = xtalk_obs::span!("screen.escalate");
-        let stimuli: Vec<_> = aggressors.iter().map(|&agg| (agg, input)).collect();
-        match golden_noise_tiered(
-            network,
-            &stimuli,
-            network.victim_output(),
-            ws,
-            &GoldenOpts::from_globals(),
-        ) {
-            Ok((params, tier)) => {
-                screen.golden_vp = Some(params.vp);
-                screen.golden_tier = Some(tier.as_str());
-            }
-            Err(e) => {
-                // The closed-form screen already flagged the net; a
-                // golden failure degrades the report but keeps the flag.
-                screen.degraded = true;
-                screen.golden_tier = Some("failed");
-                xtalk_obs::warn!(
-                    "screen: golden escalation failed on net {}: {e}",
-                    screen.index
-                );
-            }
-        }
-    }
+    (screen.escalated && config.escalate)
+        .then(|| aggressors.iter().map(|&agg| (agg, input)).collect())
 }
 
 impl ScreenReport {

@@ -217,13 +217,77 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    let n = items.len();
+    run_queue(items, items.len(), jobs, init, f)
+}
+
+/// Like [`par_map_indexed_with`], handing `f` runs of up to `group`
+/// consecutive items: `f(state, first, run)` maps
+/// `items[first..first + run.len()]` and returns one result per item, in
+/// order. Workers claim whole runs, and the runs are fixed by `group`
+/// alone, so what one call of `f` sees never depends on the worker
+/// count — the hook for work that pays off across neighbouring items
+/// (the screen batches the golden runs of a few islands). Counts
+/// `items.len()` items, as the per-item map does; a panic is reported at
+/// the first index of its run.
+///
+/// # Errors
+///
+/// As [`par_map_indexed`].
+///
+/// # Panics
+///
+/// Panics when `f` returns a result count other than its run's length.
+pub fn par_map_groups_with<S, T, R, I, F>(
+    items: &[T],
+    group: usize,
+    jobs: Jobs,
+    init: I,
+    f: F,
+) -> Result<Vec<R>, ExecError>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &[T]) -> Vec<R> + Sync,
+{
+    let group = group.max(1);
+    let runs: Vec<&[T]> = items.chunks(group).collect();
+    let mapped = run_queue(&runs, items.len(), jobs, init, |state, g, run: &&[T]| {
+        let out = f(state, g * group, run);
+        assert_eq!(out.len(), run.len(), "one result per item of a run");
+        out
+    })
+    .map_err(
+        |ExecError::WorkerPanic { index, detail }| ExecError::WorkerPanic {
+            index: index * group,
+            detail,
+        },
+    )?;
+    Ok(mapped.into_iter().flatten().collect())
+}
+
+/// The work queue behind both maps: `f` over `units` in parallel,
+/// recording `items` in the per-item workload counter.
+fn run_queue<S, T, R, I, F>(
+    units: &[T],
+    items: usize,
+    jobs: Jobs,
+    init: I,
+    f: F,
+) -> Result<Vec<R>, ExecError>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
+    let n = units.len();
     let workers = jobs.resolve().min(n);
     let _batch_span = xtalk_obs::span!("exec.par_map");
     // Workload counters are per-batch/per-item and thus identical at any
     // worker count; everything scheduling-dependent below is Perf class.
     xtalk_obs::counter!("exec.batches").add(1);
-    xtalk_obs::counter!("exec.items.total").add(n as u64);
+    xtalk_obs::counter!("exec.items.total").add(items as u64);
     // Sampled once per batch: probes inside the item loop stay free when
     // observability is off (no clock reads — the alloc-free test relies
     // on this path being inert).
@@ -234,7 +298,7 @@ where
         // unwinds normally, as a plain `map` would.
         let mut state = init();
         let mut out = Vec::with_capacity(n);
-        for (i, item) in items.iter().enumerate() {
+        for (i, item) in units.iter().enumerate() {
             out.push(f(&mut state, i, item));
         }
         return Ok(out);
@@ -264,7 +328,7 @@ where
                             break;
                         };
                         chunks_claimed += 1;
-                        for (i, item) in items.iter().enumerate().take(end).skip(start) {
+                        for (i, item) in units.iter().enumerate().take(end).skip(start) {
                             if abort.load(Ordering::Relaxed) {
                                 break 'queue;
                             }
@@ -438,6 +502,46 @@ mod tests {
         assert_eq!(Jobs::Count(7).resolve(), 7);
         assert!(Jobs::Auto.resolve() >= 1);
         assert_eq!(Jobs::Count(0).resolve(), 1);
+    }
+
+    #[test]
+    fn grouped_map_sees_fixed_runs_and_preserves_order() {
+        let items: Vec<usize> = (0..103).collect();
+        for jobs in [Jobs::Count(1), Jobs::Count(3)] {
+            let out = par_map_groups_with(
+                &items,
+                4,
+                jobs,
+                || (),
+                |(), first, run: &[usize]| {
+                    // Every run is the fixed slice `first..first + 4` (the
+                    // last one shorter), whatever the worker count.
+                    assert_eq!(first % 4, 0);
+                    assert_eq!(run, &items[first..(first + 4).min(items.len())]);
+                    run.iter().map(|&x| (first, x * 2)).collect()
+                },
+            )
+            .expect("no panics");
+            let want: Vec<(usize, usize)> = items.iter().map(|&x| (x - x % 4, x * 2)).collect();
+            assert_eq!(out, want);
+        }
+        let err = par_map_groups_with(
+            &items,
+            4,
+            Jobs::Count(2),
+            || (),
+            |(), first, run: &[usize]| {
+                if first == 40 {
+                    panic!("boom in run {first}");
+                }
+                run.to_vec()
+            },
+        )
+        .expect_err("must propagate the panic");
+        assert!(
+            matches!(err, ExecError::WorkerPanic { index: 40, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! per-step call of the simulator's time march. All of it must be
 //! allocation-free after warm-up. A third window covers the adaptive march's pair kernels:
 //! both stepping products in one pass over the shared pattern, and both
-//! solves in one sweep over the shared `L` structure.
+//! solves in one sweep over the shared `L` structure. A fourth covers the
+//! batched march's lane kernels: loading one lane's level into the
+//! lane-interleaved values and factors, then the pair product and pair
+//! solve of four lanes at once.
 //!
 //! The windows also hammer disabled `xtalk_obs` probes (counter,
 //! histogram, span) directly: the observability layer instruments these
@@ -29,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use xtalk_circuit::signal::InputSignal;
 use xtalk_circuit::{NetRole, NetworkBuilder};
 use xtalk_core::{MetricOne, MetricTwo, NoiseAnalyzer};
-use xtalk_linalg::Solver;
+use xtalk_linalg::LdlFactors;
 
 /// Delegates to the system allocator, counting every alloc/realloc.
 struct CountingAlloc;
@@ -184,12 +187,8 @@ fn metric_formulas_do_not_allocate() {
     let pattern = symbolic.pattern();
     let trap_vals = a.values().to_vec();
     let be_vals: Vec<f64> = trap_vals.iter().map(|v| v * 1.5).collect();
-    let trap = Solver::Sparse(Box::new(
-        symbolic.factor_values(&trap_vals).expect("matrix factors"),
-    ));
-    let be = Solver::Sparse(Box::new(
-        symbolic.factor_values(&be_vals).expect("matrix factors"),
-    ));
+    let trap = symbolic.factor_values(&trap_vals).expect("matrix factors");
+    let be = symbolic.factor_values(&be_vals).expect("matrix factors");
     let mut bufs: [Vec<f64>; 6] = std::array::from_fn(|_| vec![0.0; N]);
     let pair_step = |bufs: &mut [Vec<f64>; 6]| {
         let [rhs_trap, rhs_be, x_trap, x_be, s_trap, s_be] = bufs;
@@ -206,6 +205,58 @@ fn metric_formulas_do_not_allocate() {
     assert_steady_state_alloc_free("pair product + pair solve (2k iterations)", || {
         for _ in 0..2_000u32 {
             pair_step(&mut bufs);
+        }
+    });
+
+    // The batched march's lane kernels: four lanes of one analysis, each
+    // lane's level loaded into the interleaved values on a level change,
+    // then the pair product and pair solve of all four lanes in one pass.
+    const LANES: usize = 4;
+    let lane_vals: Vec<Vec<f64>> = (0..LANES)
+        .map(|l| {
+            trap_vals
+                .iter()
+                .map(|v| v * (1.0 + 0.1 * l as f64))
+                .collect()
+        })
+        .collect();
+    let lane_factors: Vec<_> = lane_vals
+        .iter()
+        .map(|v| symbolic.factor_values(v).expect("matrix factors"))
+        .collect();
+    let mut trap_lanes = LdlFactors::<LANES>::lanes(&symbolic);
+    let mut be_lanes = LdlFactors::<LANES>::lanes(&symbolic);
+    let mut trap_step = vec![[0.0; LANES]; pattern.nnz()];
+    let mut be_step = vec![[0.0; LANES]; pattern.nnz()];
+    let v: Vec<[f64; LANES]> = (0..N).map(|i| [(i as f64 * 0.21).cos(); LANES]).collect();
+    let mut wide: [Vec<[f64; LANES]>; 6] = std::array::from_fn(|_| vec![[0.0; LANES]; N]);
+    let mut lane_step = |k: usize, wide: &mut [Vec<[f64; LANES]>; 6]| {
+        let l = k % LANES;
+        for (dst, src) in trap_step.iter_mut().zip(&lane_vals[l]) {
+            dst[l] = *src;
+        }
+        for (dst, src) in be_step.iter_mut().zip(&trap_vals) {
+            dst[l] = *src;
+        }
+        trap_lanes
+            .set_lane(l, &lane_factors[l])
+            .expect("one analysis");
+        be_lanes.set_lane(l, &be).expect("one analysis");
+        let [rhs, rhs_alt, x_next, x_alt, s, s_alt] = wide;
+        pattern
+            .mul_vec_pair_into((&trap_step, &be_step), black_box(&v), (rhs, rhs_alt))
+            .expect("lane pair product succeeds");
+        trap_lanes
+            .solve_pair_into(&be_lanes, (rhs, rhs_alt), (x_next, x_alt), (s, s_alt))
+            .expect("lane pair solve succeeds");
+        black_box(&x_next);
+    };
+    for k in 0..16 {
+        lane_step(k, &mut wide);
+    }
+    assert_steady_state_alloc_free("lane loads + lane pair kernels (2k iterations)", || {
+        for k in 0..2_000usize {
+            lane_step(k, &mut wide);
         }
     });
 }

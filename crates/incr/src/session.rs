@@ -419,13 +419,14 @@ fn compute_view(view: &mut View, input: &InputSignal, memo: &mut StageMemo) -> N
     let mut aggressors = 0usize;
     let mut skipped = 0usize;
     for (agg, _) in network.aggressor_nets() {
-        let h = match engine.transfer_taylor(agg, out) {
-            Ok(h) => h,
-            Err(_) => {
-                skipped += 1;
-                continue;
-            }
-        };
+        let h = engine.transfer_taylor(agg, out);
+        if !h.iter().all(|c| c.is_finite()) {
+            // Overflowed moments cannot be measured: the aggressor is
+            // skipped, as the main pipeline rejects such moments, not
+            // dropped as uncoupled.
+            skipped += 1;
+            continue;
+        }
         let f = match OutputMoments::from_transfer(&h, input) {
             Ok(f) => f,
             // No coupling into the observation node: not a contributor.
@@ -482,6 +483,37 @@ mod tests {
         WhatIf::new(base.clone(), WhatIfConfig::default())
             .unwrap()
             .report()
+    }
+
+    #[test]
+    fn overflowing_moments_count_the_aggressor_as_skipped() {
+        // A victim coupled to an ordinary aggressor and to one whose
+        // driver and capacitances are so large that its transfer moments
+        // overflow: that aggressor cannot be measured, so the view counts
+        // it as skipped instead of dropping it as uncoupled.
+        use xtalk_circuit::{NetRole, NetworkBuilder};
+        let mut b = NetworkBuilder::new();
+        let v = b.add_net("v", NetRole::Victim);
+        let a = b.add_net("a", NetRole::Aggressor);
+        let huge = b.add_net("huge", NetRole::Aggressor);
+        let (vn, an, hn) = (
+            b.add_node(v, "v0"),
+            b.add_node(a, "a0"),
+            b.add_node(huge, "h0"),
+        );
+        b.add_driver(v, vn, 100.0).unwrap();
+        b.add_driver(a, an, 100.0).unwrap();
+        b.add_driver(huge, hn, 1e150).unwrap();
+        b.add_sink(vn, 10e-15).unwrap();
+        b.add_sink(an, 10e-15).unwrap();
+        b.add_sink(hn, 1e150).unwrap();
+        b.add_coupling_cap(vn, an, 20e-15).unwrap();
+        b.add_coupling_cap(vn, hn, 20e-15).unwrap();
+        let network = b.build().unwrap();
+        let mut s = WhatIf::new(network, WhatIfConfig::default()).unwrap();
+        let report = s.report();
+        let victim = report.nets.iter().find(|n| &*n.net == "v").unwrap();
+        assert_eq!((victim.aggressors, victim.skipped), (1, 1), "{victim:?}");
     }
 
     #[test]

@@ -207,12 +207,6 @@ impl Matrix {
         t
     }
 
-    /// Maximum absolute entry (∞-norm of the flattened matrix); `0.0` for an
-    /// empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
     /// `true` when every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -318,12 +312,6 @@ mod tests {
         assert_eq!(b[(0, 0)], -2.0);
         assert_eq!(b[(0, 1)], 4.0);
         assert_eq!(b[(1, 1)], -8.0);
-    }
-
-    #[test]
-    fn max_abs_finds_extreme() {
-        let a = Matrix::from_rows(&[&[1.0, -7.5], &[3.0, 4.0]]).unwrap();
-        assert_eq!(a.max_abs(), 7.5);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! 2. [`LdlSymbolic::factor`] / [`LdlSymbolic::factor_values`] — numeric
 //!    factorization allocating the `L`/`D` values once.
 //! 3. [`LdlFactors::solve_into`] — forward/diagonal/backward
-//!    substitution into caller buffers; two factors of one analysis
-//!    solve in one sweep through
-//!    [`Solver::solve_pair_into`](crate::Solver::solve_pair_into).
+//!    substitution into caller buffers, for one system or for `L` lanes
+//!    of one analysis in one sweep ([`crate::lanes`]); two factors of one
+//!    analysis solve together through [`LdlFactors::solve_pair_into`].
 //!    Allocation-free.
 //!
 //! The kernel is the classic up-looking method (cf. the SuiteSparse LDL
@@ -55,6 +55,7 @@
 //! assert!((r[0] - 1.0).abs() < 1e-12 && r[1].abs() < 1e-12);
 //! ```
 
+use crate::lanes::Lanes;
 use crate::sparse::Csr;
 use crate::LinalgError;
 use std::cmp::Reverse;
@@ -196,8 +197,8 @@ fn min_degree_order(a: &Csr) -> (Vec<usize>, Vec<usize>) {
 /// every horizon-retry refactorization. The analysis is shared, not
 /// copied: cloning an `LdlSymbolic` or factoring with it hands out a
 /// reference to the one structure, and factors of the same analysis can
-/// be solved together
-/// ([`Solver::solve_pair_into`](crate::Solver::solve_pair_into)).
+/// be solved together ([`LdlFactors::set_lane`],
+/// [`LdlFactors::solve_pair_into`]).
 #[derive(Debug, Clone)]
 pub struct LdlSymbolic {
     structure: Arc<Structure>,
@@ -382,14 +383,7 @@ impl LdlSymbolic {
     ///
     /// As [`LdlSymbolic::factor`].
     pub fn factor_values(&self, values: &[f64]) -> Result<LdlFactors, LinalgError> {
-        let n = self.structure.n;
-        let mut f = LdlFactors {
-            sym: self.clone(),
-            lx: vec![0.0; self.fill_nnz()],
-            d: vec![0.0; n],
-            y: vec![0.0; n],
-            lnz: vec![0usize; n],
-        };
+        let mut f = LdlFactors::<1>::lanes(self);
         f.refactor_values(values)?;
         Ok(f)
     }
@@ -415,38 +409,29 @@ impl LdlSymbolic {
     }
 }
 
-/// Numeric LDLᵀ factors `P·A·Pᵀ = L·D·Lᵀ`.
+/// Numeric LDLᵀ factors `P·A·Pᵀ = L·D·Lᵀ`, of one system or of `L`
+/// lanes side by side.
 ///
 /// Obtained from [`LdlSymbolic::factor`] or
 /// [`LdlSymbolic::factor_values`]; [`LdlFactors::solve_into`] solves
 /// into caller buffers without allocating.
 /// The structure of `L` belongs to the shared [`LdlSymbolic`]; a factor
-/// holds only values.
+/// holds only values. An `LdlFactors<L>` keeps the values of `L` factors
+/// of one analysis interleaved, one `[f64; L]` per stored entry
+/// ([`LdlFactors::lanes`], [`LdlFactors::set_lane`]), and solves them
+/// all in one sweep (see [`crate::lanes`]); the default `L = 1` is a
+/// single factor.
 #[derive(Debug, Clone)]
-pub struct LdlFactors {
+pub struct LdlFactors<const L: usize = 1> {
     sym: LdlSymbolic,
     /// Values of L's strictly-lower entries (unit diagonal implied), in
-    /// the symbolic analysis' column-major slot order.
-    lx: Vec<f64>,
-    /// The diagonal D.
-    d: Vec<f64>,
-    /// Sparse accumulator for the up-looking row solve.
-    y: Vec<f64>,
-    /// Entries currently stored per column of L.
-    lnz: Vec<usize>,
+    /// the symbolic analysis' column-major slot order, per lane.
+    lx: Vec<[f64; L]>,
+    /// The diagonal D, per lane.
+    d: Vec<[f64; L]>,
 }
 
 impl LdlFactors {
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.sym.dim()
-    }
-
-    /// Number of strictly-lower-triangular nonzeros in `L`.
-    pub fn fill_nnz(&self) -> usize {
-        self.sym.fill_nnz()
-    }
-
     /// Runs the numeric factorization into this factor's buffers for the
     /// matrix with the analyzed pattern and `values` (see
     /// [`LdlSymbolic::factor_values`]). On error the factors are left
@@ -467,9 +452,11 @@ impl LdlFactors {
         }
         xtalk_obs::counter!(perf: "linalg.ldl.factor").add(1);
         let (row_ptr, col_idx) = (s.pattern.row_ptr(), s.pattern.col_idx());
-        let (y, lx, d, lnz) = (&mut self.y, &mut self.lx, &mut self.d, &mut self.lnz);
-        y.fill(0.0);
-        lnz.fill(0);
+        // Sparse accumulator for the up-looking row solve, and the
+        // entries stored so far per column of L.
+        let mut y = vec![0.0; n];
+        let mut lnz = vec![0usize; n];
+        let (lx, d) = (&mut self.lx, &mut self.d);
         for k in 0..n {
             // Scatter the upper part of row k of the permuted matrix.
             let row = row_ptr[s.perm[k]]..row_ptr[s.perm[k] + 1];
@@ -480,145 +467,227 @@ impl LdlFactors {
                 }
             }
             // Up-looking sparse triangular solve along row k's pattern.
-            d[k] = y[k];
+            let mut dk = y[k];
             y[k] = 0.0;
             for &i in &s.ri[s.rp[k]..s.rp[k + 1]] {
                 let yi = y[i];
                 y[i] = 0.0;
                 let p2 = s.lp[i] + lnz[i];
-                for (&r, &l) in s.li[s.lp[i]..p2].iter().zip(&lx[s.lp[i]..p2]) {
+                for (&r, &[l]) in s.li[s.lp[i]..p2].iter().zip(&lx[s.lp[i]..p2]) {
                     y[r] -= l * yi;
                 }
-                let l_ki = yi / d[i];
-                d[k] -= l_ki * yi;
-                lx[p2] = l_ki;
+                let l_ki = yi / d[i][0];
+                dk -= l_ki * yi;
+                lx[p2] = [l_ki];
                 lnz[i] += 1;
             }
+            d[k] = [dk];
             // A NaN pivot (overflow products of finite inputs) must take
             // the singular branch too, hence the explicit is_nan arm.
-            if d[k].abs() < PIVOT_EPS || d[k].is_nan() {
+            if dk.abs() < PIVOT_EPS || dk.is_nan() {
                 return Err(LinalgError::Singular { pivot: k });
             }
         }
         Ok(())
     }
+}
 
-    /// Solves `A·x = b` into caller-provided buffers: `x` receives the
-    /// solution, `scratch` is an `n`-length work vector (the permuted
-    /// intermediate). Allocation-free; `b`, `x` and `scratch` must be
-    /// three distinct buffers.
+impl<const L: usize> LdlFactors<L> {
+    /// `L` lanes of factors of `sym`, every lane the identity until
+    /// [`LdlFactors::set_lane`] fills it.
+    #[must_use]
+    pub fn lanes(sym: &LdlSymbolic) -> Self {
+        LdlFactors {
+            sym: sym.clone(),
+            lx: vec![[0.0; L]; sym.fill_nnz()],
+            d: vec![[1.0; L]; sym.dim()],
+        }
+    }
+
+    /// Copies the values of `one` into lane `l`.
     ///
     /// # Errors
     ///
-    /// [`LinalgError::ShapeMismatch`] when any buffer has the wrong
-    /// length.
-    pub fn solve_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        scratch: &mut [f64],
-    ) -> Result<(), LinalgError> {
-        let s = &*self.sym.structure;
-        let n = s.n;
-        check_solve_lengths(n, b, x, scratch)?;
-        let (perm, lp, li) = (&s.perm, &s.lp, &s.li);
-        // ŷ = P·b.
-        for i in 0..n {
-            scratch[i] = b[perm[i]];
+    /// [`LinalgError::ShapeMismatch`] when `one` comes from another
+    /// analysis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l >= L`.
+    pub fn set_lane(&mut self, l: usize, one: &LdlFactors) -> Result<(), LinalgError> {
+        if !Arc::ptr_eq(&self.sym.structure, &one.sym.structure) {
+            return Err(other_analysis());
         }
-        // L·z = ŷ (unit lower triangular, column sweep).
-        for j in 0..n {
-            let zj = scratch[j];
-            let col = lp[j]..lp[j + 1];
-            for (&r, &l) in li[col.clone()].iter().zip(&self.lx[col]) {
-                scratch[r] -= l * zj;
-            }
+        for (dst, src) in self.lx.iter_mut().zip(&one.lx) {
+            dst[l] = src[0];
         }
-        // D·w = z.
-        for (z, d) in scratch.iter_mut().zip(&self.d) {
-            *z /= d;
-        }
-        // Lᵀ·v = w (row sweep, bottom up).
-        for j in (0..n).rev() {
-            let mut acc = scratch[j];
-            let col = lp[j]..lp[j + 1];
-            for (&r, &l) in li[col.clone()].iter().zip(&self.lx[col]) {
-                acc -= l * scratch[r];
-            }
-            scratch[j] = acc;
-        }
-        // x = Pᵀ·v.
-        for i in 0..n {
-            x[perm[i]] = scratch[i];
+        for (dst, src) in self.d.iter_mut().zip(&one.d) {
+            dst[l] = src[0];
         }
         Ok(())
     }
 
-    /// Solves `A·x₁ = b₁` with `self` and `B·x₂ = b₂` with `other` —
-    /// two factors of one [`LdlSymbolic`] (the simulator's trapezoidal
-    /// and backward-Euler stepping matrices) — in one sweep over the
-    /// shared permutation and `L` structure. Each solution goes through
-    /// exactly the operations of its own [`LdlFactors::solve_into`], in
-    /// the same order, so both are bit-equal to two single solves.
-    /// Factors of different analyses are solved one after the other.
-    /// Allocation-free.
+    /// Dimension of the factored matrix.
+    pub fn dim(&self) -> usize {
+        self.sym.dim()
+    }
+
+    /// Number of strictly-lower-triangular nonzeros in `L`.
+    pub fn fill_nnz(&self) -> usize {
+        self.sym.fill_nnz()
+    }
+
+    /// Solves `A_l·x = b` per lane `l` into caller-provided buffers: `x`
+    /// receives the solutions, `scratch` is the permuted intermediate.
+    /// The lanes share one sweep over the permutation and `L` structure
+    /// (see [`crate::lanes`]); each goes through exactly the operations
+    /// of its own one-lane solve, in the same order, so every lane is
+    /// bit-equal to solving it alone. The one-lane instance on plain
+    /// slices is the scalar solve. Allocation-free; `b`, `x` and
+    /// `scratch` must be three distinct buffers.
     ///
     /// # Errors
     ///
     /// [`LinalgError::ShapeMismatch`] when any buffer has the wrong
     /// length.
-    pub(crate) fn solve_pair_into(
+    pub fn solve_into<B, X, Z>(&self, b: &B, x: &mut X, scratch: &mut Z) -> Result<(), LinalgError>
+    where
+        B: Lanes<L> + ?Sized,
+        X: Lanes<L> + ?Sized,
+        Z: Lanes<L> + ?Sized,
+    {
+        let s = &*self.sym.structure;
+        let n = s.n;
+        check_solve_lengths(n, b.lane_len(), x.lane_len(), scratch.lane_len())?;
+        let (perm, lp, li) = (&s.perm, &s.lp, &s.li);
+        // ŷ = P·b.
+        for i in 0..n {
+            scratch.set_lanes(i, b.lanes(perm[i]));
+        }
+        // L·z = ŷ (unit lower triangular, column sweep).
+        for j in 0..n {
+            let zj = scratch.lanes(j);
+            let col = lp[j]..lp[j + 1];
+            for (&r, l) in li[col.clone()].iter().zip(&self.lx[col]) {
+                let mut zr = scratch.lanes(r);
+                for k in 0..L {
+                    zr[k] -= l[k] * zj[k];
+                }
+                scratch.set_lanes(r, zr);
+            }
+        }
+        // D·w = z.
+        for (j, d) in self.d.iter().enumerate().take(n) {
+            let mut z = scratch.lanes(j);
+            for k in 0..L {
+                z[k] /= d[k];
+            }
+            scratch.set_lanes(j, z);
+        }
+        // Lᵀ·v = w (row sweep, bottom up).
+        for j in (0..n).rev() {
+            let mut acc = scratch.lanes(j);
+            let col = lp[j]..lp[j + 1];
+            for (&r, l) in li[col.clone()].iter().zip(&self.lx[col]) {
+                let zr = scratch.lanes(r);
+                for k in 0..L {
+                    acc[k] -= l[k] * zr[k];
+                }
+            }
+            scratch.set_lanes(j, acc);
+        }
+        // x = Pᵀ·v.
+        for i in 0..n {
+            x.set_lanes(perm[i], scratch.lanes(i));
+        }
+        Ok(())
+    }
+
+    /// Solves `A_l·x₁ = b₁` with `self` and `B_l·x₂ = b₂` with `other`
+    /// per lane — the simulator's trapezoidal and backward-Euler stepping
+    /// matrices — in one sweep over the shared permutation and `L`
+    /// structure when both come from one [`LdlSymbolic`]. Each solution
+    /// goes through exactly the operations of its own
+    /// [`LdlFactors::solve_into`], in the same order, so both are
+    /// bit-equal to two single solves. Factors of different analyses are
+    /// solved one after the other. Allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::ShapeMismatch`] when any buffer has the wrong
+    /// length.
+    pub fn solve_pair_into<B, X, Z>(
         &self,
-        other: &LdlFactors,
-        (b1, b2): (&[f64], &[f64]),
-        (x1, x2): (&mut [f64], &mut [f64]),
-        (z1, z2): (&mut [f64], &mut [f64]),
-    ) -> Result<(), LinalgError> {
+        other: &LdlFactors<L>,
+        (b1, b2): (&B, &B),
+        (x1, x2): (&mut X, &mut X),
+        (z1, z2): (&mut Z, &mut Z),
+    ) -> Result<(), LinalgError>
+    where
+        B: Lanes<L> + ?Sized,
+        X: Lanes<L> + ?Sized,
+        Z: Lanes<L> + ?Sized,
+    {
         if !Arc::ptr_eq(&self.sym.structure, &other.sym.structure) {
             self.solve_into(b1, x1, z1)?;
             return other.solve_into(b2, x2, z2);
         }
         let s = &*self.sym.structure;
         let n = s.n;
-        check_solve_lengths(n, b1, x1, z1)?;
-        check_solve_lengths(n, b2, x2, z2)?;
+        check_solve_lengths(n, b1.lane_len(), x1.lane_len(), z1.lane_len())?;
+        check_solve_lengths(n, b2.lane_len(), x2.lane_len(), z2.lane_len())?;
         let (perm, lp, li) = (&s.perm, &s.lp, &s.li);
         let (lx1, lx2) = (&self.lx, &other.lx);
         for i in 0..n {
             let p = perm[i];
-            z1[i] = b1[p];
-            z2[i] = b2[p];
+            z1.set_lanes(i, b1.lanes(p));
+            z2.set_lanes(i, b2.lanes(p));
         }
         for j in 0..n {
-            let (u1, u2) = (z1[j], z2[j]);
+            let (u1, u2) = (z1.lanes(j), z2.lanes(j));
             let col = lp[j]..lp[j + 1];
-            for ((&r, &l1), &l2) in li[col.clone()].iter().zip(&lx1[col.clone()]).zip(&lx2[col]) {
-                z1[r] -= l1 * u1;
-                z2[r] -= l2 * u2;
+            for ((&r, l1), l2) in li[col.clone()].iter().zip(&lx1[col.clone()]).zip(&lx2[col]) {
+                let (mut r1, mut r2) = (z1.lanes(r), z2.lanes(r));
+                for k in 0..L {
+                    r1[k] -= l1[k] * u1[k];
+                    r2[k] -= l2[k] * u2[k];
+                }
+                z1.set_lanes(r, r1);
+                z2.set_lanes(r, r2);
             }
         }
-        for j in 0..n {
-            z1[j] /= self.d[j];
-            z2[j] /= other.d[j];
+        for (j, (d1, d2)) in self.d.iter().zip(&other.d).enumerate() {
+            let (mut w1, mut w2) = (z1.lanes(j), z2.lanes(j));
+            for k in 0..L {
+                w1[k] /= d1[k];
+                w2[k] /= d2[k];
+            }
+            z1.set_lanes(j, w1);
+            z2.set_lanes(j, w2);
         }
         for j in (0..n).rev() {
-            let (mut acc1, mut acc2) = (z1[j], z2[j]);
+            let (mut acc1, mut acc2) = (z1.lanes(j), z2.lanes(j));
             let col = lp[j]..lp[j + 1];
-            for ((&r, &l1), &l2) in li[col.clone()].iter().zip(&lx1[col.clone()]).zip(&lx2[col]) {
-                acc1 -= l1 * z1[r];
-                acc2 -= l2 * z2[r];
+            for ((&r, l1), l2) in li[col.clone()].iter().zip(&lx1[col.clone()]).zip(&lx2[col]) {
+                let (r1, r2) = (z1.lanes(r), z2.lanes(r));
+                for k in 0..L {
+                    acc1[k] -= l1[k] * r1[k];
+                    acc2[k] -= l2[k] * r2[k];
+                }
             }
-            z1[j] = acc1;
-            z2[j] = acc2;
+            z1.set_lanes(j, acc1);
+            z2.set_lanes(j, acc2);
         }
         for i in 0..n {
             let p = perm[i];
-            x1[p] = z1[i];
-            x2[p] = z2[i];
+            x1.set_lanes(p, z1.lanes(i));
+            x2.set_lanes(p, z2.lanes(i));
         }
         Ok(())
     }
+}
 
+impl LdlFactors {
     /// Solves `A·x = b`, allocating the result and scratch (convenience
     /// wrapper for tests and one-off solves; hot paths use
     /// [`LdlFactors::solve_into`]).
@@ -635,15 +704,17 @@ impl LdlFactors {
     }
 }
 
-fn check_solve_lengths(n: usize, b: &[f64], x: &[f64], scratch: &[f64]) -> Result<(), LinalgError> {
-    if b.len() != n || x.len() != n || scratch.len() != n {
+fn other_analysis() -> LinalgError {
+    LinalgError::ShapeMismatch {
+        found: "factors of another symbolic analysis".to_string(),
+        expected: "factors of this analysis".to_string(),
+    }
+}
+
+fn check_solve_lengths(n: usize, b: usize, x: usize, scratch: usize) -> Result<(), LinalgError> {
+    if b != n || x != n || scratch != n {
         return Err(LinalgError::ShapeMismatch {
-            found: format!(
-                "rhs length {} / out length {} / scratch length {}",
-                b.len(),
-                x.len(),
-                scratch.len()
-            ),
+            found: format!("rhs length {b} / out length {x} / scratch length {scratch}"),
             expected: format!("all of length {n}"),
         });
     }
@@ -654,7 +725,7 @@ fn check_solve_lengths(n: usize, b: &[f64], x: &[f64], scratch: &[f64]) -> Resul
 mod tests {
     use super::*;
     use crate::sparse::Triplets;
-    use crate::{Matrix, Solver};
+    use crate::Matrix;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -836,29 +907,81 @@ mod tests {
             prop_assert_eq!(bits(&pa), bits(&sa));
 
             // One sweep over the shared L structure == two solves, for
-            // factors of one analysis, of two analyses, and for the
-            // dense backend and mixed pairs.
-            let fa = Solver::Sparse(Box::new(sym.factor_values(&va).unwrap()));
-            let fb = Solver::Sparse(Box::new(sym.factor_values(&vb).unwrap()));
-            let other = LdlSymbolic::analyze(&a).unwrap();
-            let fb_other = Solver::Sparse(Box::new(other.factor_values(&vb).unwrap()));
-            let mut m = a.to_dense();
-            let da = Solver::Dense(m.lu().unwrap());
-            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
-                m[(i, j)] *= scale;
-            }
-            let db = Solver::Dense(m.lu().unwrap());
-            for (first, second) in [(&fa, &fb), (&fa, &fb_other), (&da, &db), (&fa, &db), (&da, &fb)] {
+            // factors of one analysis and of two analyses.
+            let fa = sym.factor_values(&va).unwrap();
+            let fb = sym.factor_values(&vb).unwrap();
+            let fb_other = LdlSymbolic::analyze(&a).unwrap().factor_values(&vb).unwrap();
+            for second in [&fb, &fb_other] {
                 let (mut x1, mut x2, mut z1, mut z2) = (buf(), buf(), buf(), buf());
-                first
-                    .solve_pair_into(second, (&b1, &b2), (&mut x1, &mut x2), (&mut z1, &mut z2))
+                fa.solve_pair_into(second, (&b1, &b2), (&mut x1, &mut x2), (&mut z1, &mut z2))
                     .unwrap();
                 let (mut y1, mut y2) = (buf(), buf());
-                first.solve_into(&b1, &mut y1, &mut z1).unwrap();
+                fa.solve_into(&b1, &mut y1, &mut z1).unwrap();
                 second.solve_into(&b2, &mut y2, &mut z2).unwrap();
                 prop_assert_eq!(bits(&x1), bits(&y1));
                 prop_assert_eq!(bits(&x2), bits(&y2));
             }
+        }
+
+        #[test]
+        fn lane_kernels_are_bit_equal_to_one_lane_calls(
+            (a, b0) in rc_tree_system(20),
+            scales in prop::collection::vec(0.25..4.0f64, 3),
+        ) {
+            // Three lanes of one analysis with their own values and
+            // vectors: every lane of every kernel must match its own
+            // one-lane call bit for bit.
+            let sym = LdlSymbolic::analyze(&a).unwrap();
+            let pattern = sym.pattern();
+            let n = a.rows();
+            let va: Vec<Vec<f64>> = scales
+                .iter()
+                .map(|s| a.values().iter().map(|v| v * s).collect())
+                .collect();
+            let vb: Vec<Vec<f64>> = va.iter().map(|v| v.iter().map(|x| x * 1.5).collect()).collect();
+            let rhs: Vec<Vec<f64>> = scales
+                .iter()
+                .map(|s| b0.iter().map(|v| v * s - 0.25).collect())
+                .collect();
+            let lanes = |vs: &[Vec<f64>]| -> Vec<[f64; 3]> {
+                (0..vs[0].len()).map(|i| [vs[0][i], vs[1][i], vs[2][i]]).collect()
+            };
+            let lane = |v: &[[f64; 3]], l: usize| -> Vec<u64> {
+                v.iter().map(|e| e[l].to_bits()).collect()
+            };
+            let (x, wa, wb) = (lanes(&rhs), lanes(&va), lanes(&vb));
+            let wide = || vec![[0.0; 3]; n];
+
+            let (mut ya, mut yb, mut y) = (wide(), wide(), wide());
+            pattern.mul_vec_values_into(&wa, &x, &mut y).unwrap();
+            pattern.mul_vec_pair_into((&wa, &wb), &x, (&mut ya, &mut yb)).unwrap();
+            let fa: Vec<LdlFactors> = va.iter().map(|v| sym.factor_values(v).unwrap()).collect();
+            let fb: Vec<LdlFactors> = vb.iter().map(|v| sym.factor_values(v).unwrap()).collect();
+            let (mut la, mut lb) = (LdlFactors::<3>::lanes(&sym), LdlFactors::<3>::lanes(&sym));
+            for l in 0..3 {
+                la.set_lane(l, &fa[l]).unwrap();
+                lb.set_lane(l, &fb[l]).unwrap();
+            }
+            let (mut xa, mut xb, mut za, mut zb, mut xs, mut zs) =
+                (wide(), wide(), wide(), wide(), wide(), wide());
+            la.solve_into(&x, &mut xs, &mut zs).unwrap();
+            la.solve_pair_into(&lb, (&x, &x), (&mut xa, &mut xb), (&mut za, &mut zb)).unwrap();
+            for l in 0..3 {
+                let (mut s, mut t, mut z) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                pattern.mul_vec_values_into(&va[l], &rhs[l], &mut s).unwrap();
+                prop_assert_eq!(lane(&y, l), bits(&s));
+                prop_assert_eq!(lane(&ya, l), bits(&s));
+                pattern.mul_vec_values_into(&vb[l], &rhs[l], &mut s).unwrap();
+                prop_assert_eq!(lane(&yb, l), bits(&s));
+                fa[l].solve_into(&rhs[l], &mut t, &mut z).unwrap();
+                prop_assert_eq!(lane(&xs, l), bits(&t));
+                prop_assert_eq!(lane(&xa, l), bits(&t));
+                fb[l].solve_into(&rhs[l], &mut t, &mut z).unwrap();
+                prop_assert_eq!(lane(&xb, l), bits(&t));
+            }
+            // A lane takes only factors of its own analysis.
+            let other = LdlSymbolic::analyze(&a).unwrap().factor_values(&va[1]).unwrap();
+            prop_assert!(la.set_lane(1, &other).is_err());
         }
 
         #[test]
@@ -1055,7 +1178,7 @@ mod tests {
         let f = LdlSymbolic::analyze(&a).unwrap().factor(&a).unwrap();
         let mut x = [0.0; 4];
         let mut s = [0.0; 3];
-        assert!(f.solve_into(&[1.0; 4], &mut x, &mut s).is_err());
+        assert!(f.solve_into(&[1.0; 4][..], &mut x[..], &mut s[..]).is_err());
         assert!(f.solve(&[1.0; 3]).is_err());
     }
 

@@ -11,7 +11,8 @@
 //!    factorization ([`LdlSymbolic`], [`LdlFactors`]) that exploits the
 //!    tree structure of RC interconnect — and a [`Solver`] enum that
 //!    selects between the two backends per matrix;
-//! 3. a handful of vector helpers ([`vec_ops`]).
+//! 3. lane-interleaved vectors ([`lanes`]) through which the sparse
+//!    kernels step several same-pattern systems in one pass.
 //!
 //! Everything is `f64`; EDA moment/transient analysis does not benefit from
 //! genericity over scalar types and the concrete code is simpler to audit.
@@ -36,11 +37,11 @@
 
 mod dense;
 mod error;
+pub mod lanes;
 pub mod ldl;
 mod lu;
 pub mod solver;
 pub mod sparse;
-pub mod vec_ops;
 
 pub use dense::Matrix;
 pub use error::LinalgError;

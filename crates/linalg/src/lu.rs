@@ -1,4 +1,5 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
+use crate::lanes::Lanes;
 use crate::{LinalgError, Matrix};
 
 /// LU factorization with partial (row) pivoting: `P·A = L·U`.
@@ -120,40 +121,60 @@ impl LuFactors {
             });
         }
         let mut x = vec![0.0; self.n];
-        self.solve_into(b, &mut x)?;
+        LuFactors::solve_into([self], b, &mut x)?;
         Ok(x)
     }
 
-    /// Solves `A·x = b` into a caller-provided buffer, avoiding allocation
-    /// in per-timestep inner loops.
+    /// Solves `A_l·x = b` per lane `l` with the factors `lanes[l]` into a
+    /// caller-provided buffer, avoiding allocation in per-timestep inner
+    /// loops. Lanes share only the loop (see [`crate::lanes`]); each goes
+    /// through the operations of its own one-lane solve, and the one-lane
+    /// call on plain slices is the scalar solve.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b` or `x` have the wrong
-    /// length.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), LinalgError> {
-        let n = self.n;
-        if b.len() != n || x.len() != n {
+    /// Returns [`LinalgError::ShapeMismatch`] if the factors differ in
+    /// dimension or `b` or `x` have the wrong length.
+    pub fn solve_into<const L: usize, B, X>(
+        lanes: [&LuFactors; L],
+        b: &B,
+        x: &mut X,
+    ) -> Result<(), LinalgError>
+    where
+        B: Lanes<L> + ?Sized,
+        X: Lanes<L> + ?Sized,
+    {
+        let n = lanes.first().map_or(0, |f| f.n);
+        if lanes.iter().any(|f| f.n != n) || b.lane_len() != n || x.lane_len() != n {
             return Err(LinalgError::ShapeMismatch {
-                found: format!("rhs length {} / out length {}", b.len(), x.len()),
-                expected: format!("both of length {n}"),
+                found: format!("rhs length {} / out length {}", b.lane_len(), x.lane_len()),
+                expected: format!("both of length {n}, one dimension per lane"),
             });
         }
         // Forward substitution with permuted b: L·y = P·b.
         for i in 0..n {
-            let mut acc = b[self.perm[i]];
+            let mut acc: [f64; L] = std::array::from_fn(|l| b.lanes(lanes[l].perm[i])[l]);
             for j in 0..i {
-                acc -= self.lu[i * n + j] * x[j];
+                let xj = x.lanes(j);
+                for l in 0..L {
+                    acc[l] -= lanes[l].lu[i * n + j] * xj[l];
+                }
             }
-            x[i] = acc;
+            x.set_lanes(i, acc);
         }
         // Back substitution: U·x = y.
         for i in (0..n).rev() {
-            let mut acc = x[i];
+            let mut acc = x.lanes(i);
             for j in (i + 1)..n {
-                acc -= self.lu[i * n + j] * x[j];
+                let xj = x.lanes(j);
+                for l in 0..L {
+                    acc[l] -= lanes[l].lu[i * n + j] * xj[l];
+                }
             }
-            x[i] = acc / self.lu[i * n + i];
+            for l in 0..L {
+                acc[l] /= lanes[l].lu[i * n + i];
+            }
+            x.set_lanes(i, acc);
         }
         Ok(())
     }
@@ -188,7 +209,7 @@ impl LuFactors {
         let mut col = vec![0.0; n];
         for j in 0..n {
             e[j] = 1.0;
-            self.solve_into(&e, &mut col)?;
+            LuFactors::solve_into([self], &e, &mut col)?;
             for i in 0..n {
                 inv[(i, j)] = col[i];
             }

@@ -80,6 +80,30 @@ impl Solver {
         matches!(self, Solver::Sparse(_))
     }
 
+    /// The sparse factors.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the dense backend.
+    pub fn as_sparse(&self) -> &LdlFactors {
+        match self {
+            Solver::Sparse(f) => f,
+            Solver::Dense(_) => panic!("a dense factorization has no LDLᵀ factors"),
+        }
+    }
+
+    /// The dense LU factors.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the sparse backend.
+    pub fn as_dense(&self) -> &LuFactors {
+        match self {
+            Solver::Dense(f) => f,
+            Solver::Sparse(_) => panic!("a sparse factorization has no LU factors"),
+        }
+    }
+
     /// Solves `A·x = b` into `x`. `scratch` must be an `n`-length work
     /// buffer; the dense backend ignores it. Allocation-free.
     ///
@@ -93,35 +117,8 @@ impl Solver {
         scratch: &mut [f64],
     ) -> Result<(), LinalgError> {
         match self {
-            Solver::Dense(f) => f.solve_into(b, x),
+            Solver::Dense(f) => LuFactors::solve_into([f], b, x),
             Solver::Sparse(f) => f.solve_into(b, x, scratch),
-        }
-    }
-
-    /// Solves `A·x₁ = b₁` with `self` and `B·x₂ = b₂` with `other`, each
-    /// with its own scratch buffer. Two sparse factors of one symbolic
-    /// analysis share a single sweep over the permutation and `L`
-    /// structure; any other pair is two plain [`Solver::solve_into`]
-    /// calls. Either
-    /// way both solutions are bit-equal to two single solves.
-    /// Allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] on buffer-length mismatch.
-    pub fn solve_pair_into(
-        &self,
-        other: &Solver,
-        b: (&[f64], &[f64]),
-        (x1, x2): (&mut [f64], &mut [f64]),
-        (s1, s2): (&mut [f64], &mut [f64]),
-    ) -> Result<(), LinalgError> {
-        match (self, other) {
-            (Solver::Sparse(f), Solver::Sparse(g)) => f.solve_pair_into(g, b, (x1, x2), (s1, s2)),
-            _ => {
-                self.solve_into(b.0, x1, s1)?;
-                other.solve_into(b.1, x2, s2)
-            }
         }
     }
 }

@@ -7,6 +7,7 @@
 //! [`Csr`] for matrix-vector products; for factorization the (small, per-net)
 //! systems are densified via [`Csr::to_dense`].
 
+use crate::lanes::Lanes;
 use crate::{LinalgError, Matrix};
 
 /// Coordinate-format accumulator used while stamping circuit elements.
@@ -196,75 +197,87 @@ impl Csr {
         self.mul_vec_values_into(&self.values, x, y)
     }
 
-    /// Like [`Csr::mul_vec_into`] for the matrix with this pattern and
-    /// `values` (one per stored entry, in CSR order) — for matrices that
-    /// share one pattern and keep only their value arrays.
+    /// `y = A·x` for the matrix with this pattern and `values` (one per
+    /// stored entry, in CSR order) — for matrices that share one pattern
+    /// and keep only their value arrays. Generic over a lane count `L`:
+    /// `values`, `x` and `y` may hold `L` matrices' and vectors' values
+    /// side by side, multiplied in one pass over the pattern (see
+    /// [`crate::lanes`]). Each lane's row sums accumulate in CSR order,
+    /// so every lane is bit-equal to its own one-lane call; the one-lane
+    /// instance on plain slices is the scalar product.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] on a length mismatch.
-    pub fn mul_vec_values_into(
+    pub fn mul_vec_values_into<const L: usize, V, X, Y>(
         &self,
-        values: &[f64],
-        x: &[f64],
-        y: &mut [f64],
-    ) -> Result<(), LinalgError> {
-        self.check_mul_shapes(values, x, y)?;
-        for (yr, bounds) in y.iter_mut().zip(self.row_ptr.windows(2)) {
+        values: &V,
+        x: &X,
+        y: &mut Y,
+    ) -> Result<(), LinalgError>
+    where
+        V: Lanes<L> + ?Sized,
+        X: Lanes<L> + ?Sized,
+        Y: Lanes<L> + ?Sized,
+    {
+        self.check_mul_shapes(values.lane_len(), x.lane_len(), y.lane_len())?;
+        for (r, bounds) in self.row_ptr.windows(2).enumerate() {
             let row = bounds[0]..bounds[1];
-            let mut acc = 0.0;
-            for (&c, &v) in self.col_idx[row.clone()].iter().zip(&values[row]) {
-                acc += v * x[c];
+            let mut acc = [0.0; L];
+            for (&c, v) in self.col_idx[row.clone()].iter().zip(values.lanes_in(row)) {
+                let xc = x.lanes(c);
+                for l in 0..L {
+                    acc[l] += v[l] * xc[l];
+                }
             }
-            *yr = acc;
+            y.set_lanes(r, acc);
         }
         Ok(())
     }
 
     /// Two products on this pattern in one pass over it: `ya = A·x` and
-    /// `yb = B·x`, where `A` and `B` carry the value arrays `a` and `b`.
-    /// Each row sum accumulates in the same order as
-    /// [`Csr::mul_vec_values_into`], so both outputs are bit-equal to two
-    /// single calls.
+    /// `yb = B·x`, where `A` and `B` carry the value arrays `a` and `b`,
+    /// per lane as in [`Csr::mul_vec_values_into`]. Each row sum
+    /// accumulates in the same order as [`Csr::mul_vec_values_into`], so
+    /// both outputs of every lane are bit-equal to two single calls.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] on a length mismatch.
-    pub fn mul_vec_pair_into(
+    pub fn mul_vec_pair_into<const L: usize, V, X, Y>(
         &self,
-        (a, b): (&[f64], &[f64]),
-        x: &[f64],
-        (ya, yb): (&mut [f64], &mut [f64]),
-    ) -> Result<(), LinalgError> {
-        self.check_mul_shapes(a, x, ya)?;
-        self.check_mul_shapes(b, x, yb)?;
+        (a, b): (&V, &V),
+        x: &X,
+        (ya, yb): (&mut Y, &mut Y),
+    ) -> Result<(), LinalgError>
+    where
+        V: Lanes<L> + ?Sized,
+        X: Lanes<L> + ?Sized,
+        Y: Lanes<L> + ?Sized,
+    {
+        self.check_mul_shapes(a.lane_len(), x.lane_len(), ya.lane_len())?;
+        self.check_mul_shapes(b.lane_len(), x.lane_len(), yb.lane_len())?;
         for (r, bounds) in self.row_ptr.windows(2).enumerate() {
             let row = bounds[0]..bounds[1];
-            let (mut acc_a, mut acc_b) = (0.0, 0.0);
-            for ((&c, &va), &vb) in self.col_idx[row.clone()]
-                .iter()
-                .zip(&a[row.clone()])
-                .zip(&b[row])
-            {
-                let xc = x[c];
-                acc_a += va * xc;
-                acc_b += vb * xc;
+            let (mut acc_a, mut acc_b) = ([0.0; L], [0.0; L]);
+            let entries = a.lanes_in(row.clone()).zip(b.lanes_in(row.clone()));
+            for (&c, (va, vb)) in self.col_idx[row].iter().zip(entries) {
+                let xc = x.lanes(c);
+                for l in 0..L {
+                    acc_a[l] += va[l] * xc[l];
+                    acc_b[l] += vb[l] * xc[l];
+                }
             }
-            ya[r] = acc_a;
-            yb[r] = acc_b;
+            ya.set_lanes(r, acc_a);
+            yb.set_lanes(r, acc_b);
         }
         Ok(())
     }
 
-    fn check_mul_shapes(&self, values: &[f64], x: &[f64], y: &[f64]) -> Result<(), LinalgError> {
-        if values.len() != self.nnz() || x.len() != self.cols || y.len() != self.rows {
+    fn check_mul_shapes(&self, values: usize, x: usize, y: usize) -> Result<(), LinalgError> {
+        if values != self.nnz() || x != self.cols || y != self.rows {
             return Err(LinalgError::ShapeMismatch {
-                found: format!(
-                    "{} values, x of length {}, y of length {}",
-                    values.len(),
-                    x.len(),
-                    y.len()
-                ),
+                found: format!("{values} values, x of length {x}, y of length {y}"),
                 expected: format!(
                     "{} values, x of length {}, y of length {}",
                     self.nnz(),
@@ -328,8 +341,9 @@ impl Csr {
     }
 
     /// `true` when `other` has the same shape and stores exactly the same
-    /// entries (values aside).
-    pub(crate) fn same_pattern(&self, other: &Csr) -> bool {
+    /// entries (values aside) — the test for sharing one symbolic
+    /// analysis or one batched march.
+    pub fn same_pattern(&self, other: &Csr) -> bool {
         self.rows == other.rows
             && self.cols == other.cols
             && self.row_ptr == other.row_ptr

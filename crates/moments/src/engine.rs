@@ -140,7 +140,7 @@ impl MomentEngine {
                 *r = -*r;
             }
             let mut next = vec![0.0; self.n];
-            self.lu.solve_into(&rhs, &mut next)?;
+            LuFactors::solve_into([&self.lu], &rhs, &mut next)?;
             out.push(next);
         }
         Ok(out)
@@ -194,7 +194,7 @@ impl MomentEngine {
             for i in 0..n {
                 col[i] = c[(i, j)];
             }
-            self.lu.solve_into(&col, &mut sol)?;
+            LuFactors::solve_into([&self.lu], &col, &mut sol)?;
             for i in 0..n {
                 a[(i, j)] = sol[i];
             }

@@ -20,7 +20,7 @@
 //! returns its bits — the property the `incremental` audit family
 //! enforces end to end.
 
-use crate::{MomentError, TreeMomentEngine};
+use crate::TreeMomentEngine;
 use xtalk_circuit::{Delta, NetId, Network, NodeId};
 
 /// A [`crate::TreeMomentEngine`] that takes value-only network edits in
@@ -47,12 +47,12 @@ use xtalk_circuit::{Delta, NetId, Network, NodeId};
 /// let mut network = b.build()?;
 ///
 /// let mut incr = IncrTreeEngine::new(&network, 4);
-/// let before = incr.transfer_taylor(a, network.victim_output())?;
+/// let before = incr.transfer_taylor(a, network.victim_output());
 ///
 /// let delta = Delta::SetCouplingCap { index: 0, farads: 30e-15 };
 /// network.apply_delta(&delta)?;
 /// incr.update(&delta);
-/// let after = incr.transfer_taylor(a, network.victim_output())?;
+/// let after = incr.transfer_taylor(a, network.victim_output());
 ///
 /// // The edited engine answers bit for bit as a fresh build does.
 /// let full = TreeMomentEngine::new(&network)
@@ -182,20 +182,16 @@ impl IncrTreeEngine {
 
     /// Taylor coefficients `h_0 … h_{order−1}` of the transfer function
     /// from the source of `net` to `output`, at the order fixed in
-    /// [`IncrTreeEngine::new`].
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible for validated networks; the `Result` mirrors
-    /// [`crate::TreeMomentEngine::transfer_taylor`] so callers can treat
-    /// the engines interchangeably.
+    /// [`IncrTreeEngine::new`]. Like a fresh build, the engine does not
+    /// check the coefficients' finiteness; callers that need finite
+    /// moments check them.
     ///
     /// # Panics
     ///
     /// Panics if `net` or `output` is out of bounds.
-    pub fn transfer_taylor(&mut self, net: NetId, output: NodeId) -> Result<Vec<f64>, MomentError> {
+    pub fn transfer_taylor(&mut self, net: NetId, output: NodeId) -> Vec<f64> {
         self.tree.recursion(net.index(), &mut self.moments);
-        Ok(self.moments.iter().map(|m| m[output.index()]).collect())
+        self.moments.iter().map(|m| m[output.index()]).collect()
     }
 }
 
@@ -282,7 +278,7 @@ mod tests {
                 let hr = reference
                     .transfer_taylor(src, net.victim_output(), 4)
                     .unwrap();
-                let hi = incr.transfer_taylor(src, net.victim_output()).unwrap();
+                let hi = incr.transfer_taylor(src, net.victim_output());
                 assert_bits_eq(&hr, &hi, "fresh");
             }
         }
@@ -296,7 +292,7 @@ mod tests {
         let mut incr = IncrTreeEngine::new(&net, 4);
         let sources: Vec<_> = net.nets().map(|(id, _)| id).collect();
         for &s in &sources {
-            incr.transfer_taylor(s, net.victim_output()).unwrap();
+            incr.transfer_taylor(s, net.victim_output());
         }
         let deltas = [
             Delta::ResizeDriver { net: victim, ohms: 133.0 },
@@ -314,7 +310,7 @@ mod tests {
                 let hr = reference
                     .transfer_taylor(s, net.victim_output(), 4)
                     .unwrap();
-                let hi = incr.transfer_taylor(s, net.victim_output()).unwrap();
+                let hi = incr.transfer_taylor(s, net.victim_output());
                 assert_bits_eq(&hr, &hi, "after delta");
             }
         }
@@ -375,7 +371,7 @@ mod tests {
                 let hr = reference
                     .transfer_taylor(s, net.victim_output(), 4)
                     .unwrap();
-                let hi = incr.transfer_taylor(s, net.victim_output()).unwrap();
+                let hi = incr.transfer_taylor(s, net.victim_output());
                 assert_bits_eq(&hr, &hi, &format!("step {step}, source {s}"));
             }
         }

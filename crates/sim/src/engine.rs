@@ -4,7 +4,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU8, Ordering};
 use xtalk_circuit::{signal::InputSignal, NetId, NetRole, Network, NodeId};
 use xtalk_linalg::sparse::{Csr, Triplets};
-use xtalk_linalg::{LdlSymbolic, LinalgError, Matrix, Solver};
+use xtalk_linalg::{LdlFactors, LdlSymbolic, LuFactors, Matrix, Solver};
 use xtalk_moments::tree;
 
 /// Time-marching strategy of the golden simulator. Both modes run the
@@ -228,6 +228,12 @@ impl SimResult {
     }
 }
 
+/// Lane width of the batched march: golden runs whose stamped `G ∪ C`
+/// patterns agree march together this many at a time
+/// ([`crate::golden::golden_noise_batch`]). Picked from the measured
+/// 1/2/4/8-lane sweep recorded in EXPERIMENTS.md; not a knob.
+pub const LANES: usize = 4;
+
 /// Reusable per-node buffers for transient runs.
 ///
 /// [`TransientSim::run`] allocates its right-hand-side and solution
@@ -235,26 +241,19 @@ impl SimResult {
 /// multi-aggressor screens) thousands of runs execute back to back, so a
 /// worker thread keeps one `SimWorkspace` and passes it to
 /// [`TransientSim::run_with`], which recycles the buffers across runs.
-/// A workspace never changes *what* is computed, so results are
-/// bit-identical with and without one.
+/// The batched march keeps its own lane-interleaved buffers here too,
+/// sized on its first use. A workspace never changes *what* is computed,
+/// so results are bit-identical with and without one.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
-    b_now: Vec<f64>,
-    b_next: Vec<f64>,
-    rhs: Vec<f64>,
-    v: Vec<f64>,
-    v_next: Vec<f64>,
-    /// Second trial solution for the adaptive march (the embedded
-    /// backward-Euler step the error estimate compares against), with
-    /// its own right-hand side and solve scratch.
-    v_alt: Vec<f64>,
-    rhs_alt: Vec<f64>,
-    scratch_alt: Vec<f64>,
-    /// Running per-component amplitude scale for the adaptive error
-    /// norm (largest |v_i| seen this run).
-    vscale: Vec<f64>,
-    /// Solve scratch for the sparse backend (permuted intermediate).
-    scratch: Vec<f64>,
+    /// Buffers of the one-lane march.
+    one: LaneBufs<1>,
+    /// Buffers of the batched march.
+    wide: LaneBufs<LANES>,
+    /// Node voltages at the end of each lane of the most recent march —
+    /// the state at its `t_stop`, for resuming a horizon extension
+    /// without re-integrating from `t = 0`.
+    finals: Vec<Vec<f64>>,
 }
 
 impl SimWorkspace {
@@ -263,9 +262,64 @@ impl SimWorkspace {
         SimWorkspace::default()
     }
 
-    /// Grows the per-node buffers to `n`, reusing prior capacity.
-    fn resize(&mut self, n: usize) {
-        for buf in [
+    /// Node voltages at the end of lane `lane` of the most recent march.
+    pub(crate) fn final_state(&self, lane: usize) -> &[f64] {
+        &self.finals[lane]
+    }
+}
+
+/// Per-node buffers of a march over `L` lanes, interleaved by node: entry
+/// `i` holds node `i`'s value in every lane.
+#[derive(Debug, Default)]
+struct LaneBufs<const L: usize> {
+    b_now: Vec<[f64; L]>,
+    b_next: Vec<[f64; L]>,
+    rhs: Vec<[f64; L]>,
+    v: Vec<[f64; L]>,
+    v_next: Vec<[f64; L]>,
+    /// Second trial solution for the adaptive march (the embedded
+    /// backward-Euler step the error estimate compares against), with
+    /// its own right-hand side and solve scratch.
+    v_alt: Vec<[f64; L]>,
+    rhs_alt: Vec<[f64; L]>,
+    scratch_alt: Vec<[f64; L]>,
+    /// Running per-component amplitude scale for the adaptive error
+    /// norm (largest |v_i| seen this run).
+    vscale: Vec<[f64; L]>,
+    /// Solve scratch for the sparse backend (permuted intermediate).
+    scratch: Vec<[f64; L]>,
+    /// Every lane's current trapezoidal and backward-Euler stepping
+    /// matrices, as values on their one pattern.
+    trap_step: Vec<[f64; L]>,
+    be_step: Vec<[f64; L]>,
+}
+
+impl<const L: usize> LaneBufs<L> {
+    /// Sizes every buffer to `n` nodes and the stepping values to `nnz`
+    /// entries, all zero, reusing prior capacity.
+    fn resize(&mut self, n: usize, nnz: usize) {
+        for buf in self.all() {
+            buf.clear();
+            buf.resize(n, [0.0; L]);
+        }
+        for buf in [&mut self.trap_step, &mut self.be_step] {
+            buf.clear();
+            buf.resize(nnz, [0.0; L]);
+        }
+    }
+
+    /// Zeroes lane `l` everywhere: an idle lane then steps zeros, which
+    /// no kernel can turn into anything else.
+    fn clear_lane(&mut self, l: usize) {
+        for buf in self.all() {
+            for e in buf.iter_mut() {
+                e[l] = 0.0;
+            }
+        }
+    }
+
+    fn all(&mut self) -> [&mut Vec<[f64; L]>; 10] {
+        [
             &mut self.b_now,
             &mut self.b_next,
             &mut self.rhs,
@@ -276,42 +330,23 @@ impl SimWorkspace {
             &mut self.scratch_alt,
             &mut self.vscale,
             &mut self.scratch,
-        ] {
-            buf.clear();
-            buf.resize(n, 0.0);
-        }
-    }
-
-    /// Node voltages after the most recent run through this workspace —
-    /// the state at the run's `t_stop`, for resuming a horizon extension
-    /// without re-integrating from `t = 0`.
-    pub(crate) fn final_state(&self) -> &[f64] {
-        &self.v
+        ]
     }
 }
 
-/// Factorization backend of one simulator: the stamped matrices in the
-/// representation its solver consumes.
+/// Factorization backend of one simulator.
 #[derive(Debug)]
 enum Backend {
     /// Dense `G`/`C` with LU factorizations — small or structurally
-    /// unsuitable systems.
-    Dense { g: Matrix, c: Matrix },
-    /// Sparse LDLᵀ over the union pattern of `G` and `C`: the stepping
-    /// matrix `(C + coeff·G)/dt` lives on that pattern for every `dt`,
-    /// so one symbolic analysis serves all timesteps and horizon
-    /// retries.
-    Sparse {
-        /// Symbolic factorization (ordering, etree, structure of `L`) of
-        /// the union pattern — computed once per simulator and shared by
-        /// every factor built from it. Its [`LdlSymbolic::pattern`] is
-        /// the G∪C pattern every stepping matrix lives on.
-        symbolic: LdlSymbolic,
-        /// `G` scattered onto the union pattern (zeros where absent).
-        g_vals: Vec<f64>,
-        /// `C` scattered onto the union pattern.
-        c_vals: Vec<f64>,
-    },
+    /// unsuitable systems — and the `G ∪ C` pattern the stepping matrices
+    /// live on.
+    Dense { g: Matrix, c: Matrix, pattern: Csr },
+    /// Sparse LDLᵀ: one symbolic factorization (ordering, etree,
+    /// structure of `L`) of the `G ∪ C` pattern, shared by every factor
+    /// built from it — every `dt`, every horizon retry, and every
+    /// simulator of the same pattern. Its [`LdlSymbolic::pattern`] is the
+    /// pattern the stepping matrices live on.
+    Sparse { symbolic: LdlSymbolic },
 }
 
 /// Transient MNA simulator over a validated [`Network`], integrating with
@@ -334,6 +369,12 @@ enum Backend {
 #[derive(Debug)]
 pub struct TransientSim<'a> {
     network: &'a Network,
+    /// `G` scattered onto the `G ∪ C` pattern (zeros where absent): the
+    /// stepping matrix `(C + coeff·G)/dt` lives on that pattern for every
+    /// `dt`, as a bare value array.
+    g_vals: Vec<f64>,
+    /// `C` scattered onto the pattern.
+    c_vals: Vec<f64>,
     backend: Backend,
     /// Factorization of `G`, reused for the DC initial condition of every
     /// run.
@@ -352,9 +393,29 @@ impl<'a> TransientSim<'a> {
     /// [`SimError::Numerical`] when `G` cannot be factored (conditioning
     /// pathology; structurally impossible for a validated network).
     pub fn new(network: &'a Network) -> Result<Self, SimError> {
+        Self::sharing(network, &[])
+    }
+
+    /// Like [`TransientSim::new`], reusing the symbolic analysis of the
+    /// first of `analyzed` whose pattern equals this network's stamped
+    /// `G ∪ C` pattern. The analysis depends on the pattern alone, so a
+    /// shared one factors every value bit-identically to a fresh one;
+    /// simulators that share one can march as lanes of one batch.
+    pub(crate) fn sharing(
+        network: &'a Network,
+        analyzed: &[LdlSymbolic],
+    ) -> Result<Self, SimError> {
         let (g, c) = Self::stamp_sparse(network);
         let sparse = xtalk_linalg::prefer_sparse(&g) && c.is_symmetric();
-        Self::on_backend(network, g, c, sparse)
+        Self::on_backend(network, g, c, sparse.then_some(analyzed))
+    }
+
+    /// The symbolic analysis of the sparse backend.
+    pub(crate) fn symbolic(&self) -> Option<&LdlSymbolic> {
+        match &self.backend {
+            Backend::Sparse { symbolic, .. } => Some(symbolic),
+            Backend::Dense { .. } => None,
+        }
     }
 
     /// Stamps the sparse `G`/`C` matrices (same element order as the
@@ -390,26 +451,29 @@ impl<'a> TransientSim<'a> {
         (g.to_csr(), c.to_csr())
     }
 
-    /// Factors `G` on the sparse backend when `sparse` is set and its
-    /// numeric factorization succeeds, on the dense backend otherwise.
+    /// Factors `G` on the sparse backend when `sparse` is set (with the
+    /// analyses it may reuse) and its numeric factorization succeeds, on
+    /// the dense backend otherwise.
     fn on_backend(
         network: &'a Network,
         g_csr: Csr,
         c_csr: Csr,
-        sparse: bool,
+        sparse: Option<&[LdlSymbolic]>,
     ) -> Result<Self, SimError> {
-        if sparse {
-            let (pattern, g_pos, c_pos) =
-                Csr::union_pattern(&g_csr, &c_csr).expect("same shape");
-            let mut g_vals = vec![0.0; pattern.nnz()];
-            for (k, &p) in g_pos.iter().enumerate() {
-                g_vals[p] = g_csr.values()[k];
-            }
-            let mut c_vals = vec![0.0; pattern.nnz()];
-            for (k, &p) in c_pos.iter().enumerate() {
-                c_vals[p] = c_csr.values()[k];
-            }
-            let symbolic = LdlSymbolic::analyze(&pattern)?;
+        let (pattern, g_pos, c_pos) = Csr::union_pattern(&g_csr, &c_csr).expect("same shape");
+        let mut g_vals = vec![0.0; pattern.nnz()];
+        for (k, &p) in g_pos.iter().enumerate() {
+            g_vals[p] = g_csr.values()[k];
+        }
+        let mut c_vals = vec![0.0; pattern.nnz()];
+        for (k, &p) in c_pos.iter().enumerate() {
+            c_vals[p] = c_csr.values()[k];
+        }
+        if let Some(analyzed) = sparse {
+            let symbolic = match analyzed.iter().find(|s| s.pattern().same_pattern(&pattern)) {
+                Some(shared) => shared.clone(),
+                None => LdlSymbolic::analyze(&pattern)?,
+            };
             // The DC factorization takes G on the union pattern (explicit
             // zeros where only C has entries). A numeric failure here
             // means G is not positive-definite after all; the pivoting
@@ -418,17 +482,18 @@ impl<'a> TransientSim<'a> {
                 xtalk_obs::counter!(perf: "sim.solve.path.sparse").add(1);
                 return Ok(TransientSim {
                     network,
-                    backend: Backend::Sparse {
-                        symbolic,
-                        g_vals,
-                        c_vals,
-                    },
+                    g_vals,
+                    c_vals,
+                    backend: Backend::Sparse { symbolic },
                     dc: Solver::Sparse(Box::new(dc)),
                 });
             }
         }
         // Dense fallback: stamp densely in the original element order so
         // this path reproduces the historical dense results bit-for-bit.
+        // Its stepping matrices live on the G ∪ C pattern too: an entry
+        // that cancels to an explicit zero adds ±0 to a row sum, which
+        // moves no bit.
         let n = network.node_count();
         let mut g = Matrix::zeros(n, n);
         let mut c = Matrix::zeros(n, n);
@@ -460,9 +525,19 @@ impl<'a> TransientSim<'a> {
         xtalk_obs::counter!(perf: "sim.solve.path.dense").add(1);
         Ok(TransientSim {
             network,
-            backend: Backend::Dense { g, c },
+            g_vals,
+            c_vals,
+            backend: Backend::Dense { g, c, pattern },
             dc: Solver::Dense(g_lu),
         })
+    }
+
+    /// The `G ∪ C` pattern every stepping matrix lives on.
+    fn pattern(&self) -> &Csr {
+        match &self.backend {
+            Backend::Dense { pattern, .. } => pattern,
+            Backend::Sparse { symbolic } => symbolic.pattern(),
+        }
     }
 
     /// `true` when this simulator runs on the sparse LDLᵀ backend.
@@ -508,12 +583,23 @@ impl<'a> TransientSim<'a> {
         mode: SimMode,
         workspace: &mut SimWorkspace,
     ) -> Result<SimResult, SimError> {
-        for (net, _) in stimuli {
-            if self.network.net(*net).role() != NetRole::Aggressor {
-                return Err(SimError::StimulusOnNonAggressor(*net));
-            }
-        }
+        self.check_noise_stimuli(stimuli)?;
         self.march(stimuli, options, mode, workspace, None)
+    }
+
+    /// The noise convention of [`TransientSim::run`]: only aggressors
+    /// carry stimuli.
+    pub(crate) fn check_noise_stimuli(
+        &self,
+        stimuli: &[(NetId, InputSignal)],
+    ) -> Result<(), SimError> {
+        match stimuli
+            .iter()
+            .find(|(net, _)| self.network.net(*net).role() != NetRole::Aggressor)
+        {
+            Some((net, _)) => Err(SimError::StimulusOnNonAggressor(*net)),
+            None => Ok(()),
+        }
     }
 
     /// Like [`TransientSim::run`], but any net — the victim included — may
@@ -563,41 +649,35 @@ impl<'a> TransientSim<'a> {
     /// Builds the stepping systems for one doubling level (step `dt`):
     /// the trapezoidal system and, with `companion`, the backward-Euler
     /// system the adaptive error estimate compares against. Each scheme
-    /// has a stepping matrix `(C + step·G)/dt` and a left-hand side
-    /// `(C + lhs·G)/dt`, formed entry by entry. The sparse backend keeps
-    /// the stepping matrices as value arrays on the simulator's G∪C
-    /// pattern and factors the left-hand sides against its one symbolic
-    /// analysis, so each level costs only value rewrites plus one numeric
-    /// factorization per scheme.
-    fn build_level(&self, dt: f64, companion: bool) -> Result<LevelSystem<'_>, SimError> {
-        let scheme = |step: f64, lhs: f64| -> Result<Scheme<'_>, SimError> {
-            Ok(match &self.backend {
-                Backend::Dense { g, c } => {
-                    let m =
-                        |coeff: f64| c.add_scaled(g, coeff).expect("same shape").scaled(1.0 / dt);
-                    Scheme {
-                        step: StepMatrix::Own(Csr::from_dense(&m(step))),
-                        lhs: Solver::Dense(m(lhs).lu()?),
-                    }
+    /// has a stepping matrix `(C + step·G)/dt`, kept as a value array on
+    /// the simulator's G∪C pattern, and a factored left-hand side
+    /// `(C + lhs·G)/dt`, formed entry by entry. The sparse backend
+    /// factors against its one symbolic analysis, so each level costs
+    /// only value rewrites plus one numeric factorization per scheme.
+    fn build_level(&self, dt: f64, companion: bool) -> Result<LevelSystem, SimError> {
+        let inv_dt = 1.0 / dt;
+        let values = |coeff: f64| -> Vec<f64> {
+            self.g_vals
+                .iter()
+                .zip(&self.c_vals)
+                .map(|(gv, cv)| (cv + coeff * gv) * inv_dt)
+                .collect()
+        };
+        let scheme = |step: f64, lhs: f64| -> Result<Scheme, SimError> {
+            let lhs = match &self.backend {
+                Backend::Dense { g, c, .. } => Solver::Dense(
+                    c.add_scaled(g, lhs)
+                        .expect("same shape")
+                        .scaled(1.0 / dt)
+                        .lu()?,
+                ),
+                Backend::Sparse { symbolic } => {
+                    Solver::Sparse(Box::new(symbolic.factor_values(&values(lhs))?))
                 }
-                Backend::Sparse {
-                    symbolic,
-                    g_vals,
-                    c_vals,
-                } => {
-                    let inv_dt = 1.0 / dt;
-                    let values = |coeff: f64| -> Vec<f64> {
-                        g_vals
-                            .iter()
-                            .zip(c_vals)
-                            .map(|(gv, cv)| (cv + coeff * gv) * inv_dt)
-                            .collect()
-                    };
-                    Scheme {
-                        step: StepMatrix::Shared(symbolic.pattern(), values(step)),
-                        lhs: Solver::Sparse(Box::new(symbolic.factor_values(&values(lhs))?)),
-                    }
-                }
+            };
+            Ok(Scheme {
+                step: values(step),
+                lhs,
             })
         };
         Ok(LevelSystem {
@@ -606,32 +686,9 @@ impl<'a> TransientSim<'a> {
         })
     }
 
-    /// The one time-marching loop behind every run: trapezoidal steps on
-    /// the base grid (`options.dt`, `options.t_stop`), recorded at every
-    /// base-grid point.
-    ///
-    /// [`SimMode::Fixed`] holds the march at the base step. Under
-    /// [`SimMode::Adaptive`] it doubles the step over quiescent spans
-    /// and halves it back when the embedded error estimate objects,
-    /// filling the base-grid points inside a long step by linear
-    /// interpolation — so every consumer (probe waveforms, noise
-    /// measurement) sees the same sample layout in both modes. Each
-    /// accepted step advances with the trapezoidal solution; a
-    /// backward-Euler companion step from the same state provides the
-    /// local-truncation-error estimate (their difference bounds the
-    /// lower-order error). Steps never reject at the base level, so the
-    /// accuracy floor is the fixed march itself. The companion runs only
-    /// where it can change a decision — not on base steps that end while
-    /// the inputs still slew — and shares one pass over the stepping
-    /// pattern and one sweep over `L` with the trapezoidal step (the
-    /// sparse backend's pair kernels), so every sample is bit-identical
-    /// to computing both schemes on every step.
-    ///
-    /// With `start = None` the march starts from the DC solution at
-    /// `t = 0`; with `start = Some((t0, v0))` it starts from state `v0`
-    /// (one voltage per node) at `t0` and samples cover `t0 ..= t_stop`
-    /// (the first sample repeats `v0`) — the golden tier's horizon
-    /// resume.
+    /// One run of [`march`] from `start` (`None`: from the DC solution at
+    /// `t = 0`), on the one-lane path; its final state is lane 0's of
+    /// `workspace`.
     pub(crate) fn march(
         &self,
         stimuli: &[(NetId, InputSignal)],
@@ -640,268 +697,594 @@ impl<'a> TransientSim<'a> {
         workspace: &mut SimWorkspace,
         start: Option<(f64, &[f64])>,
     ) -> Result<SimResult, SimError> {
-        let t0 = start.map_or(0.0, |(t, _)| t);
-        options.validate(t0)?;
-        let mut seen: HashSet<NetId> = HashSet::with_capacity(stimuli.len());
-        if let Some((net, _)) = stimuli.iter().find(|(net, _)| !seen.insert(*net)) {
-            return Err(SimError::DuplicateStimulus(*net));
-        }
-
-        let dt = options.dt;
-        let n_base = ((options.t_stop - t0) / dt).ceil() as usize;
-
-        // Source conductance vector entries: input u_j enters as
-        // (1/Rd_j)·u_j at the driver node.
-        let sources = self.resolve_sources(stimuli);
-        let rhs_inputs = |t: f64, out: &mut [f64]| {
-            out.fill(0.0);
-            for (node, cond, sig) in &sources {
-                out[*node] += cond * sig.value(t);
-            }
+        let run = MarchRun {
+            sim: self,
+            stimuli,
+            options,
+            start,
         };
-        // Inputs stop slewing (ramps saturate, exponentials go smooth)
-        // after the last arrival + transition; until then the step is
-        // pinned to the base grid so no kink is ever stepped over.
-        let active_end = stimuli
-            .iter()
-            .map(|(_, s)| s.arrival() + s.transition())
-            .fold(0.0_f64, f64::max);
-        let active_idx = (((active_end - t0) / dt).ceil() as usize).min(n_base);
+        march(&[run], mode, &mut workspace.one, &mut workspace.finals)
+            .pop()
+            .expect("one result per run")
+    }
+}
 
-        // Deepest doubling level: none when fixed; adaptive strides stay
-        // within a quarter of the horizon (and a hard cap keeps level
-        // systems bounded).
-        let adaptive = mode == SimMode::Adaptive;
-        let mut max_k = 0usize;
-        while adaptive && max_k < 14 && (1usize << (max_k + 1)) <= n_base.max(4) / 4 {
-            max_k += 1;
+/// One run of a march: its simulator, stimuli and options, and an
+/// optional starting state `(t0, v0)`.
+pub(crate) struct MarchRun<'r, 'a> {
+    pub(crate) sim: &'r TransientSim<'a>,
+    pub(crate) stimuli: &'r [(NetId, InputSignal)],
+    pub(crate) options: &'r SimOptions,
+    pub(crate) start: Option<(f64, &'r [f64])>,
+}
+
+/// Marches `runs` together and returns one result per run, in order;
+/// lane `l`'s final state is `workspace.final_state(l)`. One run takes
+/// the one-lane path; up to [`LANES`] runs whose simulators share one
+/// symbolic analysis march as the lanes of one batch.
+///
+/// # Panics
+///
+/// Panics on more than [`LANES`] runs, or on several runs that do not
+/// share one analysis.
+pub(crate) fn march_batch(
+    runs: &[MarchRun<'_, '_>],
+    mode: SimMode,
+    workspace: &mut SimWorkspace,
+) -> Vec<Result<SimResult, SimError>> {
+    if let [_] = runs {
+        return march(runs, mode, &mut workspace.one, &mut workspace.finals);
+    }
+    let shared = runs[0].sim.symbolic();
+    assert!(
+        runs.len() <= LANES
+            && runs.iter().all(|r| match (r.sim.symbolic(), shared) {
+                (Some(a), Some(b)) => std::ptr::eq(a.pattern(), b.pattern()),
+                _ => false,
+            }),
+        "a batched march takes up to {LANES} runs of one symbolic analysis"
+    );
+    march(runs, mode, &mut workspace.wide, &mut workspace.finals)
+}
+
+/// Error-norm knobs of the adaptive march: the estimate divides the
+/// trapezoidal-vs-BE difference by `ATOL + RTOL·scale_i` per component,
+/// where `scale_i` is the largest |v_i| seen. RTOL is set so accumulated
+/// waveform error stays well below the closed-form metric errors the
+/// golden tier exists to measure; ATOL sits below the measurable pulse
+/// floor.
+const RTOL: f64 = 2e-4;
+const ATOL: f64 = 1e-9;
+/// Grow the step only when the estimate is comfortably inside the
+/// acceptance region.
+const GROW_THRESHOLD: f64 = 0.25;
+
+/// The one time-marching loop behind every run: trapezoidal steps on
+/// each run's base grid (`options.dt`, `options.t_stop`), recorded at
+/// every base-grid point, for up to `L` runs at once.
+///
+/// [`SimMode::Fixed`] holds the march at the base step. Under
+/// [`SimMode::Adaptive`] it doubles the step over quiescent spans and
+/// halves it back when the embedded error estimate objects, filling the
+/// base-grid points inside a long step by linear interpolation — so
+/// every consumer (probe waveforms, noise measurement) sees the same
+/// sample layout in both modes. Each accepted step advances with the
+/// trapezoidal solution; a backward-Euler companion step from the same
+/// state provides the local-truncation-error estimate (their difference
+/// bounds the lower-order error). Steps never reject at the base level,
+/// so the accuracy floor is the fixed march itself. The companion runs
+/// only where it can change a decision — not on base steps that end
+/// while the inputs still slew — and shares one pass over the stepping
+/// pattern and one sweep over `L` with the trapezoidal step (the pair
+/// kernels), so every sample is bit-identical to computing both schemes
+/// on every step.
+///
+/// Each run is one lane, with its own step, horizon, doubling level,
+/// accept/reject decisions, level systems, DC state and probes. The
+/// lanes share the kernels' passes over their one pattern: every lane's
+/// current level is copied into lane-interleaved arrays when the lane
+/// changes level ([`xtalk_linalg::lanes`]), and each step runs the
+/// companion kernels when any lane needs them. Every lane performs
+/// exactly the floating-point operations of its run marched alone, in
+/// the same order, so batching never moves a bit. A lane that finishes
+/// (or fails) steps zeros until the last lane is done.
+///
+/// A run with `start = None` starts from the DC solution at `t = 0`;
+/// with `start = Some((t0, v0))` it starts from state `v0` (one voltage
+/// per node) at `t0` and samples cover `t0 ..= t_stop` (the first sample
+/// repeats `v0`) — the golden tier's horizon resume.
+fn march<const L: usize>(
+    runs: &[MarchRun<'_, '_>],
+    mode: SimMode,
+    bufs: &mut LaneBufs<L>,
+    finals: &mut Vec<Vec<f64>>,
+) -> Vec<Result<SimResult, SimError>> {
+    assert!((1..=L).contains(&runs.len()), "a march takes 1 to {L} runs");
+    let adaptive = mode == SimMode::Adaptive;
+    let lead = runs[0].sim;
+    bufs.resize(lead.network.node_count(), lead.pattern().nnz());
+    if finals.len() < runs.len() {
+        finals.resize_with(runs.len(), Vec::new);
+    }
+    // The lanes' left-hand sides, lane-interleaved (sparse) or each
+    // lane's own (dense, one lane).
+    let mut lhs = lead.symbolic().map(|sym| {
+        (
+            LdlFactors::<L>::lanes(sym),
+            adaptive.then(|| LdlFactors::<L>::lanes(sym)),
+        )
+    });
+
+    let mut results: Vec<Option<Result<SimResult, SimError>>> = Vec::with_capacity(runs.len());
+    let mut lanes: Vec<Option<Lane<'_, '_>>> = Vec::with_capacity(runs.len());
+    for (l, run) in runs.iter().enumerate() {
+        match Lane::start(run, adaptive) {
+            Ok(lane) => {
+                lane_inputs(&lane.sources, |sig| sig.value(lane.t0), &mut bufs.b_now, l);
+                lane_inputs(&lane.sources, dc_value, &mut bufs.b_next, l);
+                lanes.push(Some(lane));
+                results.push(None);
+            }
+            Err(e) => {
+                lanes.push(None);
+                results.push(Some(Err(e)));
+            }
         }
+    }
 
-        // Per-level stepping systems, built on first use; only adaptive
-        // levels carry the backward-Euler companion.
-        let mut levels: Vec<Option<LevelSystem<'_>>> = Vec::new();
-        levels.resize_with(max_k + 1, || None);
-
-        workspace.resize(self.network.node_count());
-        let ws = workspace;
-
-        // Initial condition: the given state, or the DC solution before
-        // the run starts (`b_next` is rewritten before its first use).
-        rhs_inputs(t0, &mut ws.b_now);
-        match start {
-            Some((_, v0)) => ws.v.copy_from_slice(v0),
-            None => {
-                dc_inputs(&sources, &mut ws.b_next);
-                self.dc.solve_into(&ws.b_next, &mut ws.v, &mut ws.scratch)?;
+    // Initial condition: the given state, or the DC solution before the
+    // run starts (`b_next` is rewritten before its first use).
+    let from_dc = runs
+        .iter()
+        .zip(&lanes)
+        .any(|(r, l)| l.is_some() && r.start.is_none());
+    if from_dc {
+        solve_dc(&lanes, bufs);
+    }
+    for (l, (run, lane)) in runs.iter().zip(&mut lanes).enumerate() {
+        let Some(lane) = lane else { continue };
+        if let Some((_, v0)) = run.start {
+            for (e, &v) in bufs.v.iter_mut().zip(v0) {
+                e[l] = v;
             }
         }
         if adaptive {
-            for (s, v) in ws.vscale.iter_mut().zip(&ws.v) {
-                *s = v.abs();
+            for (s, v) in bufs.vscale.iter_mut().zip(&bufs.v) {
+                s[l] = v[l].abs();
             }
         }
-
-        // Probe bookkeeping: resolve the probe set (the victim output
-        // when unspecified) and reserve every trace to its final length
-        // up front, before the stepping loop.
-        let probe_nodes = if options.probes.is_empty() {
-            vec![self.network.victim_output()]
-        } else {
-            options.probes.clone()
-        };
-        let mut traces: Vec<Vec<f64>> = Vec::with_capacity(probe_nodes.len());
-        for node in &probe_nodes {
-            let mut t = Vec::with_capacity(n_base + 1);
-            t.push(ws.v[node.index()]);
-            traces.push(t);
+        for (trace, node) in lane.traces.iter_mut().zip(&lane.probe_nodes) {
+            trace.push(bufs.v[node.index()][l]);
         }
+    }
 
-        // Error-norm knobs: the estimate divides the trapezoidal-vs-BE
-        // difference by `ATOL + RTOL·scale_i` per component, where
-        // `scale_i` is the largest |v_i| seen. RTOL is set so accumulated
-        // waveform error stays well below the closed-form metric errors
-        // the golden tier exists to measure; ATOL sits below the
-        // measurable pulse floor.
-        const RTOL: f64 = 2e-4;
-        const ATOL: f64 = 1e-9;
-        /// Grow the step only when the estimate is comfortably inside
-        /// the acceptance region.
-        const GROW_THRESHOLD: f64 = 0.25;
-
-        let mut idx = 0usize; // current base-grid index
-        let mut k = 0usize; // current doubling level
-        let mut accepted = 0u64;
-        let mut rejected = 0u64;
-        while idx < n_base {
-            while k > 0 && (idx < active_idx || idx + (1usize << k) > n_base) {
-                k -= 1;
+    loop {
+        // Per lane: the step's level (built on first use and loaded into
+        // the lane's slot when it changes), the inputs at the step's end
+        // and whether the companion runs.
+        let mut any_live = false;
+        let mut companion = false;
+        for (l, slot) in lanes.iter_mut().enumerate() {
+            let Some(lane) = slot else { continue };
+            while lane.k > 0
+                && (lane.idx < lane.active_idx || lane.idx + (1usize << lane.k) > lane.n_base)
+            {
+                lane.k -= 1;
             }
-            let stride = 1usize << k;
-            if levels[k].is_none() {
-                levels[k] = Some(self.build_level(dt * stride as f64, adaptive)?);
+            let stride = 1usize << lane.k;
+            if let Err(e) = lane.load_level(l, adaptive, bufs, lhs.as_mut()) {
+                results[l] = Some(Err(e));
+                *slot = None;
+                bufs.clear_lane(l);
+                continue;
             }
-            let LevelSystem { trap, be } = levels[k].as_ref().expect("built above");
-            let t1 = t0 + (idx + stride) as f64 * dt;
-            rhs_inputs(t1, &mut ws.b_next);
+            let t1 = lane.t0 + (lane.idx + stride) as f64 * lane.dt;
+            lane_inputs(&lane.sources, |sig| sig.value(t1), &mut bufs.b_next, l);
             // The backward-Euler companion and its error norm matter only
             // where they can change a decision. A base-level step always
             // accepts and no step grows before `active_idx`, so a base
             // step that ends short of it skips both.
-            let companion = be.as_ref().filter(|_| k > 0 || idx + 1 >= active_idx);
-            // Trapezoidal trial step into v_next; with the companion, the
-            // backward-Euler step from the same state into v_alt.
-            // `rhs = step·v` (+ input terms); `step` carries the 1/dt
-            // scaling.
-            match companion {
-                Some(be) => trap
-                    .step
-                    .mul_pair(&be.step, &ws.v, &mut ws.rhs, &mut ws.rhs_alt)?,
-                None => trap.step.mul(&ws.v, &mut ws.rhs)?,
+            lane.companion = adaptive && (lane.k > 0 || lane.idx + 1 >= lane.active_idx);
+            companion |= lane.companion;
+            any_live = true;
+        }
+        if !any_live {
+            break;
+        }
+
+        // Trapezoidal trial step into v_next; with the companion, the
+        // backward-Euler step from the same state into v_alt. A dense
+        // lane (always alone) solves with its level's own factors.
+        let step_lhs = match &lhs {
+            Some((trap, be)) => Lhs::Sparse(trap, be.as_ref().filter(|_| companion)),
+            None => {
+                let lane = lanes[0].as_ref().expect("a dense run marches alone");
+                let level = lane.levels[lane.k].as_ref().expect("built above");
+                let be = level.be.as_ref().filter(|_| companion);
+                Lhs::Dense(
+                    [level.trap.lhs.as_dense(); L],
+                    be.map(|be| [be.lhs.as_dense(); L]),
+                )
             }
-            for (r, (b0, b1)) in ws.rhs.iter_mut().zip(ws.b_now.iter().zip(&ws.b_next)) {
-                *r += 0.5 * (b0 + b1);
-            }
-            let err = match companion {
-                Some(be) => {
-                    for (r, b1) in ws.rhs_alt.iter_mut().zip(&ws.b_next) {
-                        *r += b1;
-                    }
-                    trap.lhs.solve_pair_into(
-                        &be.lhs,
-                        (&ws.rhs, &ws.rhs_alt),
-                        (&mut ws.v_next, &mut ws.v_alt),
-                        (&mut ws.scratch, &mut ws.scratch_alt),
-                    )?;
-                    // Scaled max-norm of the scheme difference.
-                    let mut err = 0.0_f64;
-                    for ((trap, be), scale) in ws.v_next.iter().zip(&ws.v_alt).zip(&ws.vscale) {
-                        let tol = ATOL + RTOL * scale.max(trap.abs());
-                        err = err.max((trap - be).abs() / tol);
-                    }
-                    Some(err)
+        };
+        step_lanes(lead.pattern(), bufs, step_lhs);
+
+        // Per lane: error estimate, accept or reject.
+        let mut all_accepted = true;
+        for (l, slot) in lanes.iter_mut().enumerate() {
+            let Some(lane) = slot else { continue };
+            let stride = 1usize << lane.k;
+            let err = lane.companion.then(|| {
+                // Scaled max-norm of the scheme difference.
+                let mut err = 0.0_f64;
+                for ((trap, be), scale) in bufs.v_next.iter().zip(&bufs.v_alt).zip(&bufs.vscale) {
+                    let (trap, be, scale) = (trap[l], be[l], scale[l]);
+                    let tol = ATOL + RTOL * scale.max(trap.abs());
+                    err = err.max((trap - be).abs() / tol);
                 }
-                None => {
-                    trap.lhs
-                        .solve_into(&ws.rhs, &mut ws.v_next, &mut ws.scratch)?;
-                    None
-                }
-            };
-            if k == 0 || err.is_some_and(|e| e <= 1.0) {
+                err
+            });
+            lane.accepted_now = lane.k == 0 || err.is_some_and(|e| e <= 1.0);
+            if lane.accepted_now {
                 // Accept: record the end state, after filling a long
-                // step's skipped base-grid samples by linear interpolation
-                // between the endpoint states.
-                accepted += 1;
-                for (trace, node) in traces.iter_mut().zip(&probe_nodes) {
-                    let v0 = ws.v[node.index()];
-                    let v1 = ws.v_next[node.index()];
+                // step's skipped base-grid samples by linear
+                // interpolation between the endpoint states.
+                lane.accepted += 1;
+                for (trace, node) in lane.traces.iter_mut().zip(&lane.probe_nodes) {
+                    let v0 = bufs.v[node.index()][l];
+                    let v1 = bufs.v_next[node.index()][l];
                     for j in 1..stride {
                         let frac = j as f64 / stride as f64;
                         trace.push(v0 + (v1 - v0) * frac);
                     }
                     trace.push(v1);
                 }
-                std::mem::swap(&mut ws.v, &mut ws.v_next);
-                std::mem::swap(&mut ws.b_now, &mut ws.b_next);
                 if adaptive {
-                    for (s, v) in ws.vscale.iter_mut().zip(&ws.v) {
-                        *s = s.max(v.abs());
+                    for (s, v) in bufs.vscale.iter_mut().zip(&bufs.v_next) {
+                        s[l] = s[l].max(v[l].abs());
                     }
                 }
-                idx += stride;
-                if err.is_some_and(|e| e < GROW_THRESHOLD) && k < max_k && idx >= active_idx {
-                    k += 1;
+                lane.idx += stride;
+                if err.is_some_and(|e| e < GROW_THRESHOLD)
+                    && lane.k < lane.max_k
+                    && lane.idx >= lane.active_idx
+                {
+                    lane.k += 1;
                 }
             } else {
-                rejected += 1;
-                k -= 1; // a rejection implies k > 0 here
+                all_accepted = false;
+                lane.rejected += 1;
+                lane.k -= 1; // a rejection implies k > 0 here
             }
         }
-
-        if adaptive {
-            xtalk_obs::counter!(perf: "sim.adaptive.runs").add(1);
-            xtalk_obs::histogram!(perf: "sim.adaptive.steps").record(accepted + rejected);
-            xtalk_obs::counter!(perf: "sim.adaptive.steps_saved")
-                .add((n_base as u64).saturating_sub(accepted + rejected));
+        // Advance the accepted lanes: all at once when every live lane
+        // accepted (an idle lane steps zeros into zeros), else lane by
+        // lane.
+        if all_accepted {
+            std::mem::swap(&mut bufs.v, &mut bufs.v_next);
+            std::mem::swap(&mut bufs.b_now, &mut bufs.b_next);
+        } else {
+            #[cfg(test)]
+            PARTIAL_COMMITS.with(|c| c.set(c.get() + 1));
+            for (l, lane) in lanes.iter().enumerate() {
+                if lane.as_ref().is_some_and(|lane| lane.accepted_now) {
+                    for (v, v1) in bufs.v.iter_mut().zip(&bufs.v_next) {
+                        v[l] = v1[l];
+                    }
+                    for (b, b1) in bufs.b_now.iter_mut().zip(&bufs.b_next) {
+                        b[l] = b1[l];
+                    }
+                }
+            }
         }
+        // Retire the lanes that reached their horizon.
+        for (l, slot) in lanes.iter_mut().enumerate() {
+            if slot.as_ref().is_some_and(|lane| lane.idx >= lane.n_base) {
+                let lane = slot.take().expect("checked above");
+                let final_state = &mut finals[l];
+                final_state.clear();
+                final_state.extend(bufs.v.iter().map(|v| v[l]));
+                bufs.clear_lane(l);
+                results[l] = Some(Ok(lane.finish(adaptive)));
+            }
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every lane finishes or fails"))
+        .collect()
+}
 
-        let probes = probe_nodes
+#[cfg(test)]
+thread_local! {
+    /// Steps on this thread where some live lane rejected while another
+    /// accepted: the batch tests' coverage probe.
+    pub(crate) static PARTIAL_COMMITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The DC solution of every live lane into `v`, from the DC inputs in
+/// `b_next`.
+fn solve_dc<const L: usize>(lanes: &[Option<Lane<'_, '_>>], bufs: &mut LaneBufs<L>) {
+    let live = || {
+        lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(l, lane)| Some((l, lane.as_ref()?)))
+    };
+    let (_, lead) = live().next().expect("a live lane");
+    let solved = match lead.sim.symbolic() {
+        Some(sym) => {
+            let mut dc = LdlFactors::<L>::lanes(sym);
+            for (l, lane) in live() {
+                dc.set_lane(l, lane.sim.dc.as_sparse())
+                    .expect("one analysis");
+            }
+            dc.solve_into(&bufs.b_next[..], &mut bufs.v[..], &mut bufs.scratch[..])
+        }
+        None => LuFactors::solve_into(
+            [lead.sim.dc.as_dense(); L],
+            &bufs.b_next[..],
+            &mut bufs.v[..],
+        ),
+    };
+    solved.expect("the lanes' buffers and factors fit their one pattern");
+}
+
+/// The lanes' factored left-hand sides for one step: the trapezoidal
+/// system and, with the companion, the backward-Euler one.
+enum Lhs<'a, const L: usize> {
+    /// Lane-interleaved sparse factors.
+    Sparse(&'a LdlFactors<L>, Option<&'a LdlFactors<L>>),
+    /// A lone dense lane's own LU factors.
+    Dense([&'a LuFactors; L], Option<[&'a LuFactors; L]>),
+}
+
+/// One step of every lane: the stepping products (with the companion's
+/// when `lhs` carries it), the input terms, and the solves into `v_next`
+/// (and `v_alt`).
+fn step_lanes<const L: usize>(pattern: &Csr, bufs: &mut LaneBufs<L>, lhs: Lhs<'_, L>) {
+    let b = &mut *bufs;
+    let companion = matches!(lhs, Lhs::Sparse(_, Some(_)) | Lhs::Dense(_, Some(_)));
+    // `rhs = step·v` (+ input terms); `step` carries the 1/dt scaling.
+    let stepped = if companion {
+        pattern.mul_vec_pair_into(
+            (&b.trap_step[..], &b.be_step[..]),
+            &b.v[..],
+            (&mut b.rhs[..], &mut b.rhs_alt[..]),
+        )
+    } else {
+        pattern.mul_vec_values_into(&b.trap_step[..], &b.v[..], &mut b.rhs[..])
+    };
+    for (r, (b0, b1)) in b.rhs.iter_mut().zip(b.b_now.iter().zip(&b.b_next)) {
+        for l in 0..L {
+            r[l] += 0.5 * (b0[l] + b1[l]);
+        }
+    }
+    if companion {
+        for (r, b1) in b.rhs_alt.iter_mut().zip(&b.b_next) {
+            for l in 0..L {
+                r[l] += b1[l];
+            }
+        }
+    }
+    let solved = stepped.and_then(|()| match lhs {
+        Lhs::Sparse(trap, Some(be)) => trap.solve_pair_into(
+            be,
+            (&b.rhs[..], &b.rhs_alt[..]),
+            (&mut b.v_next[..], &mut b.v_alt[..]),
+            (&mut b.scratch[..], &mut b.scratch_alt[..]),
+        ),
+        Lhs::Sparse(trap, None) => {
+            trap.solve_into(&b.rhs[..], &mut b.v_next[..], &mut b.scratch[..])
+        }
+        Lhs::Dense(trap, be) => {
+            LuFactors::solve_into(trap, &b.rhs[..], &mut b.v_next[..])?;
+            match be {
+                Some(be) => LuFactors::solve_into(be, &b.rhs_alt[..], &mut b.v_alt[..]),
+                None => Ok(()),
+            }
+        }
+    });
+    solved.expect("the lanes' buffers and systems fit their one pattern");
+}
+
+/// The state of one run in a march.
+struct Lane<'r, 'a> {
+    sim: &'r TransientSim<'a>,
+    /// Source conductance vector entries: input `u_j` enters as
+    /// `(1/Rd_j)·u_j` at the driver node.
+    sources: Vec<(usize, f64, InputSignal)>,
+    t0: f64,
+    dt: f64,
+    n_base: usize,
+    /// Inputs stop slewing (ramps saturate, exponentials go smooth)
+    /// after the last arrival + transition; until then the step is
+    /// pinned to the base grid so no kink is ever stepped over.
+    active_idx: usize,
+    /// Deepest doubling level.
+    max_k: usize,
+    /// Per-level stepping systems, built on first use; only adaptive
+    /// levels carry the backward-Euler companion.
+    levels: Vec<Option<LevelSystem>>,
+    /// The level whose systems the lane's slot holds.
+    loaded: Option<usize>,
+    /// Current base-grid index and doubling level.
+    idx: usize,
+    k: usize,
+    accepted: u64,
+    rejected: u64,
+    /// Whether this step runs the companion, and whether it accepted.
+    companion: bool,
+    accepted_now: bool,
+    probe_nodes: Vec<NodeId>,
+    traces: Vec<Vec<f64>>,
+}
+
+impl<'r, 'a> Lane<'r, 'a> {
+    /// Validates `run` and lays out its march.
+    fn start(run: &MarchRun<'r, 'a>, adaptive: bool) -> Result<Self, SimError> {
+        let options = run.options;
+        let t0 = run.start.map_or(0.0, |(t, _)| t);
+        options.validate(t0)?;
+        let mut seen: HashSet<NetId> = HashSet::with_capacity(run.stimuli.len());
+        if let Some((net, _)) = run.stimuli.iter().find(|(net, _)| !seen.insert(*net)) {
+            return Err(SimError::DuplicateStimulus(*net));
+        }
+        let dt = options.dt;
+        let n_base = ((options.t_stop - t0) / dt).ceil() as usize;
+        let active_end = run
+            .stimuli
+            .iter()
+            .map(|(_, s)| s.arrival() + s.transition())
+            .fold(0.0_f64, f64::max);
+        let active_idx = (((active_end - t0) / dt).ceil() as usize).min(n_base);
+        // Deepest doubling level: none when fixed; adaptive strides stay
+        // within a quarter of the horizon (and a hard cap keeps level
+        // systems bounded).
+        let mut max_k = 0usize;
+        while adaptive && max_k < 14 && (1usize << (max_k + 1)) <= n_base.max(4) / 4 {
+            max_k += 1;
+        }
+        let mut levels = Vec::new();
+        levels.resize_with(max_k + 1, || None);
+        // Probe bookkeeping: resolve the probe set (the victim output
+        // when unspecified) and reserve every trace to its final length
+        // up front, before the stepping loop.
+        let probe_nodes = if options.probes.is_empty() {
+            vec![run.sim.network.victim_output()]
+        } else {
+            options.probes.clone()
+        };
+        let traces = probe_nodes
+            .iter()
+            .map(|_| Vec::with_capacity(n_base + 1))
+            .collect();
+        Ok(Lane {
+            sim: run.sim,
+            sources: run.sim.resolve_sources(run.stimuli),
+            t0,
+            dt,
+            n_base,
+            active_idx,
+            max_k,
+            levels,
+            loaded: None,
+            idx: 0,
+            k: 0,
+            accepted: 0,
+            rejected: 0,
+            companion: false,
+            accepted_now: false,
+            probe_nodes,
+            traces,
+        })
+    }
+
+    /// Builds level `k` on first use and, when slot `l` holds another
+    /// level, copies its systems in: the stepping values into the
+    /// lane-interleaved arrays, the sparse factors into `lhs`.
+    fn load_level<const L: usize>(
+        &mut self,
+        l: usize,
+        adaptive: bool,
+        bufs: &mut LaneBufs<L>,
+        lhs: Option<&mut (LdlFactors<L>, Option<LdlFactors<L>>)>,
+    ) -> Result<(), SimError> {
+        let k = self.k;
+        if self.loaded == Some(k) {
+            return Ok(());
+        }
+        if self.levels[k].is_none() {
+            let dt = self.dt * (1usize << k) as f64;
+            self.levels[k] = Some(self.sim.build_level(dt, adaptive)?);
+        }
+        let level = self.levels[k].as_ref().expect("built above");
+        for (dst, &v) in bufs.trap_step.iter_mut().zip(&level.trap.step) {
+            dst[l] = v;
+        }
+        if let Some(be) = &level.be {
+            for (dst, &v) in bufs.be_step.iter_mut().zip(&be.step) {
+                dst[l] = v;
+            }
+        }
+        if let Some((trap, be_lhs)) = lhs {
+            trap.set_lane(l, level.trap.lhs.as_sparse())
+                .expect("one analysis");
+            if let (Some(be_lhs), Some(be)) = (be_lhs, &level.be) {
+                be_lhs
+                    .set_lane(l, be.lhs.as_sparse())
+                    .expect("one analysis");
+            }
+        }
+        self.loaded = Some(k);
+        Ok(())
+    }
+
+    /// The finished run's probe waveforms, recording its step counts.
+    fn finish(self, adaptive: bool) -> SimResult {
+        if adaptive {
+            let steps = self.accepted + self.rejected;
+            xtalk_obs::counter!(perf: "sim.adaptive.runs").add(1);
+            xtalk_obs::histogram!(perf: "sim.adaptive.steps").record(steps);
+            xtalk_obs::counter!(perf: "sim.adaptive.steps_saved")
+                .add((self.n_base as u64).saturating_sub(steps));
+        }
+        let (t0, dt) = (self.t0, self.dt);
+        let probes = self
+            .probe_nodes
             .into_iter()
-            .zip(traces)
+            .zip(self.traces)
             .map(|(node, samples)| (node, Waveform::new(t0, dt, samples)))
             .collect();
-        Ok(SimResult { probes })
+        SimResult { probes }
     }
 }
 
 /// Prepared stepping systems for one doubling level.
-struct LevelSystem<'p> {
+struct LevelSystem {
     /// Trapezoidal rule, `(C/dt + G/2)·v1 = (C/dt − G/2)·v0 + (b0 + b1)/2`.
-    trap: Scheme<'p>,
+    trap: Scheme,
     /// Backward-Euler companion of the adaptive error estimate,
     /// `(C/dt + G)·v1 = (C/dt)·v0 + b1`. Adaptive levels only.
-    be: Option<Scheme<'p>>,
+    be: Option<Scheme>,
 }
 
 /// One integration scheme at one step: the stepping matrix (the per-step
-/// matvec operand) and the factored left-hand side.
-struct Scheme<'p> {
-    step: StepMatrix<'p>,
+/// matvec operand, as values on the simulator's G∪C pattern) and the
+/// factored left-hand side.
+struct Scheme {
+    step: Vec<f64>,
     lhs: Solver,
 }
 
-/// A stepping matrix in its backend's representation.
-enum StepMatrix<'p> {
-    /// Dense backend: compressed on its own nonzeros.
-    Own(Csr),
-    /// Sparse backend: a value array on the simulator's G∪C pattern.
-    Shared(&'p Csr, Vec<f64>),
-}
-
-impl StepMatrix<'_> {
-    /// `out = self·v`.
-    fn mul(&self, v: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
-        match self {
-            StepMatrix::Own(m) => m.mul_vec_into(v, out),
-            StepMatrix::Shared(pattern, values) => pattern.mul_vec_values_into(values, v, out),
-        }
+/// Writes lane `l` of an input vector: every source at `value` of its
+/// input. Only source nodes are ever nonzero in an input vector, so only
+/// they are cleared first.
+fn lane_inputs<const L: usize>(
+    sources: &[(usize, f64, InputSignal)],
+    value: impl Fn(&InputSignal) -> f64,
+    out: &mut [[f64; L]],
+    l: usize,
+) {
+    for (node, _, _) in sources {
+        out[*node][l] = 0.0;
     }
-
-    /// `out = self·v` and `out_other = other·v`, each bit-equal to its
-    /// single product; one pass over a shared pattern.
-    fn mul_pair(
-        &self,
-        other: &StepMatrix<'_>,
-        v: &[f64],
-        out: &mut [f64],
-        out_other: &mut [f64],
-    ) -> Result<(), LinalgError> {
-        match (self, other) {
-            (StepMatrix::Shared(pattern, a), StepMatrix::Shared(_, b)) => {
-                pattern.mul_vec_pair_into((a, b), v, (out, out_other))
-            }
-            _ => {
-                self.mul(v, out)?;
-                other.mul(v, out_other)
-            }
-        }
-    }
-}
-
-/// Right-hand side of the DC initial condition: every source at the value
-/// its input rests at before the run starts. An input that switches at
-/// `t ≥ 0` rests at [`InputSignal::initial_value`] — a step at `t = 0` has
-/// not switched yet, although its `value(0)` is already 1 — while one that
-/// switched earlier rests at `value(0)`. For every other input the two
-/// agree bit for bit.
-fn dc_inputs(sources: &[(usize, f64, InputSignal)], out: &mut [f64]) {
-    out.fill(0.0);
     for (node, cond, sig) in sources {
-        let rest = if sig.arrival() >= 0.0 {
-            sig.initial_value()
-        } else {
-            sig.value(0.0)
-        };
-        out[*node] += cond * rest;
+        out[*node][l] += cond * value(sig);
+    }
+}
+
+/// The value an input rests at before the run starts, for the DC
+/// initial condition. An input that switches at `t ≥ 0` rests at
+/// [`InputSignal::initial_value`] — a step at `t = 0` has not switched
+/// yet, although its `value(0)` is already 1 — while one that switched
+/// earlier rests at `value(0)`. For every other input the two agree bit
+/// for bit.
+fn dc_value(sig: &InputSignal) -> f64 {
+    if sig.arrival() >= 0.0 {
+        sig.initial_value()
+    } else {
+        sig.value(0.0)
     }
 }
 
@@ -915,7 +1298,7 @@ mod tests {
         /// hold the two against each other.
         fn new_forced(network: &'a Network, sparse: bool) -> Result<Self, SimError> {
             let (g, c) = Self::stamp_sparse(network);
-            Self::on_backend(network, g, c, sparse)
+            Self::on_backend(network, g, c, sparse.then_some(&[]))
         }
     }
 
@@ -1279,7 +1662,7 @@ mod tests {
         let first_wf = first.probe(out).unwrap();
         let n_half = first_wf.samples().len();
         let t_end = (n_half - 1) as f64 * dt;
-        let state: Vec<f64> = ws.final_state().to_vec();
+        let state: Vec<f64> = ws.final_state(0).to_vec();
         let second = sim
             .march(
                 &stim,

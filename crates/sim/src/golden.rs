@@ -11,11 +11,13 @@
 //! until the tail fits. This module packages that loop so the retry
 //! policy cannot drift between callers.
 
+use crate::engine::{march_batch, MarchRun, LANES};
 use crate::{
     analytic, fast_tier, measure_noise, sim_mode, FastTier, NoiseWaveformParams, SimError, SimMode,
-    SimOptions, SimWorkspace, TransientSim, Waveform,
+    SimOptions, SimResult, SimWorkspace, TransientSim, Waveform,
 };
 use xtalk_circuit::{signal::InputSignal, NetId, Network, NodeId};
+use xtalk_linalg::LdlSymbolic;
 
 /// Longest horizon the retry loop grows to before giving up: 1 µs, three
 /// orders of magnitude beyond any realistic on-chip noise tail. A pulse
@@ -153,7 +155,8 @@ pub fn golden_noise_with(
 /// fixed march resumes from its final state over a 4× coarser extension
 /// (no re-integration of the covered span), while the adaptive march —
 /// whose settled tail costs only a handful of steps — simply re-runs
-/// with the grown horizon.
+/// with the grown horizon. This is the one-run case of
+/// [`golden_noise_batch`].
 ///
 /// # Errors
 ///
@@ -165,7 +168,148 @@ pub fn golden_noise_tiered(
     workspace: &mut SimWorkspace,
     gopts: &GoldenOpts,
 ) -> Result<(NoiseWaveformParams, GoldenTier), SimError> {
-    let polarity = match stimuli.first() {
+    let run = GoldenRun {
+        network,
+        stimuli,
+        node,
+    };
+    golden_noise_batch(&[run], workspace, gopts)
+        .pop()
+        .expect("one result per run")
+}
+
+/// One golden measurement of a batch: the network, its stimuli (the
+/// first sets the measured polarity, as in [`golden_noise_with`]) and
+/// the observed node.
+#[derive(Debug, Clone, Copy)]
+pub struct GoldenRun<'a> {
+    /// The network, with its victim designated.
+    pub network: &'a Network,
+    /// Aggressor stimuli.
+    pub stimuli: &'a [(NetId, InputSignal)],
+    /// The node whose pulse is measured.
+    pub node: NodeId,
+}
+
+/// [`golden_noise_tiered`] for a batch of runs: one result per run, in
+/// order, each bit-identical to its own [`golden_noise_tiered`] call.
+///
+/// The analytic gate runs per run. The runs left for the transient tier
+/// are stamped, and runs whose `G ∪ C` patterns are equal share one
+/// symbolic analysis. Up to [`LANES`] runs of one analysis, in input
+/// order, make their first transient run as the lanes of one march;
+/// a lone run (a dense-backend network, a pattern of its own) takes the
+/// one-lane path with no batch set-up. Each run is measured on its own,
+/// and a truncated pulse grows its horizon on the one-lane path.
+///
+/// Counts `sim.golden.marches` first-run marches and
+/// `sim.golden.batched_runs` runs that marched beside at least one other
+/// run.
+///
+/// # Errors
+///
+/// Per run, as [`golden_noise_with`].
+pub fn golden_noise_batch(
+    runs: &[GoldenRun<'_>],
+    workspace: &mut SimWorkspace,
+    gopts: &GoldenOpts,
+) -> Vec<Result<(NoiseWaveformParams, GoldenTier), SimError>> {
+    let _span = xtalk_obs::span!("sim.golden");
+    let mut results: Vec<Option<Result<(NoiseWaveformParams, GoldenTier), SimError>>> =
+        runs.iter().map(|_| None).collect();
+    // Runs left for the transient tier, with the analyses of the
+    // distinct patterns seen so far.
+    let mut transient: Vec<Transient<'_>> = Vec::new();
+    let mut analyses: Vec<LdlSymbolic> = Vec::new();
+    for (i, run) in runs.iter().enumerate() {
+        match prepare(run, gopts, &mut analyses) {
+            Ok(Prepared::Analytic(params)) => results[i] = Some(Ok((params, GoldenTier::Analytic))),
+            Ok(Prepared::Transient(polarity, sim)) => transient.push(Transient {
+                run: i,
+                polarity,
+                options: SimOptions::auto(run.network, run.stimuli),
+                sim: *sim,
+            }),
+            Err(e) => results[i] = Some(Err(e)),
+        }
+    }
+
+    let marches = plan_marches(transient.iter().map(|t| &t.sim));
+    for lanes in marches {
+        let march_runs: Vec<MarchRun<'_, '_>> = lanes
+            .iter()
+            .map(|&t| MarchRun {
+                sim: &transient[t].sim,
+                stimuli: runs[transient[t].run].stimuli,
+                options: &transient[t].options,
+                start: None,
+            })
+            .collect();
+        xtalk_obs::counter!(perf: "sim.golden.marches").add(1);
+        if lanes.len() > 1 {
+            xtalk_obs::counter!(perf: "sim.golden.batched_runs").add(lanes.len() as u64);
+        }
+        let firsts = march_batch(&march_runs, gopts.mode, workspace);
+        // Retries march on the one-lane path, which rewrites only lane
+        // 0's final state: each lane reads its own before its retries.
+        for (lane, (&t, first)) in lanes.iter().zip(firsts).enumerate() {
+            let tr = &transient[t];
+            let run = &runs[tr.run];
+            let measured =
+                first.and_then(|res| measure_or_extend(tr, run, res, lane, workspace, gopts.mode));
+            results[tr.run] = Some(measured.map(|params| (params, GoldenTier::Transient)));
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every run is measured or failed"))
+        .collect()
+}
+
+/// The marches of a batch's transient runs, as indices into `sims`:
+/// runs of one symbolic analysis in input order, up to [`LANES`] each;
+/// anything else alone.
+fn plan_marches<'s, 'a: 's>(sims: impl Iterator<Item = &'s TransientSim<'a>>) -> Vec<Vec<usize>> {
+    let mut marches: Vec<(Option<&LdlSymbolic>, Vec<usize>)> = Vec::new();
+    for (t, sim) in sims.enumerate() {
+        let sym = sim.symbolic();
+        let joins = sym.and_then(|sym| {
+            marches.iter().position(|(s, m)| {
+                m.len() < LANES && s.is_some_and(|s| std::ptr::eq(s.pattern(), sym.pattern()))
+            })
+        });
+        match joins {
+            Some(m) => marches[m].1.push(t),
+            None => marches.push((sym, vec![t])),
+        }
+    }
+    marches.into_iter().map(|(_, m)| m).collect()
+}
+
+/// A run bound for the transient tier.
+struct Transient<'a> {
+    /// Index of the run in the batch.
+    run: usize,
+    polarity: f64,
+    options: SimOptions,
+    sim: TransientSim<'a>,
+}
+
+/// Where the analytic gate sends a run.
+enum Prepared<'a> {
+    Analytic(NoiseWaveformParams),
+    Transient(f64, Box<TransientSim<'a>>),
+}
+
+/// The per-run front of the golden procedure: the polarity, the analytic
+/// gate, and the stamped simulator (reusing an analysis of `analyses`
+/// whose pattern matches, else adding its own).
+fn prepare<'a>(
+    run: &GoldenRun<'a>,
+    gopts: &GoldenOpts,
+    analyses: &mut Vec<LdlSymbolic>,
+) -> Result<Prepared<'a>, SimError> {
+    let polarity = match run.stimuli.first() {
         Some((_, input)) => input.noise_polarity(),
         None => {
             return Err(SimError::BadOptions {
@@ -173,14 +317,13 @@ pub fn golden_noise_tiered(
             })
         }
     };
-    let _span = xtalk_obs::span!("sim.golden");
     xtalk_obs::counter!("sim.golden.runs").add(1);
 
     if gopts.tier != FastTier::Off {
-        match analytic::analytic_noise(network, stimuli, node, gopts.tier) {
+        match analytic::analytic_noise(run.network, run.stimuli, run.node, gopts.tier) {
             Ok(params) => {
                 xtalk_obs::counter!(perf: "sim.fast_tier.hits").add(1);
-                return Ok((params, GoldenTier::Analytic));
+                return Ok(Prepared::Analytic(params));
             }
             Err(reason) => {
                 xtalk_obs::counter!(perf: "sim.fast_tier.fallback").add(1);
@@ -189,8 +332,33 @@ pub fn golden_noise_tiered(
         }
     }
 
-    let sim = TransientSim::new(network)?;
-    let mut opts = SimOptions::auto(network, stimuli);
+    let sim = TransientSim::sharing(run.network, analyses)?;
+    sim.check_noise_stimuli(run.stimuli)?;
+    if let Some(sym) = sim.symbolic() {
+        if !analyses
+            .iter()
+            .any(|a| std::ptr::eq(a.pattern(), sym.pattern()))
+        {
+            analyses.push(sym.clone());
+        }
+    }
+    Ok(Prepared::Transient(polarity, Box::new(sim)))
+}
+
+/// Measures the first run's pulse; a truncated one grows the horizon 4×
+/// per retry until it fits or reaches [`MAX_HORIZON`]. `lane` is the
+/// run's lane in the first march, whose final state the fixed march's
+/// resume starts from.
+fn measure_or_extend(
+    tr: &Transient<'_>,
+    run: &GoldenRun<'_>,
+    first: SimResult,
+    lane: usize,
+    workspace: &mut SimWorkspace,
+    mode: SimMode,
+) -> Result<NoiseWaveformParams, SimError> {
+    let (sim, stimuli, node, polarity) = (&tr.sim, run.stimuli, run.node, tr.polarity);
+    let mut opts = tr.options.clone();
     // Det-class workload record on success: the final horizon in units of
     // the initial auto step — identical across stepping modes and resume
     // strategies by construction.
@@ -203,12 +371,11 @@ pub fn golden_noise_tiered(
     };
 
     // First run: the auto horizon from DC.
-    let res = sim.run_with(stimuli, &opts, gopts.mode, workspace)?;
-    let waveform = res.probe(node).ok_or_else(probe_err)?;
+    let waveform = first.probe(node).ok_or_else(probe_err)?;
     match measure_noise(waveform, polarity) {
         Ok(params) => {
             record_steps(opts.t_stop);
-            return Ok((params, GoldenTier::Transient));
+            return Ok(params);
         }
         Err(SimError::Truncated) if opts.t_stop < MAX_HORIZON => {}
         Err(e) => return Err(e),
@@ -223,20 +390,18 @@ pub fn golden_noise_tiered(
     // far and `state` the node voltages at its end.
     let mut samples: Vec<f64> = waveform.samples().to_vec();
     let mut cur_dt = opts.dt;
-    let mut state: Vec<f64> = workspace.final_state().to_vec();
+    let mut state: Vec<f64> = workspace.final_state(lane).to_vec();
     let ratio = HORIZON_GROWTH as usize;
     loop {
         xtalk_obs::counter!("sim.golden.horizon_retries").add(1);
-        if gopts.mode == SimMode::Adaptive
-            || samples.len().saturating_mul(ratio) > RESUME_SAMPLE_CAP
-        {
+        if mode == SimMode::Adaptive || samples.len().saturating_mul(ratio) > RESUME_SAMPLE_CAP {
             cur_dt *= HORIZON_GROWTH;
             opts.t_stop *= HORIZON_GROWTH;
             let full = SimOptions {
                 dt: cur_dt,
                 ..opts.clone()
             };
-            let res = sim.run_with(stimuli, &full, gopts.mode, workspace)?;
+            let res = sim.run_with(stimuli, &full, mode, workspace)?;
             samples = res.probe(node).ok_or_else(probe_err)?.samples().to_vec();
         } else {
             xtalk_obs::counter!("sim.golden.retry_resumes").add(1);
@@ -263,12 +428,12 @@ pub fn golden_noise_tiered(
             opts.t_stop *= HORIZON_GROWTH;
         }
         state.clear();
-        state.extend_from_slice(workspace.final_state());
+        state.extend_from_slice(workspace.final_state(0));
         let wave = Waveform::new(0.0, cur_dt, samples.clone());
         match measure_noise(&wave, polarity) {
             Ok(params) => {
                 record_steps(opts.t_stop);
-                return Ok((params, GoldenTier::Transient));
+                return Ok(params);
             }
             Err(SimError::Truncated) if opts.t_stop < MAX_HORIZON => {}
             Err(e) => return Err(e),
@@ -279,6 +444,7 @@ pub fn golden_noise_tiered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PARTIAL_COMMITS;
     use xtalk_circuit::{NetRole, NetworkBuilder};
 
     fn coupled() -> (Network, NetId) {
@@ -382,5 +548,263 @@ mod tests {
             golden_noise_with(&net, &[(agg, input)], net.victim_output(), &mut ws).unwrap();
         assert_eq!(first.vp, second.vp);
         assert_eq!(first.t0, second.t0);
+    }
+
+    /// Coupled `segs`-segment ladders (victim and one aggressor) with
+    /// their resistances, ground and coupling capacitances scaled by
+    /// `jitter`: every jitter stamps one pattern.
+    fn ladder(segs: usize, jitter: [f64; 3]) -> (Network, NetId) {
+        let [r, cg, cc] = jitter;
+        let mut b = NetworkBuilder::new();
+        let v = b.add_net("v", NetRole::Victim);
+        let a = b.add_net("a", NetRole::Aggressor);
+        let mut prev_v = b.add_node(v, "v0");
+        let mut prev_a = b.add_node(a, "a0");
+        b.add_driver(v, prev_v, 120.0).unwrap();
+        b.add_driver(a, prev_a, 90.0).unwrap();
+        for i in 1..=segs {
+            let nv = b.add_node(v, format!("v{i}"));
+            let na = b.add_node(a, format!("a{i}"));
+            b.add_resistor(prev_v, nv, 15.0 * r).unwrap();
+            b.add_resistor(prev_a, na, 12.0 * r).unwrap();
+            b.add_ground_cap(nv, 2e-15 * cg).unwrap();
+            b.add_ground_cap(na, 2e-15 * cg).unwrap();
+            if i % 2 == 0 {
+                b.add_coupling_cap(nv, na, 4e-15 * cc).unwrap();
+            }
+            prev_v = nv;
+            prev_a = na;
+        }
+        b.add_sink(prev_v, 8e-15 * cg).unwrap();
+        b.add_sink(prev_a, 6e-15 * cg).unwrap();
+        (b.build().unwrap(), a)
+    }
+
+    /// One request of a batch: a network and its stimuli.
+    type Request = (Network, Vec<(NetId, InputSignal)>);
+
+    fn bits_of(r: &Result<(NoiseWaveformParams, GoldenTier), SimError>) -> String {
+        match r {
+            Ok((p, tier)) => {
+                let fields = [p.vp, p.tp, p.t0, p.t1, p.t2, p.wn, p.area, p.polarity];
+                format!("{tier:?} {:x?}", fields.map(f64::to_bits))
+            }
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    /// Every run of `requests` through one [`golden_noise_batch`] call
+    /// must match its own [`golden_noise_tiered`] call bit for bit, in
+    /// all seven measured fields and the polarity.
+    fn assert_golden_batch_matches(requests: &[Request], gopts: &GoldenOpts) {
+        let runs: Vec<GoldenRun<'_>> = requests
+            .iter()
+            .map(|(network, stimuli)| GoldenRun {
+                network,
+                stimuli,
+                node: network.victim_output(),
+            })
+            .collect();
+        let mut ws = SimWorkspace::new();
+        let batched = golden_noise_batch(&runs, &mut ws, gopts);
+        assert_eq!(batched.len(), runs.len());
+        for (run, got) in runs.iter().zip(&batched) {
+            let alone = golden_noise_tiered(
+                run.network,
+                run.stimuli,
+                run.node,
+                &mut SimWorkspace::new(),
+                gopts,
+            );
+            assert_eq!(bits_of(got), bits_of(&alone), "{gopts:?}");
+        }
+    }
+
+    /// One march over same-pattern `requests` must reproduce every lane's
+    /// one-lane run: every sample and the final state, bit for bit.
+    /// Returns the lanes' sample counts.
+    fn assert_march_matches(requests: &[Request], mode: SimMode) -> Vec<usize> {
+        let mut analyses = Vec::new();
+        let sims: Vec<TransientSim<'_>> = requests
+            .iter()
+            .map(|(network, _)| {
+                let sim = TransientSim::sharing(network, &analyses).unwrap();
+                analyses.extend(sim.symbolic().cloned());
+                sim
+            })
+            .collect();
+        let opts: Vec<SimOptions> = requests
+            .iter()
+            .map(|(network, stimuli)| SimOptions::auto(network, stimuli))
+            .collect();
+        let runs: Vec<MarchRun<'_, '_>> = sims
+            .iter()
+            .zip(requests)
+            .zip(&opts)
+            .map(|((sim, (_, stimuli)), options)| MarchRun {
+                sim,
+                stimuli,
+                options,
+                start: None,
+            })
+            .collect();
+        let mut ws = SimWorkspace::new();
+        let batched = march_batch(&runs, mode, &mut ws);
+        let mut lens = Vec::new();
+        for (l, ((sim, (network, stimuli)), options)) in
+            sims.iter().zip(requests).zip(&opts).enumerate()
+        {
+            let mut alone_ws = SimWorkspace::new();
+            let alone = sim.run_with(stimuli, options, mode, &mut alone_ws).unwrap();
+            let out = network.victim_output();
+            let got = batched[l].as_ref().unwrap().probe(out).unwrap();
+            let want = alone.probe(out).unwrap();
+            let sample_bits =
+                |w: &Waveform| -> Vec<u64> { w.samples().iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(sample_bits(got), sample_bits(want), "lane {l}, {mode:?}");
+            let state_bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(
+                state_bits(ws.final_state(l)),
+                state_bits(alone_ws.final_state(0)),
+                "lane {l} final state, {mode:?}"
+            );
+            lens.push(want.len());
+        }
+        lens
+    }
+
+    fn shaped(shape: usize, arrival: f64, slew: f64, falling: bool) -> InputSignal {
+        match (shape, falling) {
+            (0, false) => InputSignal::rising_ramp(arrival, slew),
+            (0, true) => InputSignal::falling_ramp(arrival, slew),
+            (1, false) => InputSignal::rising_exp(arrival, slew),
+            (1, true) => InputSignal::falling_exp(arrival, slew),
+            _ => InputSignal::step(arrival),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn batched_lanes_are_bit_identical_to_one_lane_runs(
+            segs in 8usize..12,
+            lanes in proptest::collection::vec(
+                (
+                    (0.85..1.15f64, 0.85..1.15f64, 0.85..1.15f64),
+                    (0usize..3, 0.0..120e-12f64, 15e-12..250e-12f64, proptest::arbitrary::any::<bool>()),
+                ),
+                2..=LANES,
+            ),
+            adaptive in proptest::arbitrary::any::<bool>(),
+            auto_tier in proptest::arbitrary::any::<bool>(),
+        ) {
+            // Jittered values on one pattern, each lane with its own
+            // input shape, arrival and slew: lanes differ in step, horizon
+            // and (adaptive) level sequence, and finish at different steps.
+            let requests: Vec<Request> = lanes
+                .iter()
+                .map(|&((r, cg, cc), (shape, arrival, slew, falling))| {
+                    let (network, agg) = ladder(segs, [r, cg, cc]);
+                    (network, vec![(agg, shaped(shape, arrival, slew, falling))])
+                })
+                .collect();
+            let mode = if adaptive { SimMode::Adaptive } else { SimMode::Fixed };
+            assert_march_matches(&requests, mode);
+            let tier = if auto_tier { FastTier::Auto } else { FastTier::Off };
+            assert_golden_batch_matches(&requests, &GoldenOpts { mode, tier });
+        }
+    }
+
+    #[test]
+    fn batches_cover_early_finishes_rejections_retries_and_mixed_requests() {
+        let ramp = |arrival: f64, slew: f64| InputSignal::rising_ramp(arrival, slew);
+        let (base, agg) = ladder(10, [1.0, 1.0, 1.0]);
+        let b1 = xtalk_moments::tree::open_circuit_b1(&base);
+        // Four lanes of one pattern: a fast ramp, a late slow ramp, a
+        // step, and (lane 3) a slow exponential whose pulse outlasts its
+        // auto horizon, so its golden retries from its own final state.
+        let same: Vec<Request> = [
+            ([1.0, 1.0, 1.0], ramp(0.0, 20e-12)),
+            ([1.1, 0.9, 1.05], ramp(150e-12, 240e-12)),
+            ([0.9, 1.1, 0.95], InputSignal::step(30e-12)),
+            ([1.0, 1.0, 1.0], InputSignal::rising_exp(0.0, 1000.0 * b1)),
+        ]
+        .into_iter()
+        .map(|(jitter, input)| {
+            let (network, agg) = ladder(10, jitter);
+            (network, vec![(agg, input)])
+        })
+        .collect();
+        for mode in [SimMode::Fixed, SimMode::Adaptive] {
+            PARTIAL_COMMITS.with(|c| c.set(0));
+            let lens = assert_march_matches(&same, mode);
+            assert!(
+                lens.iter().any(|&n| n != lens[0]),
+                "{mode:?}: lanes finish at different steps ({lens:?})"
+            );
+            if mode == SimMode::Adaptive {
+                assert!(
+                    PARTIAL_COMMITS.with(|c| c.get()) > 0,
+                    "some lane rejects a step while another accepts"
+                );
+            }
+            let retry = &same[3];
+            let sim = TransientSim::new(&retry.0).unwrap();
+            let first = sim
+                .run_with(
+                    &retry.1,
+                    &SimOptions::auto(&retry.0, &retry.1),
+                    mode,
+                    &mut SimWorkspace::new(),
+                )
+                .unwrap();
+            assert!(matches!(
+                measure_noise(first.probe(retry.0.victim_output()).unwrap(), 1.0),
+                Err(SimError::Truncated)
+            ));
+            for tier in [FastTier::Off, FastTier::Auto] {
+                assert_golden_batch_matches(&same, &GoldenOpts { mode, tier });
+            }
+        }
+
+        // A request mixing patterns, a dense-backend job and an empty
+        // stimulus list: the same-pattern runs march together, the rest
+        // alone, and every result matches its own call.
+        let (lumped, lumped_agg) = coupled();
+        let (other, other_agg) = ladder(11, [1.0, 1.0, 1.0]);
+        let mut mixed: Vec<Request> = vec![
+            (base.clone(), vec![(agg, ramp(0.0, 60e-12))]),
+            (other, vec![(other_agg, ramp(10e-12, 90e-12))]),
+            (lumped, vec![(lumped_agg, ramp(0.0, 50e-12))]),
+            same[1].clone(),
+            (base, Vec::new()),
+        ];
+        mixed.extend(same[..3].iter().cloned());
+        let sims: Vec<TransientSim<'_>> = {
+            let mut analyses = Vec::new();
+            mixed[..4]
+                .iter()
+                .map(|(network, _)| {
+                    let sim = TransientSim::sharing(network, &analyses).unwrap();
+                    analyses.extend(sim.symbolic().cloned());
+                    sim
+                })
+                .collect()
+        };
+        assert!(!sims[2].uses_sparse_solver());
+        assert_eq!(
+            plan_marches(sims.iter()),
+            vec![vec![0, 3], vec![1], vec![2]]
+        );
+        for mode in [SimMode::Fixed, SimMode::Adaptive] {
+            assert_golden_batch_matches(
+                &mixed,
+                &GoldenOpts {
+                    mode,
+                    tier: FastTier::Off,
+                },
+            );
+        }
     }
 }

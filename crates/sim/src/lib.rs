@@ -64,9 +64,12 @@ mod waveform;
 pub use analytic::{analytic_noise, FastTierFallback};
 pub use engine::{
     fast_tier, set_fast_tier_override, set_sim_mode_override, sim_mode, FastTier, SimMode,
-    SimOptions, SimResult, SimWorkspace, TransientSim,
+    SimOptions, SimResult, SimWorkspace, TransientSim, LANES,
 };
 pub use error::SimError;
-pub use golden::{golden_noise, golden_noise_tiered, golden_noise_with, GoldenOpts, GoldenTier};
+pub use golden::{
+    golden_noise, golden_noise_batch, golden_noise_tiered, golden_noise_with, GoldenOpts,
+    GoldenRun, GoldenTier,
+};
 pub use measure::{measure_noise, NoiseWaveformParams};
 pub use waveform::Waveform;

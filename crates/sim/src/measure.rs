@@ -52,7 +52,7 @@ pub struct NoiseWaveformParams {
 /// `polarity` is the expected sign of the pulse (`+1.0` for a rising
 /// aggressor on a ground-quiet victim, `−1.0` for a falling one — see
 /// [`xtalk_circuit::signal::InputSignal::noise_polarity`]); the waveform is
-/// normalized by it before measurement.
+/// read normalized by it, without a copy.
 ///
 /// # Errors
 ///
@@ -80,27 +80,24 @@ pub struct NoiseWaveformParams {
 /// # Ok::<(), xtalk_sim::SimError>(())
 /// ```
 pub fn measure_noise(waveform: &Waveform, polarity: f64) -> Result<NoiseWaveformParams, SimError> {
-    let w = if polarity < 0.0 {
-        waveform.scaled(-1.0)
-    } else {
-        waveform.clone()
-    };
-    let (tp, vp) = w.max();
+    // The polarity folds into every comparison on the borrowed samples.
+    let (w, sign) = (waveform, if polarity < 0.0 { -1.0 } else { 1.0 });
+    let (tp, vp) = w.signed_max(sign);
     if !(vp.is_finite() && vp > PULSE_FLOOR) {
         return Err(SimError::NoPulse);
     }
 
     let t10r = w
-        .last_rising_crossing_before(tp, 0.1 * vp)
+        .signed_last_rising_before(tp, 0.1 * vp, sign)
         .ok_or(SimError::NoPulse)?;
     let t90r = w
-        .last_rising_crossing_before(tp, 0.9 * vp)
+        .signed_last_rising_before(tp, 0.9 * vp, sign)
         .ok_or(SimError::NoPulse)?;
     let t90f = w
-        .crossing_after(tp, 0.9 * vp, false)
+        .signed_crossing_after(tp, 0.9 * vp, false, sign)
         .ok_or(SimError::Truncated)?;
     let t10f = w
-        .crossing_after(t90f, 0.1 * vp, false)
+        .signed_crossing_after(t90f, 0.1 * vp, false, sign)
         .ok_or(SimError::Truncated)?;
 
     let t1 = (t90r - t10r) / 0.8;
@@ -116,8 +113,8 @@ pub fn measure_noise(waveform: &Waveform, polarity: f64) -> Result<NoiseWaveform
         t1,
         t2,
         wn,
-        area: w.integral(),
-        polarity: if polarity < 0.0 { -1.0 } else { 1.0 },
+        area: w.signed_integral(sign),
+        polarity: sign,
     })
 }
 

@@ -98,8 +98,17 @@ impl Waveform {
     /// `(time, value)` of the maximum sample, with parabolic refinement of
     /// the peak position when an interior maximum has usable neighbours.
     pub fn max(&self) -> (f64, f64) {
+        self.signed_max(1.0)
+    }
+
+    /// [`Waveform::max`] of the waveform scaled by `sign` (`±1`), read off
+    /// the borrowed samples: IEEE negation is exact, so every result is
+    /// bit-equal to measuring [`Waveform::scaled`]`(sign)`.
+    pub(crate) fn signed_max(&self, sign: f64) -> (f64, f64) {
+        let at = |k: usize| self.samples[k] * sign;
         let (mut k_best, mut v_best) = (0usize, f64::NEG_INFINITY);
         for (k, &v) in self.samples.iter().enumerate() {
+            let v = v * sign;
             if v > v_best {
                 v_best = v;
                 k_best = k;
@@ -109,11 +118,7 @@ impl Waveform {
             return (self.time(k_best), v_best);
         }
         // Parabola through the three samples around the discrete peak.
-        let (ym, y0, yp) = (
-            self.samples[k_best - 1],
-            self.samples[k_best],
-            self.samples[k_best + 1],
-        );
+        let (ym, y0, yp) = (at(k_best - 1), at(k_best), at(k_best + 1));
         let denom = ym - 2.0 * y0 + yp;
         if denom.abs() < 1e-300 {
             return (self.time(k_best), v_best);
@@ -157,9 +162,15 @@ impl Waveform {
 
     /// Trapezoidal integral of the waveform over its window.
     pub fn integral(&self) -> f64 {
+        self.signed_integral(1.0)
+    }
+
+    /// [`Waveform::integral`] of the waveform scaled by `sign` (`±1`);
+    /// see [`Waveform::signed_max`].
+    pub(crate) fn signed_integral(&self, sign: f64) -> f64 {
         let mut acc = 0.0;
         for w in self.samples.windows(2) {
-            acc += 0.5 * (w[0] + w[1]) * self.dt;
+            acc += 0.5 * (w[0] * sign + w[1] * sign) * self.dt;
         }
         acc
     }
@@ -168,21 +179,28 @@ impl Waveform {
     /// crosses `level` in the given direction; linear interpolation between
     /// samples. Returns `None` if no crossing exists.
     pub fn crossing_after(&self, from: f64, level: f64, rising: bool) -> Option<f64> {
+        self.signed_crossing_after(from, level, rising, 1.0)
+    }
+
+    /// [`Waveform::crossing_after`] on the waveform scaled by `sign`
+    /// (`±1`); see [`Waveform::signed_max`].
+    pub(crate) fn signed_crossing_after(
+        &self,
+        from: f64,
+        level: f64,
+        rising: bool,
+        sign: f64,
+    ) -> Option<f64> {
         let start = (((from - self.t0) / self.dt).ceil().max(0.0)) as usize;
         for k in start.max(1)..self.samples.len() {
-            let (a, b) = (self.samples[k - 1], self.samples[k]);
+            let (a, b) = (self.samples[k - 1] * sign, self.samples[k] * sign);
             let hit = if rising {
                 a < level && b >= level
             } else {
                 a > level && b <= level
             };
             if hit {
-                let frac = if (b - a).abs() < 1e-300 {
-                    0.0
-                } else {
-                    (level - a) / (b - a)
-                };
-                return Some(self.time(k - 1) + frac * self.dt);
+                return Some(self.time(k - 1) + interpolate(a, b, level) * self.dt);
             }
         }
         None
@@ -191,20 +209,36 @@ impl Waveform {
     /// Last time before `until` at which the waveform crosses `level`
     /// rising (scanning right→left). Returns `None` if no crossing exists.
     pub fn last_rising_crossing_before(&self, until: f64, level: f64) -> Option<f64> {
+        self.signed_last_rising_before(until, level, 1.0)
+    }
+
+    /// [`Waveform::last_rising_crossing_before`] on the waveform scaled by
+    /// `sign` (`±1`); see [`Waveform::signed_max`].
+    pub(crate) fn signed_last_rising_before(
+        &self,
+        until: f64,
+        level: f64,
+        sign: f64,
+    ) -> Option<f64> {
         let end = (((until - self.t0) / self.dt).floor() as isize)
             .clamp(0, self.samples.len() as isize - 1) as usize;
         for k in (1..=end).rev() {
-            let (a, b) = (self.samples[k - 1], self.samples[k]);
+            let (a, b) = (self.samples[k - 1] * sign, self.samples[k] * sign);
             if a < level && b >= level {
-                let frac = if (b - a).abs() < 1e-300 {
-                    0.0
-                } else {
-                    (level - a) / (b - a)
-                };
-                return Some(self.time(k - 1) + frac * self.dt);
+                return Some(self.time(k - 1) + interpolate(a, b, level) * self.dt);
             }
         }
         None
+    }
+}
+
+/// Fraction of the way from `a` to `b` at which `level` lies (0 on a
+/// flat segment).
+fn interpolate(a: f64, b: f64, level: f64) -> f64 {
+    if (b - a).abs() < 1e-300 {
+        0.0
+    } else {
+        (level - a) / (b - a)
     }
 }
 
