@@ -1,6 +1,6 @@
 //! The [`WhatIf`] session: apply/revert deltas, query memoized reports.
 
-use crate::view::{Held, Routes, View};
+use crate::view::{Held, NetIndex, Routes, View};
 use std::cmp::Ordering;
 use std::fmt;
 use std::fmt::Write as _;
@@ -237,8 +237,9 @@ impl WhatIf {
     pub fn new(base: Network, config: WhatIfConfig) -> Result<Self, WhatIfError> {
         let _span = xtalk_obs::span!("incr.session_build");
         let targets: Vec<NetId> = base.nets().map(|(id, _)| id).collect();
+        let index = NetIndex::new(&base);
         let built = xtalk_exec::par_map_indexed(&targets, config.jobs, |_, &target| {
-            View::build(&base, target)
+            View::build(&base, &index, target)
         })
         .map_err(WhatIfError::Exec)?;
         let mut views = Vec::with_capacity(built.len());

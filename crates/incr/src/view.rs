@@ -87,31 +87,90 @@ impl Target {
 /// Every delta target a view holds: `(base slot, view slot)` pairs.
 pub(crate) type Held = Vec<(Target, Target)>;
 
-impl View {
-    /// Builds the view of `target` over `base`, with the delta targets
-    /// it holds. Element iteration follows the base table order
-    /// throughout, so two builds of the same view are identical and the
-    /// view-local ids are index-stable.
-    pub fn build(base: &Network, target: NetId) -> Result<(View, Held), CircuitError> {
-        let mut included = vec![false; base.net_count()];
-        included[target.index()] = true;
-        for cc in base.coupling_caps() {
-            let (na, nb) = (base.node_net(cc.a), base.node_net(cc.b));
-            if na == target {
-                included[nb.index()] = true;
-            }
-            if nb == target {
-                included[na.index()] = true;
+/// Each base net's elements, listed once per session so that building a
+/// view visits only the elements of the nets it includes.
+#[derive(Debug)]
+pub(crate) struct NetIndex {
+    /// Per net, ascending: the resistors, ground caps and coupling caps
+    /// with an end on one of its nodes.
+    resistors: Vec<Vec<usize>>,
+    ground_caps: Vec<Vec<usize>>,
+    coupling_caps: Vec<Vec<usize>>,
+    /// Each node's position in its net's node list.
+    slot: Vec<usize>,
+}
+
+impl NetIndex {
+    pub fn new(base: &Network) -> NetIndex {
+        let nets = base.net_count();
+        let mut index = NetIndex {
+            resistors: vec![Vec::new(); nets],
+            ground_caps: vec![Vec::new(); nets],
+            coupling_caps: vec![Vec::new(); nets],
+            slot: vec![0; base.node_count()],
+        };
+        for (_, net) in base.nets() {
+            for (k, &node) in net.nodes().iter().enumerate() {
+                index.slot[node.index()] = k;
             }
         }
+        // An element between two nets is listed under both.
+        fn list(lists: &mut [Vec<usize>], i: usize, a: NetId, b: NetId) {
+            lists[a.index()].push(i);
+            if b != a {
+                lists[b.index()].push(i);
+            }
+        }
+        for (i, r) in base.resistors().iter().enumerate() {
+            list(&mut index.resistors, i, base.node_net(r.a), base.node_net(r.b));
+        }
+        for (i, gc) in base.ground_caps().iter().enumerate() {
+            let net = base.node_net(gc.node);
+            list(&mut index.ground_caps, i, net, net);
+        }
+        for (i, cc) in base.coupling_caps().iter().enumerate() {
+            list(&mut index.coupling_caps, i, base.node_net(cc.a), base.node_net(cc.b));
+        }
+        index
+    }
+
+    /// The elements of `lists` listed under any of `nets`, in base order.
+    fn merged(lists: &[Vec<usize>], nets: &[NetId]) -> Vec<usize> {
+        let mut merged: Vec<usize> = nets
+            .iter()
+            .flat_map(|net| lists[net.index()].iter().copied())
+            .collect();
+        merged.sort_unstable();
+        merged.dedup();
+        merged
+    }
+}
+
+impl View {
+    /// Builds the view of `target` over `base`, with the delta targets
+    /// it holds, visiting only the elements `index` lists under the
+    /// included nets. Element iteration follows the base table order
+    /// throughout, so two builds of the same view are identical and the
+    /// view-local ids are index-stable.
+    pub fn build(
+        base: &Network,
+        index: &NetIndex,
+        target: NetId,
+    ) -> Result<(View, Held), CircuitError> {
+        let mut included = vec![target];
+        for &i in &index.coupling_caps[target.index()] {
+            let cc = &base.coupling_caps()[i];
+            included.extend([base.node_net(cc.a), base.node_net(cc.b)]);
+        }
+        included.sort_unstable();
+        included.dedup();
 
         let mut b = NetworkBuilder::new();
         let mut held = Held::new();
-        let mut node_map = vec![None; base.node_count()];
-        for (id, net) in base.nets() {
-            if !included[id.index()] {
-                continue;
-            }
+        // The view's nodes of each included net, in its node order.
+        let mut view_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(included.len());
+        for &id in &included {
+            let net = base.net(id);
             let role = if id == target {
                 NetRole::Victim
             } else {
@@ -119,41 +178,50 @@ impl View {
             };
             let view_net = b.add_net(net.name(), role);
             held.push((Target::Driver(id), Target::Driver(view_net)));
-            for &node in net.nodes() {
-                node_map[node.index()] = Some(b.add_node(view_net, base.node_name(node)));
-            }
+            let nodes: Vec<NodeId> = net
+                .nodes()
+                .iter()
+                .map(|&node| b.add_node(view_net, base.node_name(node)))
+                .collect();
+            let at = |node: NodeId| nodes[index.slot[node.index()]];
             let driver = net.driver();
-            let dnode = node_map[driver.node.index()].expect("driver node just added");
-            b.add_driver(view_net, dnode, driver.ohms)?;
+            b.add_driver(view_net, at(driver.node), driver.ohms)?;
             for (k, s) in net.sinks().iter().enumerate() {
-                let snode = node_map[s.node.index()].expect("sink node just added");
+                let snode = at(s.node);
                 b.add_sink(snode, s.farads)?;
                 // A sink delta names the first sink at its node.
                 if net.sinks()[..k].iter().all(|p| p.node != s.node) {
                     held.push((Target::Sink(s.node), Target::Sink(snode)));
                 }
             }
+            view_nodes.push(nodes);
         }
+        let node_map = |node: NodeId| {
+            let k = included.binary_search(&base.node_net(node)).ok()?;
+            Some(view_nodes[k][index.slot[node.index()]])
+        };
 
         let mut local = 0usize;
-        for (i, r) in base.resistors().iter().enumerate() {
-            if let (Some(a), Some(bb)) = (node_map[r.a.index()], node_map[r.b.index()]) {
+        for i in NetIndex::merged(&index.resistors, &included) {
+            let r = &base.resistors()[i];
+            if let (Some(a), Some(bb)) = (node_map(r.a), node_map(r.b)) {
                 held.push((Target::Resistor(i), Target::Resistor(local)));
                 local += 1;
                 b.add_resistor(a, bb, r.ohms)?;
             }
         }
         local = 0;
-        for (i, gc) in base.ground_caps().iter().enumerate() {
-            if let Some(node) = node_map[gc.node.index()] {
-                held.push((Target::GroundCap(i), Target::GroundCap(local)));
-                local += 1;
-                b.add_ground_cap(node, gc.farads)?;
-            }
+        for i in NetIndex::merged(&index.ground_caps, &included) {
+            let gc = &base.ground_caps()[i];
+            let node = node_map(gc.node).expect("listed under an included net");
+            held.push((Target::GroundCap(i), Target::GroundCap(local)));
+            local += 1;
+            b.add_ground_cap(node, gc.farads)?;
         }
         local = 0;
-        for (i, cc) in base.coupling_caps().iter().enumerate() {
-            if let (Some(a), Some(bb)) = (node_map[cc.a.index()], node_map[cc.b.index()]) {
+        for i in NetIndex::merged(&index.coupling_caps, &included) {
+            let cc = &base.coupling_caps()[i];
+            if let (Some(a), Some(bb)) = (node_map(cc.a), node_map(cc.b)) {
                 held.push((Target::CouplingCap(i), Target::CouplingCap(local)));
                 local += 1;
                 b.add_coupling_cap(a, bb, cc.farads)?;
@@ -161,7 +229,7 @@ impl View {
         }
 
         if target == base.victim() {
-            if let Some(out) = node_map[base.victim_output().index()] {
+            if let Some(out) = node_map(base.victim_output()) {
                 b.set_victim_output(out);
             }
         }
@@ -268,7 +336,7 @@ mod tests {
     fn views(base: &Network) -> (Vec<View>, Routes) {
         let (views, held): (Vec<View>, Vec<Held>) = base
             .nets()
-            .map(|(id, _)| View::build(base, id).unwrap())
+            .map(|(id, _)| View::build(base, &NetIndex::new(base), id).unwrap())
             .unzip();
         let routes = Routes::new(base, &held);
         (views, routes)
@@ -295,19 +363,19 @@ mod tests {
     #[test]
     fn view_keeps_only_one_hop_neighbours() {
         let (base, lanes) = cluster(6);
-        let (v, _) = View::build(&base, lanes[2]).unwrap();
+        let (v, _) = View::build(&base, &NetIndex::new(&base), lanes[2]).unwrap();
         // Lane 2 couples to lanes 1 and 3 only.
         assert_eq!(v.network.net_count(), 3);
         assert_eq!(v.network.victim_net().name(), base.net(lanes[2]).name());
         assert_eq!(&*v.name, base.net(lanes[2]).name());
-        let (end, _) = View::build(&base, lanes[0]).unwrap();
+        let (end, _) = View::build(&base, &NetIndex::new(&base), lanes[0]).unwrap();
         assert_eq!(end.network.net_count(), 2);
     }
 
     #[test]
     fn view_of_base_victim_preserves_output_node() {
         let (base, _) = cluster(4);
-        let (v, _) = View::build(&base, base.victim()).unwrap();
+        let (v, _) = View::build(&base, &NetIndex::new(&base), base.victim()).unwrap();
         assert_eq!(
             v.network.node_name(v.network.victim_output()),
             base.node_name(base.victim_output())
@@ -434,7 +502,7 @@ mod tests {
         assert_eq!(base.resistors()[3].ohms, 99.0);
         // And a rebuild of the view from the edited base matches element
         // for element.
-        let (fresh, _) = View::build(&base, lanes[1]).unwrap();
+        let (fresh, _) = View::build(&base, &NetIndex::new(&base), lanes[1]).unwrap();
         assert_eq!(fresh.network.resistors(), views[v].network.resistors());
         assert_eq!(
             fresh.network.coupling_caps(),

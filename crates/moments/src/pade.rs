@@ -59,8 +59,9 @@ impl PoleKind {
 ///
 /// This is the model class behind the paper's eqs. (11)–(18) and the Yu
 /// baseline metrics. Besides the fit itself it provides exact time-domain
-/// step/ramp responses (which *do* use exponentials — only the paper's new
-/// metrics avoid them) and a closed-form ramp peak for well-behaved fits.
+/// step, ramp and exponential-input responses (which *do* use
+/// exponentials — only the paper's new metrics avoid them) and a
+/// closed-form ramp peak for well-behaved fits.
 ///
 /// # Examples
 ///
@@ -242,6 +243,100 @@ impl TwoPoleFit {
         .max(tr);
         Some((tp, self.ramp_response(tp, tr)))
     }
+
+    /// Response to the exponential input `1 − e^{−t/τ}` arriving at
+    /// `t = 0`; `0` for `t ≤ 0`.
+    ///
+    /// With the step response written `g(t) = Σ g_i·e^{p_i·t}`, this is
+    /// `Σ g_i·(e^{p_i·t} − e^{−t/τ})/(1 + τ·p_i)`, with the limit
+    /// `g_i·t·e^{−t/τ}/τ` at `p_i = −1/τ`. A double pole `p` (step
+    /// response `k·t·e^{p·t}`) gives the `p`-derivative of its term. Real
+    /// poles only (single, distinct, double); `NaN` for a complex pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau` is not positive.
+    pub fn exp_response(&self, t: f64, tau: f64) -> f64 {
+        self.exp_terms(t, tau).0
+    }
+
+    /// Time derivative of [`TwoPoleFit::exp_response`]: positive before
+    /// the response's peak, negative after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau` is not positive.
+    pub fn exp_slope(&self, t: f64, tau: f64) -> f64 {
+        self.exp_terms(t, tau).1
+    }
+
+    /// `(y, y')` of [`TwoPoleFit::exp_response`] at `t`.
+    fn exp_terms(&self, t: f64, tau: f64) -> (f64, f64) {
+        assert!(tau > 0.0, "exponential time constant must be positive");
+        if t <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let b = -1.0 / tau;
+        match self.poles {
+            PoleKind::SingleReal { p } => {
+                let g = -self.a1 * p / tau;
+                let (f, df) = exp_pair(p, b, t);
+                (g * f, g * df)
+            }
+            PoleKind::RealStable { p1, p2 } | PoleKind::Unstable { p1, p2 } => {
+                let g = self.a1 / (self.b2 * (p1 - p2)) / tau;
+                let (f1, df1) = exp_pair(p1, b, t);
+                let (f2, df2) = exp_pair(p2, b, t);
+                (g * (f1 - f2), g * (df1 - df2))
+            }
+            PoleKind::RealDouble { p } => {
+                // `h = ∂f/∂p` of the pair term `f`, and `h' = f + p·h`.
+                let k = self.a1 / self.b2 / tau;
+                let d = p - b;
+                let x = d * t;
+                // `(x − 1 + e^{−x})/x²` (`d ≥ 0`, scaled by `e^{p·t}`) or
+                // `(1 − (1 − x)·eˣ)/x²` (`d < 0`, by `e^{b·t}`): the larger
+                // exponential factors out. Near resonance both cancel to
+                // `1/2`, so a short series takes over there.
+                let u = x.abs();
+                let (psi, scale) = if d >= 0.0 {
+                    let psi = if u < 1e-3 {
+                        0.5 - u * (1.0 / 6.0 - u * (1.0 / 24.0 - u / 120.0))
+                    } else {
+                        (u + (-u).exp_m1()) / (u * u)
+                    };
+                    (psi, (p * t).exp())
+                } else {
+                    let psi = if u < 1e-3 {
+                        0.5 - u * (1.0 / 3.0 - u * (1.0 / 8.0 - u / 30.0))
+                    } else {
+                        (-(-u).exp_m1() - u * (-u).exp()) / (u * u)
+                    };
+                    (psi, (b * t).exp())
+                };
+                let h = t * t * scale * psi;
+                let (f, _) = exp_pair(p, b, t);
+                (k * h, k * (f + p * h))
+            }
+            PoleKind::Complex { .. } => (f64::NAN, f64::NAN),
+        }
+    }
+}
+
+/// `f = (e^{p·t} − e^{b·t})/(p − b)` and `f' = p·f + e^{b·t}`, with the
+/// limit `t·e^{b·t}` at `p = b`. The larger exponential factors out of
+/// an `expm1`, so nearly equal rates keep their digits and neither
+/// factor overflows while the other underflows.
+fn exp_pair(p: f64, b: f64, t: f64) -> (f64, f64) {
+    let d = p - b;
+    let f = if d > 0.0 {
+        -(p * t).exp() * (-d * t).exp_m1() / d
+    } else if d < 0.0 {
+        (b * t).exp() * (d * t).exp_m1() / d
+    } else {
+        t * (b * t).exp()
+    };
+    (f, p * f + (b * t).exp())
 }
 
 /// Classifies the roots of `b2·s² + b1·s + 1 = 0`.
@@ -531,6 +626,121 @@ mod tests {
         assert!(vp <= v_star + 1e-15);
         assert!(vp > 0.0);
         assert!(tp > 0.0);
+    }
+
+    /// `∫₀ᵗ g(t − s)·e^{−s/τ}/τ ds` by the composite midpoint rule: the
+    /// exponential response as the convolution of the step response `g`
+    /// with the input's slope.
+    fn exp_response_by_convolution(fit: &TwoPoleFit, t: f64, tau: f64) -> f64 {
+        let n = 20_000;
+        let h = t / n as f64;
+        let sum: f64 = (0..n)
+            .map(|i| {
+                let s = (i as f64 + 0.5) * h;
+                fit.step_response(t - s) * (-s / tau).exp() / tau
+            })
+            .sum();
+        sum * h
+    }
+
+    #[test]
+    fn exp_response_is_the_convolution_of_step_response_and_input_slope() {
+        let tau_p = 1e-10;
+        let single = TwoPoleFit::from_coeffs(2e-11, tau_p, 0.0);
+        let distinct = fit_from_taus(2e-11, tau_p, 3e-11);
+        let double = TwoPoleFit::from_coeffs(2e-11, 2.0 * tau_p, tau_p * tau_p);
+        assert!(matches!(single.poles(), PoleKind::SingleReal { .. }));
+        assert!(matches!(distinct.poles(), PoleKind::RealStable { .. }));
+        assert!(matches!(double.poles(), PoleKind::RealDouble { .. }));
+        // Input time constants away from, at and near a pole's `−1/p`:
+        // the double pole's `1 ± 1e-3` put its two series (either side
+        // of resonance) on both sides of their cut-off.
+        let cases = [
+            (single, 3e-11),
+            (single, tau_p),
+            (single, tau_p * (1.0 + 1e-9)),
+            (distinct, 4e-11),
+            (distinct, 3e-11 * (1.0 - 1e-9)),
+            (distinct, tau_p * (1.0 + 1e-9)),
+            (double, 4e-11),
+            (double, tau_p),
+            (double, tau_p * (1.0 + 1e-7)),
+            (double, tau_p * (1.0 + 1e-3)),
+            (double, tau_p * (1.0 - 1e-3)),
+        ];
+        for (fit, tau) in cases {
+            let ts: Vec<f64> = (1..=8).map(|k| 0.75 * tau_p * k as f64).collect();
+            let scale = ts
+                .iter()
+                .map(|&t| fit.exp_response(t, tau).abs())
+                .fold(0.0, f64::max);
+            for &t in &ts {
+                let y = fit.exp_response(t, tau);
+                let conv = exp_response_by_convolution(&fit, t, tau);
+                assert!(
+                    (y - conv).abs() <= 1e-7 * scale,
+                    "{:?} tau {tau:e} t {t:e}: {y} vs convolution {conv}",
+                    fit.poles()
+                );
+                // The slope is the response's derivative.
+                let dt = t * 1e-5;
+                let diff =
+                    (fit.exp_response(t + dt, tau) - fit.exp_response(t - dt, tau)) / (2.0 * dt);
+                let slope = fit.exp_slope(t, tau);
+                assert!(
+                    (slope - diff).abs() <= 1e-6 * scale / tau_p,
+                    "{:?} tau {tau:e} t {t:e}: slope {slope} vs {diff}",
+                    fit.poles()
+                );
+            }
+            assert_eq!(fit.exp_response(0.0, tau), 0.0);
+            // ∫y dt = a1, as for every input that settles at 1.
+            let (n, t_end) = (200_000, 100.0 * tau_p);
+            let h = t_end / n as f64;
+            let area: f64 = (0..n)
+                .map(|i| fit.exp_response((i as f64 + 0.5) * h, tau))
+                .sum::<f64>()
+                * h;
+            assert!((area - fit.a1()).abs() <= 1e-6 * fit.a1(), "area {area}");
+        }
+    }
+
+    #[test]
+    fn double_pole_series_meets_the_closed_form_at_its_cut_off() {
+        // Near resonance the double pole's term switches from its closed
+        // form to a series at `|d|·t = 1e-3`, `d = p + 1/τ`; the two must
+        // agree there, on either side of resonance.
+        let tau_p = 1e-10;
+        let double = TwoPoleFit::from_coeffs(2e-11, 2.0 * tau_p, tau_p * tau_p);
+        for tau in [tau_p * (1.0 + 1e-2), tau_p * (1.0 - 1e-2)] {
+            let t_cut = 1e-3 / (1.0 / tau - 1.0 / tau_p).abs();
+            let below = double.exp_response(t_cut * (1.0 - 1e-12), tau);
+            let above = double.exp_response(t_cut * (1.0 + 1e-12), tau);
+            assert!(
+                (above - below).abs() <= 1e-10 * below,
+                "tau {tau:e}: {below} below the cut-off, {above} above"
+            );
+        }
+    }
+
+    #[test]
+    fn exp_response_survives_exponential_overflow() {
+        // t/τ = 5000 under a slow pole and t·|p| = 5000 under a slow input:
+        // e^{−t/τ} (or e^{p·t}) underflows while the matching expm1 term
+        // would overflow if taken literally.
+        let slow_pole = fit_from_taus(1e-11, 1e-9, 3e-10);
+        let (t, tau) = (5e-10, 1e-13);
+        let y = slow_pole.exp_response(t, tau);
+        let step = slow_pole.step_response(t);
+        assert!((y - step).abs() <= 1e-3 * step, "{y} vs step {step}");
+
+        let fast_pole = TwoPoleFit::from_coeffs(1e-11, 1e-13, 0.0);
+        let (t, tau) = (5e-10, 1e-9);
+        let y = fast_pole.exp_response(t, tau);
+        // A fast net follows the input's slope: y ≈ a1·e^{−t/τ}/τ.
+        let follow = 1e-11 * (-t / tau).exp() / tau;
+        assert!((y - follow).abs() <= 1e-3 * follow, "{y} vs {follow}");
+        assert!(fast_pole.exp_slope(t, tau).is_finite());
     }
 
     #[test]

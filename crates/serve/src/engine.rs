@@ -375,6 +375,22 @@ mod tests {
         spice::write_deck(&b.build().unwrap())
     }
 
+    /// A one-node victim under a 1 pΩ aggressor driver: the aggressor
+    /// node follows its source, so the victim's fit has a single pole.
+    fn single_pole_deck() -> String {
+        let mut b = NetworkBuilder::new();
+        let v = b.add_net("victim", NetRole::Victim);
+        let a = b.add_net("agg0", NetRole::Aggressor);
+        let v0 = b.add_node(v, "v0");
+        let a0 = b.add_node(a, "a0");
+        b.add_driver(v, v0, 300.0).unwrap();
+        b.add_driver(a, a0, 1e-12).unwrap();
+        b.add_sink(v0, 12e-15).unwrap();
+        b.add_sink(a0, 10e-15).unwrap();
+        b.add_coupling_cap(a0, v0, 25e-15).unwrap();
+        spice::write_deck(&b.build().unwrap())
+    }
+
     fn req(deck: String) -> AnalyzeRequest {
         AnalyzeRequest {
             deck,
@@ -536,12 +552,12 @@ mod tests {
 
     #[test]
     fn analytic_ineligible_deck_still_skips_under_deadline_pressure() {
-        // An exponential input shape has no closed-form pole
-        // superposition, so the fast tier declines and the cross-check
+        // A step into a single-pole fit has no rising flank to measure
+        // in closed form, so the fast tier declines and the cross-check
         // is skipped outright.
-        let mut r = req(sample_deck());
+        let mut r = req(single_pole_deck());
         r.golden = true;
-        r.shape = Shape::Exp;
+        r.shape = Shape::Step;
         r.deadline_ms = Some(1e-3);
         let v = run(&r);
         assert_eq!(v.get("status").and_then(Value::as_str), Some("degraded"));

@@ -42,6 +42,24 @@ CC0 n2 n1 25e-15
 .end
 ";
 
+/// A one-node victim under a 1 pΩ aggressor driver: the aggressor node
+/// follows its source, so the victim's two-pole fit has a single pole,
+/// and a step into it has no rising flank the analytic tier can measure.
+const SINGLE_POLE_DECK: &str = "\
+* one-pole pair
+*! net 0 victim victim
+*! net 1 aggressor agg0
+*! output n0
+VDRV0 src0 0 DC 0
+RDRV0 src0 n0 300
+VDRV1 src1 0 DC 0
+RDRV1 src1 n2 1e-12
+CL0 n0 0 12e-15
+CL1 n2 0 10e-15
+CC0 n2 n0 25e-15
+.end
+";
+
 /// The corrupted-deck catalog, at the wire's level of abstraction.
 fn deck_faults() -> Vec<(&'static str, String)> {
     vec![
@@ -220,7 +238,7 @@ fn fault_catalog_replay_keeps_the_daemon_answering() {
 
 /// Deadline-pinched golden requests over the wire: the analytic fast
 /// tier rescues eligible cases (stamped `golden_tier: "analytic"`),
-/// ineligible shapes skip (`"skipped"`), and a comfortable budget gets
+/// ineligible ones skip (`"skipped"`), and a comfortable budget gets
 /// the full transient reference (`"transient"`).
 #[test]
 fn deadline_pressure_stamps_the_golden_tier() {
@@ -234,8 +252,8 @@ fn deadline_pressure_stamps_the_golden_tier() {
         analyze_line(1, GOOD_DECK, ",\"golden\":true,\"deadline_ms\":1e-3"),
         analyze_line(
             2,
-            GOOD_DECK,
-            ",\"golden\":true,\"deadline_ms\":1e-3,\"shape\":\"exp\"",
+            SINGLE_POLE_DECK,
+            ",\"golden\":true,\"deadline_ms\":1e-3,\"shape\":\"step\"",
         ),
     ];
     let client = TcpStream::connect(addr).expect("connect");
@@ -281,8 +299,8 @@ fn deadline_pressure_stamps_the_golden_tier() {
         Some("degraded")
     );
 
-    // Expired budget + exp shape: the fast tier declines, the check is
-    // skipped, and the stamp says so.
+    // Expired budget + a step into a single-pole fit: the fast tier
+    // declines, the check is skipped, and the stamp says so.
     assert_eq!(tier(&replies[2]), "skipped", "{:?}", replies[2]);
     assert_eq!(row_tier(&replies[2]), None);
     assert_eq!(

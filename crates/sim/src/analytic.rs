@@ -2,8 +2,9 @@
 //!
 //! When the two-pole Padé extraction of the victim transfer function
 //! yields stable, well-behaved real poles, the victim noise response to a
-//! ramp or step aggressor is an explicit superposition of exponentials
-//! (see [`TwoPoleFit::step_response`] / [`TwoPoleFit::ramp_response`]).
+//! step, ramp or exponential aggressor is an explicit superposition of
+//! exponentials (see [`TwoPoleFit::step_response`],
+//! [`TwoPoleFit::ramp_response`] and [`TwoPoleFit::exp_response`]).
 //! This module measures the paper's waveform parameters (`Vp`, `Tp`,
 //! `T0`, `T1`, `T2`, `Wn`) directly on that closed form — no
 //! time-stepping at all — using the same 10–90% extrapolated-transition
@@ -13,8 +14,8 @@
 //!
 //! The tier is *gated*: a reduced-order model is only trusted when
 //!
-//! 1. the case is structurally representable (single aggressor, ramp or
-//!    step shape),
+//! 1. the case is structurally representable (single aggressor; any
+//!    shape but a step into a single-pole fit),
 //! 2. the extracted poles are real and stable, and
 //! 3. under [`FastTier::Auto`], the conditioning margins hold — pole
 //!    separation below [`STIFF_POLE_RATIO`] and the model's own fourth
@@ -27,7 +28,8 @@
 
 use crate::measure::PULSE_FLOOR;
 use crate::{FastTier, NoiseWaveformParams};
-use xtalk_circuit::{signal::InputSignal, signal::Waveshape, NetId, Network, NodeId};
+use xtalk_circuit::signal::{InputSignal, Waveshape, EXP_TRANSITION_FACTOR};
+use xtalk_circuit::{NetId, Network, NodeId};
 use xtalk_moments::{PoleKind, TreeMomentEngine, TwoPoleFit};
 
 /// Largest `|p2/p1|` pole-separation ratio the [`FastTier::Auto`] gate
@@ -54,8 +56,8 @@ pub enum FastTierFallback {
     /// More than one stimulus — superposed aggressors are not reduced to
     /// a single two-pole response.
     MultiAggressor,
-    /// Exponential input shapes (and steps into a single-pole model,
-    /// whose instantaneous rise has no measurable 10–90% flank).
+    /// A step into a single-pole model, whose instantaneous rise has no
+    /// measurable 10–90% flank.
     UnsupportedShape,
     /// Moment extraction or the Padé fit itself failed (no coupling,
     /// non-finite coefficients).
@@ -150,13 +152,6 @@ pub fn analytic_noise(
         [(net, input)] => (*net, *input),
         _ => return Err(FastTierFallback::MultiAggressor),
     };
-    let step_input = match input.shape() {
-        Waveshape::Step => true,
-        Waveshape::RisingRamp | Waveshape::FallingRamp => false,
-        Waveshape::RisingExp | Waveshape::FallingExp => {
-            return Err(FastTierFallback::UnsupportedShape)
-        }
-    };
 
     // Transfer-function Taylor coefficients h0..h4 at the observed node
     // (h4 feeds the model-adequacy margin).
@@ -184,7 +179,8 @@ pub fn analytic_noise(
         }
     }
 
-    // Slowest model time constant, for bracketing the decay tail.
+    // Slowest model time constant, for bracketing the decay tail (and an
+    // exponential's peak).
     let slowest = match fit.poles() {
         PoleKind::SingleReal { p } | PoleKind::RealDouble { p } => -1.0 / p,
         PoleKind::RealStable { p1, p2 } => (-1.0 / p1).max(-1.0 / p2),
@@ -192,10 +188,18 @@ pub fn analytic_noise(
     };
 
     let tr = input.transition();
+    // An exponential input's time constant, `τ = t_r / ln 9`.
+    let tau = tr / EXP_TRANSITION_FACTOR;
+    let shape = input.shape();
+    let resp = |t: f64| match shape {
+        Waveshape::Step => fit.step_response(t),
+        Waveshape::RisingRamp | Waveshape::FallingRamp => fit.ramp_response(t, tr),
+        Waveshape::RisingExp | Waveshape::FallingExp => fit.exp_response(t, tau),
+    };
     // Peak of the (rising-equivalent) response, relative to the input
     // arrival.
-    let (tp_rel, vp) = if step_input {
-        match fit.poles() {
+    let (tp_rel, vp) = match shape {
+        Waveshape::Step => match fit.poles() {
             // `y'(t*) = 0` in closed form for the two-real-pole shapes.
             PoleKind::RealStable { p1, p2 } => {
                 let t_star = (p2 / p1).ln() / (p1 - p2);
@@ -205,37 +209,30 @@ pub fn analytic_noise(
             // A single-pole step response jumps at t = 0: no rising
             // flank exists under the 10–90% convention.
             _ => return Err(FastTierFallback::UnsupportedShape),
+        },
+        Waveshape::RisingRamp | Waveshape::FallingRamp => fit
+            .ramp_peak(tr)
+            .ok_or(FastTierFallback::IllConditionedPoles)?,
+        Waveshape::RisingExp | Waveshape::FallingExp => {
+            // `y' = 0` has no closed form here: bisect the slope, which
+            // changes sign once (the response is log-concave).
+            let slope = |t: f64| fit.exp_slope(t, tau);
+            let hi = bracket(&slope, 0.0, slowest.max(tau), 0.0)?;
+            let tp = bisect(&slope, 0.0, hi, 0.0, false);
+            (tp, fit.exp_response(tp, tau))
         }
-    } else {
-        fit.ramp_peak(tr)
-            .ok_or(FastTierFallback::IllConditionedPoles)?
     };
     if !(vp.is_finite() && vp > PULSE_FLOOR && tp_rel.is_finite() && tp_rel >= 0.0) {
         return Err(FastTierFallback::NoPulse);
     }
-
-    let resp = |t: f64| {
-        if step_input {
-            fit.step_response(t)
-        } else {
-            fit.ramp_response(t, tr)
-        }
-    };
 
     // The response is unimodal: monotone rise on [0, tp], monotone decay
     // after. Level crossings come from bisection on each flank.
     let t10r = bisect(&resp, 0.0, tp_rel, 0.1 * vp, true);
     let t90r = bisect(&resp, 0.0, tp_rel, 0.9 * vp, true);
     // Bracket the tail below the 10% level by doubling out from the peak.
-    let mut t_hi = tp_rel + slowest.max(tr).max(tp_rel).max(f64::MIN_POSITIVE);
-    let mut doublings = 0;
-    while resp(t_hi) >= 0.1 * vp {
-        t_hi = tp_rel + (t_hi - tp_rel) * 2.0;
-        doublings += 1;
-        if doublings > 200 || !t_hi.is_finite() {
-            return Err(FastTierFallback::MeasureFailed);
-        }
-    }
+    let span = slowest.max(tr).max(tp_rel).max(f64::MIN_POSITIVE);
+    let t_hi = bracket(&resp, tp_rel, span, 0.1 * vp)?;
     let t90f = bisect(&resp, tp_rel, t_hi, 0.9 * vp, false);
     let t10f = bisect(&resp, t90f, t_hi, 0.1 * vp, false);
 
@@ -252,7 +249,7 @@ pub fn analytic_noise(
         t1,
         t2,
         wn,
-        // ∫y dt over the whole pulse is exactly a1 for both shapes.
+        // ∫y dt over the whole pulse is exactly a1 for every shape.
         area: fit.a1(),
         polarity: input.noise_polarity(),
     };
@@ -266,6 +263,31 @@ pub fn analytic_noise(
         return Err(FastTierFallback::MeasureFailed);
     }
     Ok(params)
+}
+
+/// The first `from + span·2ᵏ` where `f` falls below `level`, for an `f`
+/// that stays below it once it gets there.
+///
+/// # Errors
+///
+/// [`FastTierFallback::MeasureFailed`] when 200 doublings do not get
+/// there.
+fn bracket(
+    f: &impl Fn(f64) -> f64,
+    from: f64,
+    span: f64,
+    level: f64,
+) -> Result<f64, FastTierFallback> {
+    let mut hi = from + span;
+    let mut doublings = 0;
+    while f(hi) >= level {
+        hi = from + (hi - from) * 2.0;
+        doublings += 1;
+        if doublings > 200 || !hi.is_finite() {
+            return Err(FastTierFallback::MeasureFailed);
+        }
+    }
+    Ok(hi)
 }
 
 /// Bisects for the time where monotone `f` crosses `level` inside
@@ -352,8 +374,26 @@ mod tests {
         );
     }
 
+    /// [`coupled_pair`] with a 1 pΩ aggressor driver: the aggressor node
+    /// follows its source, so the fit has a single pole.
+    fn single_pole_pair() -> (Network, NetId) {
+        let mut b = NetworkBuilder::new();
+        let v = b.add_net("v", NetRole::Victim);
+        let a = b.add_net("a", NetRole::Aggressor);
+        let vn = b.add_node(v, "v0");
+        let an = b.add_node(a, "a0");
+        b.add_driver(v, vn, 1000.0).unwrap();
+        b.add_driver(a, an, 1e-12).unwrap();
+        b.add_sink(vn, 20e-15).unwrap();
+        b.add_sink(an, 25e-15).unwrap();
+        b.add_coupling_cap(vn, an, 40e-15).unwrap();
+        let net = b.build().unwrap();
+        let agg = net.aggressor_nets().next().unwrap().0;
+        (net, agg)
+    }
+
     #[test]
-    fn off_and_exponential_shapes_decline() {
+    fn off_single_pole_steps_and_stimulus_counts_decline() {
         let (net, agg) = coupled_pair();
         let out = net.victim_output();
         let ramp = [(agg, InputSignal::rising_ramp(0.0, 1e-10))];
@@ -361,15 +401,56 @@ mod tests {
             analytic_noise(&net, &ramp, out, FastTier::Off),
             Err(FastTierFallback::Disabled)
         );
-        let exp = [(agg, InputSignal::rising_exp(0.0, 1e-10))];
+        let (single, single_agg) = single_pole_pair();
+        let step = [(single_agg, InputSignal::step(0.0))];
         assert_eq!(
-            analytic_noise(&net, &exp, out, FastTier::Auto),
+            analytic_noise(&single, &step, single.victim_output(), FastTier::Auto),
             Err(FastTierFallback::UnsupportedShape)
         );
         assert_eq!(
             analytic_noise(&net, &[], out, FastTier::Auto),
             Err(FastTierFallback::MultiAggressor)
         );
+        let two = [ramp[0], (agg, InputSignal::rising_exp(0.0, 1e-10))];
+        assert_eq!(
+            analytic_noise(&net, &two, out, FastTier::Auto),
+            Err(FastTierFallback::MultiAggressor)
+        );
+    }
+
+    #[test]
+    fn exponential_inputs_match_transient_golden_on_second_order_circuit() {
+        let (net, agg) = coupled_pair();
+        for input in [
+            InputSignal::rising_exp(0.0, 1e-10),
+            InputSignal::rising_exp(5e-11, 2.5e-10),
+            InputSignal::falling_exp(2e-11, 8e-11),
+        ] {
+            let stim = [(agg, input)];
+            let fast =
+                analytic_noise(&net, &stim, net.victim_output(), FastTier::Auto).unwrap();
+            let slow = golden_noise(&net, agg, &input).unwrap();
+            let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-30);
+            assert!(rel(fast.vp, slow.vp) < 5e-3, "vp {} vs {}", fast.vp, slow.vp);
+            assert!(rel(fast.tp, slow.tp) < 2e-2, "tp {} vs {}", fast.tp, slow.tp);
+            assert!(rel(fast.wn, slow.wn) < 2e-2, "wn {} vs {}", fast.wn, slow.wn);
+            assert!(rel(fast.area, slow.area) < 2e-2, "area {} vs {}", fast.area, slow.area);
+            assert_eq!(fast.polarity, input.noise_polarity());
+        }
+    }
+
+    #[test]
+    fn exponential_into_a_single_pole_fit_is_answered() {
+        // Unlike a step, an exponential input gives a single-pole fit a
+        // finite rising flank.
+        let (net, agg) = single_pole_pair();
+        let input = InputSignal::rising_exp(0.0, 1e-10);
+        let fast = analytic_noise(&net, &[(agg, input)], net.victim_output(), FastTier::Auto)
+            .unwrap();
+        let slow = golden_noise(&net, agg, &input).unwrap();
+        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-30);
+        assert!(rel(fast.vp, slow.vp) < 5e-3, "vp {} vs {}", fast.vp, slow.vp);
+        assert!(rel(fast.wn, slow.wn) < 2e-2, "wn {} vs {}", fast.wn, slow.wn);
     }
 
     #[test]

@@ -226,6 +226,14 @@ impl SimResult {
     pub fn probes(&self) -> &[(NodeId, Waveform)] {
         &self.probes
     }
+
+    /// [`SimResult::probe`] by value.
+    pub(crate) fn into_probe(self, node: NodeId) -> Option<Waveform> {
+        self.probes
+            .into_iter()
+            .find(|(n, _)| *n == node)
+            .map(|(_, w)| w)
+    }
 }
 
 /// Lane width of the batched march: golden runs whose stamped `G ∪ C`

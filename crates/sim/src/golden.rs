@@ -371,8 +371,8 @@ fn measure_or_extend(
     };
 
     // First run: the auto horizon from DC.
-    let waveform = first.probe(node).ok_or_else(probe_err)?;
-    match measure_noise(waveform, polarity) {
+    let mut wave = first.into_probe(node).ok_or_else(probe_err)?;
+    match measure_noise(&wave, polarity) {
         Ok(params) => {
             record_steps(opts.t_stop);
             return Ok(params);
@@ -386,15 +386,15 @@ fn measure_or_extend(
     // from DC with the step grown alike (the base-grid point count stays
     // constant). The fixed march resumes from its final state instead of
     // re-paying the covered horizon, until the stitched waveform would
-    // outgrow `RESUME_SAMPLE_CAP`. `samples` is the uniform waveform so
-    // far and `state` the node voltages at its end.
-    let mut samples: Vec<f64> = waveform.samples().to_vec();
+    // outgrow `RESUME_SAMPLE_CAP`. `wave` is the uniform waveform so far,
+    // from `t = 0` at step `cur_dt`, and `state` the node voltages at its
+    // end.
     let mut cur_dt = opts.dt;
     let mut state: Vec<f64> = workspace.final_state(lane).to_vec();
     let ratio = HORIZON_GROWTH as usize;
     loop {
         xtalk_obs::counter!("sim.golden.horizon_retries").add(1);
-        if mode == SimMode::Adaptive || samples.len().saturating_mul(ratio) > RESUME_SAMPLE_CAP {
+        if mode == SimMode::Adaptive || wave.len().saturating_mul(ratio) > RESUME_SAMPLE_CAP {
             cur_dt *= HORIZON_GROWTH;
             opts.t_stop *= HORIZON_GROWTH;
             let full = SimOptions {
@@ -402,13 +402,14 @@ fn measure_or_extend(
                 ..opts.clone()
             };
             let res = sim.run_with(stimuli, &full, mode, workspace)?;
-            samples = res.probe(node).ok_or_else(probe_err)?.samples().to_vec();
+            wave = res.into_probe(node).ok_or_else(probe_err)?;
         } else {
             xtalk_obs::counter!("sim.golden.retry_resumes").add(1);
             // Extend from the exact end of the stitched grid with a 4×
             // coarser step (the tail is smooth), then upsample the
             // extension back onto the fine grid so the waveform stays
             // uniform.
+            let mut samples = wave.into_samples();
             let t_end = (samples.len() - 1) as f64 * cur_dt;
             let ext = SimOptions {
                 dt: cur_dt * HORIZON_GROWTH,
@@ -426,10 +427,10 @@ fn measure_or_extend(
                 }
             }
             opts.t_stop *= HORIZON_GROWTH;
+            wave = Waveform::new(0.0, cur_dt, samples);
         }
         state.clear();
         state.extend_from_slice(workspace.final_state(0));
-        let wave = Waveform::new(0.0, cur_dt, samples.clone());
         match measure_noise(&wave, polarity) {
             Ok(params) => {
                 record_steps(opts.t_stop);

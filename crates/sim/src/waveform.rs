@@ -48,6 +48,11 @@ impl Waveform {
         &self.samples
     }
 
+    /// The sample values, by value.
+    pub(crate) fn into_samples(self) -> Vec<f64> {
+        self.samples
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
